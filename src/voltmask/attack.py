@@ -266,15 +266,9 @@ def solve_riccati(
     weights: AttackWeights,
     ref: ReferenceTrajectory,
     u_nom: TimeSeries,
-    grid: np.ndarray | None = None,
 ) -> RiccatiSolution:
-    """Backward sweep on the u_nom grid (a different grid must match it)."""
-    times = u_nom.times()
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if grid.shape != times.shape or not np.array_equal(grid, times):
-            raise ValueError("grid must match the u_nom sample grid exactly")
-    grid = times
+    """Backward sweep on the u_nom sample grid."""
+    grid = u_nom.times()
     if grid.size < 2:
         raise ValueError("sweep needs at least 2 grid points")
     xref = build_reference(ref, grid)

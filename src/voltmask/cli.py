@@ -145,7 +145,7 @@ def _parse_ka_list(text: str) -> list[float]:
         raise ConfigError(f"--ka must be a comma-separated list of numbers, got {text!r}") from None
 
 
-def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | None, workers: int) -> int:
+def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | None) -> int:
     config = load_scenario(config_path)
     prep = prepare(config, seed_override=seed)
     ka_values = _parse_ka_list(ka) if ka is not None else list(prep.ka_values)
@@ -153,7 +153,7 @@ def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | Non
         raise ConfigError(
             f"{config_path}: no gains to sweep; set 'ka_values' in the config or pass --ka"
         )
-    result = sweep_scenario(prep, ka_values, workers=workers)
+    result = sweep_scenario(prep, ka_values)
     _write_csv(
         out_dir / "sweep.csv",
         ["k_a", "residual_rms_V"],
@@ -304,7 +304,6 @@ def main(argv=None) -> int:
                 default=None,
                 help="comma-separated gains; use --ka=-0.1,0,0.1 for negative values",
             )
-            p.add_argument("--workers", type=int, default=1, help="parallel evaluations")
 
     args = parser.parse_args(argv)
     try:
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
         if args.command == "scenario":
             return _cmd_scenario(args.config, out_dir, args.seed)
         if args.command == "sweep":
-            return _cmd_sweep(args.config, out_dir, args.seed, args.ka, args.workers)
+            return _cmd_sweep(args.config, out_dir, args.seed, args.ka)
         return _cmd_fit(args.config, out_dir)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -134,6 +134,11 @@ def _ocv_array(curve: OcvCurve, soc: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_real(value) -> bool:
+    """A JSON or Python number; bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EcmParams:
     """Cell parameters.
@@ -154,7 +159,7 @@ class EcmParams:
     def __post_init__(self):
         for name in ("capacity_q", "r0", "r1", "c1"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
             object.__setattr__(self, name, float(value))
         if not isinstance(self.ocv, OcvCurve):
@@ -292,7 +297,8 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
     )
 
 
-_PARAM_KEYS = ("capacity_As", "r0_ohm", "r1_ohm", "c1_farad", "ocv")
+_SCALAR_KEYS = ("capacity_As", "r0_ohm", "r1_ohm", "c1_farad")
+_PARAM_KEYS = (*_SCALAR_KEYS, "ocv")
 
 
 def load_params(path) -> EcmParams:
@@ -312,20 +318,24 @@ def load_params(path) -> EcmParams:
     for key in _PARAM_KEYS:
         if key not in raw:
             raise ValueError(f"{path}: missing key {key!r}")
+    for key in _SCALAR_KEYS:
+        if not _is_real(raw[key]):
+            raise ValueError(f"{path}: field {key!r} must be a number, got {raw[key]!r}")
     pairs = raw["ocv"]
-    if not isinstance(pairs, list) or any(len(p) != 2 for p in pairs):
-        raise ValueError(f"{path}: 'ocv' must be a list of [soc, volts] pairs")
-    curve = OcvCurve(
-        soc_breakpoints=tuple(p[0] for p in pairs),
-        ocv_volts=tuple(p[1] for p in pairs),
-    )
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(_is_real(x) for x in p) for p in pairs
+    ):
+        raise ValueError(f"{path}: field 'ocv' must be a list of [soc, volts] number pairs")
     try:
         return EcmParams(
             capacity_q=raw["capacity_As"],
             r0=raw["r0_ohm"],
             r1=raw["r1_ohm"],
             c1=raw["c1_farad"],
-            ocv=curve,
+            ocv=OcvCurve(
+                soc_breakpoints=tuple(p[0] for p in pairs),
+                ocv_volts=tuple(p[1] for p in pairs),
+            ),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ecm import BatteryState, EcmParams
 from .profiles import TimeSeries, check_same_grid
-from .stealth import PlantConfig, feedback_output_attack
+from .stealth import PlantConfig, _measurement_noise, _score, _simulate_trajectories
 
 __all__ = [
     "ScenarioSummary",
@@ -81,36 +80,22 @@ def sweep_ka(
     u_nom: TimeSeries,
     u_a: TimeSeries,
     ka_values,
-    workers: int = 1,
 ) -> KaSweepResult:
     """Score the masking residual over a set of feedback gains.
 
-    The injection u_a is fixed; only the output-correction gain varies.
+    The injection u_a is fixed, so the four masking simulations are run
+    once and only the per-sample correction is recomputed per gain.
     Values are sorted first and each gets a noise seed derived from the
-    plant seed and its sorted rank, so results are identical no matter
-    how many workers evaluate them.
+    plant seed and its sorted rank, so every row equals
+    feedback_output_attack with that seed, whatever the input order.
     """
     kas = sorted(float(k) for k in ka_values)
     if not kas:
         raise ValueError("ka_values must not be empty")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def evaluate(item: tuple[int, float]) -> tuple[float, float]:
-        index, ka = item
-        cfg = PlantConfig(
-            true_params=plant.true_params,
-            noise_std=plant.noise_std,
-            seed=_derived_seed(plant.seed, index),
-        )
-        result = feedback_output_attack(adv_params, cfg, x0, u_nom, u_a, ka)
-        return ka, result.residual_rms
-
-    items = list(enumerate(kas))
-    if workers == 1 or len(items) == 1:
-        rows = [evaluate(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, items))
+    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, u_a)
+    rows = []
+    for rank, ka in enumerate(kas):
+        noise = _measurement_noise(_derived_seed(plant.seed, rank), plant.noise_std, len(u_nom))
+        rows.append((ka, _score(traj, ka, noise).residual_rms))
     argmin_ka, argmin_rms = select_argmin(rows)
     return KaSweepResult(rows=tuple(rows), argmin_ka=argmin_ka, argmin_rms=argmin_rms)

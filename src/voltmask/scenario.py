@@ -22,9 +22,9 @@ from .attack import (
     ReferenceTrajectory,
     synthesize_input_attack,
 )
-from .ecm import BatteryState, EcmParams, SimulationResult, load_params, simulate
+from .ecm import BatteryState, EcmParams, SimulationResult, load_params
 from .metrics import KaSweepResult, ScenarioSummary
-from .profiles import TimeSeries, add, load_csv, synthetic_profile
+from .profiles import TimeSeries, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
 
 __all__ = [
@@ -146,6 +146,8 @@ def load_scenario(path) -> ScenarioConfig:
     bad = set(overrides) - _PLANT_OVERRIDE_KEYS
     if bad:
         raise ConfigError(f"{ctx}: unknown plant_overrides keys {sorted(bad)}")
+    for key in overrides:
+        _require(overrides, key, float, f"{ctx}: plant_overrides")
     noise_std = float(overrides.get("noise_std", 0.0))
     if noise_std < 0:
         raise ConfigError(f"{ctx}: plant_overrides.noise_std must be >= 0, got {noise_std}")
@@ -270,8 +272,6 @@ def run_scenario(prep: PreparedScenario) -> ScenarioRun:
     masked = feedback_output_attack(
         prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk.u_a, prep.k_a
     )
-    plant_nominal = simulate(prep.plant.true_params, prep.x0, prep.u_nom)
-    plant_attacked = simulate(prep.plant.true_params, prep.x0, add(prep.u_nom, atk.u_a))
     summary = ScenarioSummary(
         final_soc_nominal=masked.final_soc_nominal,
         final_soc_attacked=masked.final_soc_plant,
@@ -286,17 +286,17 @@ def run_scenario(prep: PreparedScenario) -> ScenarioRun:
     return ScenarioRun(
         input_attack=atk,
         stealth=masked,
-        plant_nominal=plant_nominal,
-        plant_attacked=plant_attacked,
+        plant_nominal=masked.plant_nominal,
+        plant_attacked=masked.plant_attacked,
         summary=summary,
     )
 
 
-def sweep_scenario(prep: PreparedScenario, ka_values, workers: int = 1) -> KaSweepResult:
+def sweep_scenario(prep: PreparedScenario, ka_values) -> KaSweepResult:
     """Synthesize the injection once, then sweep the masking gain."""
     atk = synthesize_input_attack(
         prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
     )
     return metrics.sweep_ka(
-        prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk.u_a, ka_values, workers
+        prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk.u_a, ka_values
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecm import BatteryState, EcmParams, simulate
+from .ecm import BatteryState, EcmParams, SimulationResult, simulate
 from .profiles import TimeSeries, add, check_same_grid
 
 __all__ = [
@@ -68,6 +68,9 @@ class StealthResult:
     y_plant      plant voltage under u_nom + u_a, noise included, pre-masking
     y_a          injected output correction
     y_measured   what the monitor sees, y_plant + y_a exactly
+    plant_nominal, plant_attacked
+                 the plant simulations under u_nom and u_nom + u_a
+                 (noise-free), from which the SoC fields are taken
     """
 
     y_nom: TimeSeries
@@ -82,6 +85,8 @@ class StealthResult:
     soc_violation_plant: bool
     soc_violation_nominal: bool
     ka_warning: bool
+    plant_nominal: SimulationResult
+    plant_attacked: SimulationResult
 
 
 def nominal_model_output(
@@ -101,6 +106,76 @@ def open_loop_output_attack(
     return TimeSeries(u_nom.t0, u_nom.dt, y_nom.samples - y_att.samples)
 
 
+@dataclass(frozen=True, eq=False)
+class _Trajectories:
+    """The four masking simulations; none of them depends on k_a."""
+
+    nom_model: SimulationResult
+    att_model: SimulationResult
+    plant_att: SimulationResult
+    plant_nom: SimulationResult
+
+
+def _simulate_trajectories(
+    adv_params: EcmParams,
+    true_params: EcmParams,
+    x0: BatteryState,
+    u_nom: TimeSeries,
+    u_a: TimeSeries,
+) -> _Trajectories:
+    """Run the model and plant once each without and with the injection."""
+    check_same_grid(u_nom, u_a)
+    u_total = add(u_nom, u_a)
+    return _Trajectories(
+        nom_model=simulate(adv_params, x0, u_nom),
+        att_model=simulate(adv_params, x0, u_total),
+        plant_att=simulate(true_params, x0, u_total),
+        plant_nom=simulate(true_params, x0, u_nom),
+    )
+
+
+def _measurement_noise(seed: int, noise_std: float, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(n) * noise_std
+
+
+def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
+    """Close the masking loop for one gain and one noise draw."""
+    if not math.isfinite(k_a):
+        raise ValueError(f"k_a must be finite, got {k_a}")
+    if k_a == 1.0:
+        raise ValueError("k_a = 1 makes the per-sample correction singular")
+    plant_att = traj.plant_att
+    plant_nom = traj.plant_nom
+    y_nom = traj.nom_model.voltage.samples
+    y_plant = plant_att.voltage.samples + noise
+    delta = y_nom - traj.att_model.voltage.samples
+    y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
+    y_measured = y_plant + y_a
+
+    residual = y_measured - plant_nom.voltage.samples
+    residual_rms = float(np.sqrt(np.mean(residual * residual)))
+    residual_max = float(np.abs(residual).max())
+
+    voltage = traj.nom_model.voltage
+    grid = (voltage.t0, voltage.dt)
+    return StealthResult(
+        y_nom=voltage,
+        y_nom_plant=plant_nom.voltage,
+        y_plant=TimeSeries(*grid, y_plant),
+        y_a=TimeSeries(*grid, y_a),
+        y_measured=TimeSeries(*grid, y_measured),
+        residual_rms=residual_rms,
+        residual_max=residual_max,
+        final_soc_plant=float(plant_att.soc[-1]),
+        final_soc_nominal=float(plant_nom.soc[-1]),
+        soc_violation_plant=plant_att.soc_violation,
+        soc_violation_nominal=plant_nom.soc_violation,
+        ka_warning=bool(abs(k_a) >= 1.0),
+        plant_nominal=plant_nom,
+        plant_attacked=plant_att,
+    )
+
+
 def feedback_output_attack(
     adv_params: EcmParams,
     plant: PlantConfig,
@@ -115,42 +190,5 @@ def feedback_output_attack(
     residual compares y_measured against the plant's no-attack voltage,
     i.e. what the monitor would have seen had nothing been injected.
     """
-    if not math.isfinite(k_a):
-        raise ValueError(f"k_a must be finite, got {k_a}")
-    if k_a == 1.0:
-        raise ValueError("k_a = 1 makes the per-sample correction singular")
-    check_same_grid(u_nom, u_a)
-    u_total = add(u_nom, u_a)
-
-    nom_model = simulate(adv_params, x0, u_nom)
-    att_model = simulate(adv_params, x0, u_total)
-    plant_att = simulate(plant.true_params, x0, u_total)
-    plant_nom = simulate(plant.true_params, x0, u_nom)
-
-    n = len(u_nom)
-    noise = np.random.default_rng(plant.seed).standard_normal(n) * plant.noise_std
-    y_nom = nom_model.voltage.samples
-    y_plant = plant_att.voltage.samples + noise
-    delta = y_nom - att_model.voltage.samples
-    y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
-    y_measured = y_plant + y_a
-
-    residual = y_measured - plant_nom.voltage.samples
-    residual_rms = float(np.sqrt(np.mean(residual * residual)))
-    residual_max = float(np.abs(residual).max())
-
-    grid = (u_nom.t0, u_nom.dt)
-    return StealthResult(
-        y_nom=nom_model.voltage,
-        y_nom_plant=plant_nom.voltage,
-        y_plant=TimeSeries(*grid, y_plant),
-        y_a=TimeSeries(*grid, y_a),
-        y_measured=TimeSeries(*grid, y_measured),
-        residual_rms=residual_rms,
-        residual_max=residual_max,
-        final_soc_plant=float(plant_att.soc[-1]),
-        final_soc_nominal=float(plant_nom.soc[-1]),
-        soc_violation_plant=plant_att.soc_violation,
-        soc_violation_nominal=plant_nom.soc_violation,
-        ka_warning=bool(abs(k_a) >= 1.0),
-    )
+    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, u_a)
+    return _score(traj, k_a, _measurement_noise(plant.seed, plant.noise_std, len(u_nom)))

@@ -132,10 +132,7 @@ class TestSweepCommand:
             tmp_path, params_path, plant_overrides={"r0_ohm": 0.0162156}
         )
         out = tmp_path / "out"
-        code = main(
-            ["sweep", "--config", str(config), "--out", str(out), "--workers", "2"]
-        )
-        assert code == 0
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         header, data = read_rows(out / "sweep.csv")
         assert header == ["k_a", "residual_rms_V"]
         np.testing.assert_array_equal(data[:, 0], [-0.1, 0.0, 0.1])
@@ -149,15 +146,15 @@ class TestSweepCommand:
         _, data = read_rows(out / "sweep.csv")
         np.testing.assert_array_equal(data[:, 0], [-0.2, 0.2])
 
-    def test_parallel_matches_serial_bytes(self, tmp_path, params_path):
+    def test_sweep_reruns_match_bytes(self, tmp_path, params_path):
         config = small_scenario(
             tmp_path,
             params_path,
             plant_overrides={"r0_ohm": 0.0162156, "noise_std": 0.001, "seed": 5},
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["sweep", "--config", str(config), "--out", str(out1), "--workers", "1"])
-        main(["sweep", "--config", str(config), "--out", str(out2), "--workers", "3"])
+        assert main(["sweep", "--config", str(config), "--out", str(out1)]) == 0
+        assert main(["sweep", "--config", str(config), "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
     def test_no_gains_anywhere_is_a_config_error(self, tmp_path, params_path, capsys):
@@ -192,6 +189,21 @@ class TestExitCodes:
         )
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("ocv", [1, 2]), ("capacity_As", True)]
+    )
+    def test_malformed_cell_file_names_the_field(
+        self, tmp_path, params_path, capsys, field, value
+    ):
+        cell = json.loads(params_path.read_text())
+        cell[field] = value
+        bad_cell = tmp_path / "cell.json"
+        bad_cell.write_text(json.dumps(cell))
+        config = small_scenario(tmp_path, bad_cell)
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(field) in err
 
 
 class TestFitCommand:

@@ -1,6 +1,7 @@
 """Cell model: OCV lookup, exact zero-order-hold stepping, simulation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -87,6 +88,28 @@ class TestParams:
         path.write_text("not json")
         with pytest.raises(ValueError, match="invalid JSON"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("ocv", [1, 2]),
+            ("ocv", [[0.0, "3.0"], [1.0, 4.2]]),
+            ("capacity_As", True),
+            ("r1_ohm", "1"),
+        ],
+    )
+    def test_load_rejects_non_numeric_fields(self, cell, tmp_path, field, value):
+        path = tmp_path / "cell.json"
+        dump_params(cell, path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            load_params(path)
+
+    def test_bool_is_not_a_parameter_value(self, linear_cell):
+        with pytest.raises(ValueError, match="capacity_q must be positive"):
+            dataclasses.replace(linear_cell, capacity_q=True)
 
 
 def test_terminal_voltage_sign_convention(linear_cell):

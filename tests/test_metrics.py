@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltmask import (
     AttackWeights,
@@ -13,12 +15,14 @@ from voltmask import (
     ReferenceTrajectory,
     TimeSeries,
     attack_energy,
+    feedback_output_attack,
     rms,
     select_argmin,
     sweep_ka,
     synthesize_input_attack,
     synthetic_profile,
 )
+from voltmask.metrics import _derived_seed
 
 
 def test_rms_basics():
@@ -49,7 +53,7 @@ def test_select_argmin_tie_breaking():
     assert select_argmin(rows) == (-0.05, 3.0)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def sweep_setup(cell):
     u_nom = synthetic_profile("sin_mix", 2.0, 1.5, 600.0, 1.0, seed=17)
     x0 = BatteryState(0.7, 0.0)
@@ -70,18 +74,37 @@ def test_sweep_rows_are_sorted_and_scored(sweep_setup):
     assert (result.argmin_ka, result.argmin_rms) == select_argmin(result.rows)
 
 
-def test_sweep_is_order_and_worker_invariant(sweep_setup):
+def test_sweep_is_order_invariant(sweep_setup):
     adv, plant, x0, u_nom, u_a = sweep_setup
     gains = [-0.1, -0.05, 0.0, 0.05, 0.1]
-    serial = sweep_ka(adv, plant, x0, u_nom, u_a, gains)
-    shuffled = sweep_ka(adv, plant, x0, u_nom, u_a, list(reversed(gains)))
-    parallel = sweep_ka(adv, plant, x0, u_nom, u_a, gains, workers=3)
-    assert serial.rows == shuffled.rows == parallel.rows
+    ordered = sweep_ka(adv, plant, x0, u_nom, u_a, gains)
+    shuffled = sweep_ka(adv, plant, x0, u_nom, u_a, [0.05, -0.1, 0.1, 0.0, -0.05])
+    assert ordered.rows == shuffled.rows
 
     # the per-gain noise seed is derived from the sorted rank, so the
     # same gain sees the same noise draw across runs
-    again = sweep_ka(adv, plant, x0, u_nom, u_a, gains, workers=2)
-    assert serial.rows == again.rows
+    again = sweep_ka(adv, plant, x0, u_nom, u_a, list(reversed(gains)))
+    assert ordered.rows == again.rows
+
+
+gain = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda k: k != 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gains=st.lists(gain, min_size=1, max_size=5),
+    noise_std=st.sampled_from([0.0, 1e-4, 5e-3]) | st.floats(0.0, 1e-2),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sweep_rows_equal_per_gain_masking(sweep_setup, gains, noise_std, seed):
+    adv, plant, x0, u_nom, u_a = sweep_setup
+    plant = dataclasses.replace(plant, noise_std=noise_std, seed=seed)
+    result = sweep_ka(adv, plant, x0, u_nom, u_a, gains)
+    assert [row[0] for row in result.rows] == sorted(gains)
+    for rank, (ka, residual_rms) in enumerate(result.rows):
+        cfg = dataclasses.replace(plant, seed=_derived_seed(seed, rank))
+        single = feedback_output_attack(adv, cfg, x0, u_nom, u_a, ka)
+        assert residual_rms == single.residual_rms
 
 
 def test_sweep_perfect_model_is_flat_zero(cell, sweep_setup):
@@ -95,8 +118,8 @@ def test_sweep_validation(sweep_setup):
     adv, plant, x0, u_nom, u_a = sweep_setup
     with pytest.raises(ValueError, match="must not be empty"):
         sweep_ka(adv, plant, x0, u_nom, u_a, [])
-    with pytest.raises(ValueError, match="workers"):
-        sweep_ka(adv, plant, x0, u_nom, u_a, [0.0], workers=0)
+    with pytest.raises(ValueError, match="singular"):
+        sweep_ka(adv, plant, x0, u_nom, u_a, [0.0, 1.0])
 
 
 def test_single_gain_sweep(sweep_setup):

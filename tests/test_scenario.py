@@ -14,6 +14,7 @@ from voltmask import (
     select_argmin,
     sweep_scenario,
 )
+from voltmask import ecm
 
 
 def write_config(tmp_path, params_path, **overrides):
@@ -77,6 +78,12 @@ class TestLoadScenario:
     def test_unknown_override_key_rejected(self, tmp_path, params_path):
         path = write_config(tmp_path, params_path, plant_overrides={"r0": 0.02})
         with pytest.raises(ConfigError, match="unknown plant_overrides keys \\['r0'\\]"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("value", [True, "0.02"])
+    def test_non_numeric_override_is_named(self, tmp_path, params_path, value):
+        path = write_config(tmp_path, params_path, plant_overrides={"r0_ohm": value})
+        with pytest.raises(ConfigError, match="plant_overrides: field 'r0_ohm' must be a number"):
             load_scenario(path)
 
     def test_profile_needs_csv_or_synth_keys(self, tmp_path, params_path):
@@ -168,7 +175,26 @@ class TestRunScenario:
 
 def test_sweep_scenario_matches_selection(scenario_dir):
     prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
-    result = sweep_scenario(prep, prep.ka_values, workers=2)
+    result = sweep_scenario(prep, prep.ka_values)
     kas = [row[0] for row in result.rows]
     assert kas == sorted(kas)
     assert (result.argmin_ka, result.argmin_rms) == select_argmin(result.rows)
+
+
+@pytest.mark.parametrize("n_gains", [1, 3, 12])
+def test_masking_runs_each_simulation_once(scenario_dir, monkeypatch, n_gains):
+    """A scenario or a sweep of any length costs four stepping-kernel runs."""
+    calls = []
+    kernel = ecm._simulate_arrays
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ecm, "_simulate_arrays", counting)
+    prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
+    run_scenario(prep)
+    assert len(calls) == 4
+    calls.clear()
+    sweep_scenario(prep, [-0.5 + 0.1 * i for i in range(n_gains)])
+    assert len(calls) == 4
