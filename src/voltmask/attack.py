@@ -29,7 +29,8 @@ own simulated state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,15 +144,23 @@ class RiccatiSolution:
     s[k] is the symmetric 2x2 gain matrix and v[k] the feedforward
     vector at grid[k]; the last entries hold the terminal conditions
     exactly.  interp() evaluates both by linear interpolation in time.
+    stationary_from is where S settled: the largest grid index j > 0
+    such that every earlier row s[0], ..., s[j-1] equals s[j] bit for
+    bit, or None when s[0] and s[1] already differ.
     """
 
     grid: np.ndarray
     s: np.ndarray
     v: np.ndarray
+    stationary_from: int | None = field(init=False)
 
     def __post_init__(self):
         for name in ("grid", "s", "v"):
             getattr(self, name).setflags(write=False)
+        rows = np.ascontiguousarray(self.s, dtype=float).reshape(len(self.s), -1).view(np.uint64)
+        same = (rows == rows[0]).all(axis=1)
+        settled = int(same.argmin()) - 1 if not same.all() else same.size - 1
+        object.__setattr__(self, "stationary_from", settled if settled > 0 else None)
 
     def interp(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         g = self.grid
@@ -181,8 +190,15 @@ def _sweep_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 backward integration of the coupled S / V equations.
 
-    Works on scalarized entries (S symmetric, so five coupled scalars
-    plus two for V) which keeps the per-step cost trivial.
+    Works on scalarized entries (S symmetric, so three S scalars plus two
+    for V), and splits each RK4 step in two parts.  The S part depends
+    only on (h, S), because the S equation never sees u_nom or x_ref; it
+    returns b'S at the four stage points and the stepped S.  It is kept
+    and reused while (h, S) stays the same bit for bit, which is every
+    step once S is stationary.  The V part is one unrolled update that
+    uses the four b'S pairs.  Both parts do the float operations of one
+    RK4 step of the five coupled scalars in the same order, so the
+    reuse changes no output bit.
     """
     a11, a12 = float(a[0, 0]), float(a[0, 1])
     a21, a22 = float(a[1, 0]), float(a[1, 1])
@@ -190,8 +206,7 @@ def _sweep_backward(
     q2_11, q2_12, q2_22 = float(q2[0, 0]), float(q2[0, 1]), float(q2[1, 1])
     rinv = 1.0 / r
 
-    def rhs(y, xr1, xr2, un):
-        s11, s12, s22, v1, v2 = y
+    def s_rhs(s11, s12, s22):
         m11 = s11 * a11 + s12 * a21
         m12 = s11 * a12 + s12 * a22
         m21 = s12 * a11 + s22 * a21
@@ -201,10 +216,21 @@ def _sweep_backward(
         ds11 = -(2.0 * m11 - p1 * p1 * rinv + q2_11)
         ds12 = -(m12 + m21 - p1 * p2 * rinv + q2_12)
         ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
-        btv = b1 * v1 + b2 * v2
-        dv1 = -(a11 * v1 + a21 * v2 - p1 * btv * rinv - p1 * un + q2_11 * xr1 + q2_12 * xr2)
-        dv2 = -(a12 * v1 + a22 * v2 - p2 * btv * rinv - p2 * un + q2_12 * xr1 + q2_22 * xr2)
-        return (ds11, ds12, ds22, dv1, dv2)
+        return p1, p2, ds11, ds12, ds22
+
+    def s_part(h, s11, s12, s22):
+        hh = 0.5 * h
+        pa1, pa2, ka11, ka12, ka22 = s_rhs(s11, s12, s22)
+        pb1, pb2, kb11, kb12, kb22 = s_rhs(s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22)
+        pc1, pc2, kc11, kc12, kc22 = s_rhs(s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22)
+        pd1, pd2, kd11, kd12, kd22 = s_rhs(s11 + h * kc11, s12 + h * kc12, s22 + h * kc22)
+        h6 = h / 6.0
+        return (
+            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2,
+            s11 + h6 * (ka11 + 2.0 * kb11 + 2.0 * kc11 + kd11),
+            s12 + h6 * (ka12 + 2.0 * kb12 + 2.0 * kc12 + kd12),
+            s22 + h6 * (ka22 + 2.0 * kb22 + 2.0 * kc22 + kd22),
+        )
 
     n = grid.size
     s_out = np.empty((n, 2, 2))
@@ -212,53 +238,90 @@ def _sweep_backward(
     # terminal conditions assigned exactly, not integrated
     s_out[-1] = q1
     v_out[-1] = q1 @ xref[-1]
-    y = (
-        float(q1[0, 0]),
-        float(q1[0, 1]),
-        float(q1[1, 1]),
-        float(v_out[-1, 0]),
-        float(v_out[-1, 1]),
+    s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
+    v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
+    # The loop reads and writes plain floats through memoryviews, so it
+    # neither does numpy scalar arithmetic nor keeps per-row Python
+    # objects alive; a diverging sweep overflows to inf silently and is
+    # caught by the finite check instead of spraying numpy warnings.
+    s_mv = memoryview(s_out.reshape(-1))
+    v_mv = memoryview(v_out.reshape(-1))
+    t_mv = memoryview(grid)
+    x_mv = memoryview(xref.reshape(-1))
+    u_mv = memoryview(unom)
+    # the lower node of each step, from the last step back to the first
+    lows = zip(
+        range(n - 2, -1, -1),
+        t_mv[n - 2 :: -1],
+        x_mv[2 * n - 4 :: -2],
+        x_mv[2 * n - 3 :: -2],
+        u_mv[n - 2 :: -1],
     )
-    # plain-float views keep the stepping loop in scalar arithmetic; a
-    # diverging sweep then overflows to inf silently and is caught by the
-    # finite check instead of spraying numpy warnings
-    times = grid.tolist()
-    xr1s = xref[:, 0].tolist()
-    xr2s = xref[:, 1].tolist()
-    uns = unom.tolist()
-    for k in range(n - 1, 0, -1):
-        h = times[k - 1] - times[k]  # negative
-        xr1_hi, xr2_hi = xr1s[k], xr2s[k]
-        xr1_lo, xr2_lo = xr1s[k - 1], xr2s[k - 1]
+    # e.._hi, e.._mid, e.._lo are the q2 x_ref products of dv1 (e11, e12)
+    # and dv2 (e21, e22) at the upper node, the midpoint and the lower node
+    t_hi, un_hi = t_mv[n - 1], u_mv[n - 1]
+    xr1_hi, xr2_hi = x_mv[2 * n - 2], x_mv[2 * n - 1]
+    e11_hi, e12_hi, e21_hi, e22_hi = q2_11 * xr1_hi, q2_12 * xr2_hi, q2_12 * xr1_hi, q2_22 * xr2_hi
+    # (h, S) is compared by its bits, not by ==, so that 0.0 and -0.0 differ
+    pack = struct.Struct("4d").pack
+    isfinite = math.isfinite
+    s_key = None
+    for i, t_lo, xr1_lo, xr2_lo, un_lo in lows:
+        h = t_lo - t_hi  # negative
+        key = pack(h, s11, s12, s22)
+        if key != s_key:
+            s_key = key
+            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(h, s11, s12, s22)
+            if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
+                break
+        # otherwise the last S part, stepped S included, holds bit for bit
+
         xr1_mid = 0.5 * (xr1_hi + xr1_lo)
         xr2_mid = 0.5 * (xr2_hi + xr2_lo)
-        un_hi = uns[k]
-        un_lo = uns[k - 1]
         un_mid = 0.5 * (un_hi + un_lo)
-        k1 = rhs(y, xr1_hi, xr2_hi, un_hi)
-        y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
-        k2 = rhs(y2, xr1_mid, xr2_mid, un_mid)
-        y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
-        k3 = rhs(y3, xr1_mid, xr2_mid, un_mid)
-        y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-        k4 = rhs(y4, xr1_lo, xr2_lo, un_lo)
-        y = tuple(
-            yi + (h / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-            for yi, k1i, k2i, k3i, k4i in zip(y, k1, k2, k3, k4)
-        )
-        if not all(math.isfinite(yi) for yi in y):
-            raise DivergenceError(
-                f"riccati sweep diverged at t={grid[k - 1]} "
-                "(weights too stiff for this grid step)"
-            )
-        s11, s12, s22, v1, v2 = y
-        s_out[k - 1, 0, 0] = s11
-        s_out[k - 1, 0, 1] = s12
-        s_out[k - 1, 1, 0] = s12
-        s_out[k - 1, 1, 1] = s22
-        v_out[k - 1, 0] = v1
-        v_out[k - 1, 1] = v2
-    return s_out, v_out
+        e11_mid, e12_mid = q2_11 * xr1_mid, q2_12 * xr2_mid
+        e21_mid, e22_mid = q2_12 * xr1_mid, q2_22 * xr2_mid
+        e11_lo, e12_lo = q2_11 * xr1_lo, q2_12 * xr2_lo
+        e21_lo, e22_lo = q2_12 * xr1_lo, q2_22 * xr2_lo
+        hh = 0.5 * h
+        btv = b1 * v1 + b2 * v2
+        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e11_hi + e12_hi)
+        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e21_hi + e22_hi)
+        w1 = v1 + hh * ka1
+        w2 = v2 + hh * ka2
+        btv = b1 * w1 + b2 * w2
+        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e11_mid + e12_mid)
+        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e21_mid + e22_mid)
+        w1 = v1 + hh * kb1
+        w2 = v2 + hh * kb2
+        btv = b1 * w1 + b2 * w2
+        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e11_mid + e12_mid)
+        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e21_mid + e22_mid)
+        w1 = v1 + h * kc1
+        w2 = v2 + h * kc2
+        btv = b1 * w1 + b2 * w2
+        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e11_lo + e12_lo)
+        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e21_lo + e22_lo)
+        h6 = h / 6.0
+        v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
+        v2 = v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2)
+        if not (isfinite(v1) and isfinite(v2)):
+            break
+
+        j = 4 * i
+        s_mv[j] = s11
+        s_mv[j + 1] = s12
+        s_mv[j + 2] = s12
+        s_mv[j + 3] = s22
+        v_mv[2 * i] = v1
+        v_mv[2 * i + 1] = v2
+        t_hi, xr1_hi, xr2_hi, un_hi = t_lo, xr1_lo, xr2_lo, un_lo
+        e11_hi, e12_hi, e21_hi, e22_hi = e11_lo, e12_lo, e21_lo, e22_lo
+    else:  # no break: every value stayed finite
+        return s_out, v_out
+    raise DivergenceError(
+        f"riccati sweep diverged at t={grid[i]} (weights too stiff for this grid step)"
+    )
 
 
 def solve_riccati(
@@ -328,8 +391,6 @@ def synthesize_input_attack(
     law at each grid node along the simulated state.
     """
     riccati = solve_riccati(params, weights, ref, u_nom)
-    s = riccati.s
-    v = riccati.v
     mats = state_matrices(params)
     b1, b2 = float(mats.b[0]), float(mats.b[1])
     rinv = 1.0 / weights.r
@@ -342,26 +403,41 @@ def synthesize_input_attack(
     u_a = np.empty(n)
     soc_arr = np.empty(n)
     vc_arr = np.empty(n)
+    u_a_mv = memoryview(u_a)
+    soc_mv = memoryview(soc_arr)
+    vc_mv = memoryview(vc_arr)
+    s_mv = memoryview(riccati.s.reshape(-1))
+    v_mv = memoryview(riccati.v.reshape(-1))
+    nodes = zip(
+        range(n),
+        s_mv[0::4],
+        s_mv[1::4],
+        s_mv[2::4],
+        s_mv[3::4],
+        v_mv[0::2],
+        v_mv[1::2],
+        memoryview(unom),
+    )
     soc = x0.soc
     vc = x0.vc
     charge = 0.0
     comp = 0.0
     soc0 = x0.soc
-    for k in range(n):
-        soc_arr[k] = soc
-        vc_arr[k] = vc
-        lam1 = s[k, 0, 0] * soc + s[k, 0, 1] * vc - v[k, 0]
-        lam2 = s[k, 1, 0] * soc + s[k, 1, 1] * vc - v[k, 1]
+    # the step taken after the last node is computed and dropped
+    for k, s11, s12, s21, s22, v1, v2, un in nodes:
+        soc_mv[k] = soc
+        vc_mv[k] = vc
+        lam1 = s11 * soc + s12 * vc - v1
+        lam2 = s21 * soc + s22 * vc - v2
         ua = -(b1 * lam1 + b2 * lam2) * rinv
-        u_a[k] = ua
-        if k < n - 1:
-            total = unom[k] + ua
-            y = total - comp
-            t = charge + y
-            comp = (t - charge) - y
-            charge = t
-            soc = soc0 - scale * charge
-            vc = alpha * vc + beta * total
+        u_a_mv[k] = ua
+        total = un + ua
+        y = total - comp
+        t = charge + y
+        comp = (t - charge) - y
+        charge = t
+        soc = soc0 - scale * charge
+        vc = alpha * vc + beta * total
     violated = False
     if i_max is not None:
         violated = bool(np.abs(unom + u_a).max() > i_max)

@@ -15,8 +15,8 @@ outputs are byte-deterministic for a given config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,13 +38,24 @@ from .sysid import extract_ocv, fit_rc
 __all__ = ["main", "run"]
 
 
+# rows converted to Python floats at a time; bounds the extra memory
+_CSV_CHUNK = 256
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns as CSV, every cell as the repr of a float.
+
+    The bytes are those of csv.writer's default dialect, which never
+    quotes a float repr and ends each line with CRLF.  Rows are converted
+    and joined a chunk at a time, not cell by cell and not a whole column
+    at once.
+    """
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(n):
-            writer.writerow([repr(float(col[k])) for col in columns])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _CSV_CHUNK):
+            chunk = [np.asarray(col[lo : lo + _CSV_CHUNK], dtype=float).tolist() for col in columns]
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*chunk)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -179,6 +190,19 @@ def _load_fit_config(config_path: Path) -> dict:
     return raw
 
 
+def _number(block: dict, field: str, ctx: str) -> float:
+    """block[field] as a float; a non-number, bool or non-finite value is a config error."""
+    value = block[field]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{ctx}: field {field!r} must be a finite number, got {value!r}")
+
+
 def _resolve_csv(base: Path, block: dict, field: str, ctx: str) -> Path:
     if field not in block:
         raise ConfigError(f"{ctx}: missing field {field!r}")
@@ -212,6 +236,16 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
         dt = block.get("dt")
         if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0:
             raise ConfigError(f"{octx}: field 'dt' must be a positive number")
+        n_breakpoints = 21
+        if "n_breakpoints" in block:
+            n_breakpoints = _number(block, "n_breakpoints", octx)
+            if not n_breakpoints.is_integer():
+                raise ConfigError(
+                    f"{octx}: field 'n_breakpoints' must be a whole number, got {n_breakpoints!r}"
+                )
+        r0_guess = None
+        if block.get("r0_guess") is not None:
+            r0_guess = _number(block, "r0_guess", octx)
         try:
             charge = (
                 load_csv(_resolve_csv(base, block, "charge_current_csv", octx), dt),
@@ -227,8 +261,8 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
             charge,
             discharge,
             capacity_q=params.capacity_q,
-            n_breakpoints=int(block.get("n_breakpoints", 21)),
-            r0_guess=block.get("r0_guess"),
+            n_breakpoints=int(n_breakpoints),
+            r0_guess=r0_guess,
         )
         params = replace(params, ocv=curve)
 
@@ -249,9 +283,10 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
         frozen = block.get("frozen", [])
         if not isinstance(frozen, list) or not all(isinstance(v, str) for v in frozen):
             raise ConfigError(f"{rctx}: field 'frozen' must be a list of parameter names")
+        vc0 = _number(block, "vc0", rctx) if "vc0" in block else 0.0
         x0 = None
         if "soc0" in block:
-            x0 = BatteryState(float(block["soc0"]), float(block.get("vc0", 0.0)))
+            x0 = BatteryState(_number(block, "soc0", rctx), vc0)
         try:
             report = fit_rc(params, (current, voltage), frozenset(frozen), x0=x0)
         except ValueError as exc:

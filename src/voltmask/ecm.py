@@ -265,15 +265,18 @@ def _simulate_arrays(
     charge = 0.0
     comp = 0.0
     v = vc0
-    cur = current  # local alias for loop speed
-    for k in range(1, n):
-        y = cur[k - 1] - comp
+    # plain floats through memoryviews: no numpy scalar arithmetic and no
+    # per-sample Python objects kept alive
+    soc_mv = memoryview(soc)
+    vc_mv = memoryview(vc)
+    for k, i in zip(range(1, n), memoryview(current)):
+        y = i - comp
         t = charge + y
         comp = (t - charge) - y
         charge = t
-        soc[k] = soc0 - scale * charge
-        v = alpha * v + beta * cur[k - 1]
-        vc[k] = v
+        soc_mv[k] = soc0 - scale * charge
+        v = alpha * v + beta * i
+        vc_mv[k] = v
     volts = _ocv_array(params.ocv, soc) - vc - current * params.r0
     return soc, vc, volts
 

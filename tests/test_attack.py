@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voltmask import (
     AttackWeights,
@@ -22,6 +24,7 @@ from voltmask import (
     synthetic_profile,
 )
 from voltmask.attack import _sweep_backward
+from voltmask.scenario import load_scenario, prepare
 
 
 def scalar_riccati_euler(b1, r, q, s_terminal, grid, refine=100):
@@ -261,3 +264,281 @@ def test_feedback_law_consistency(cell):
         t = u_nom.t0 + k * u_nom.dt
         u = attack_current(atk.riccati, mats.b, weights.r, state, t)
         assert math.isclose(u, atk.u_a.samples[k], rel_tol=1e-9, abs_tol=1e-12)
+
+
+# ----------------------------------------------------- bit-exactness oracle
+
+
+def generic_rk4_sweep(a, b, q1, q2, r, xref, unom, grid):
+    """Plain RK4 on the five coupled scalars, one full step at a time.
+
+    This is the sweep as first written, before the S part was split off
+    and reused; _sweep_backward must reproduce it bit for bit.
+    """
+    a11, a12 = float(a[0, 0]), float(a[0, 1])
+    a21, a22 = float(a[1, 0]), float(a[1, 1])
+    b1, b2 = float(b[0]), float(b[1])
+    q2_11, q2_12, q2_22 = float(q2[0, 0]), float(q2[0, 1]), float(q2[1, 1])
+    rinv = 1.0 / r
+
+    def rhs(y, xr1, xr2, un):
+        s11, s12, s22, v1, v2 = y
+        m11 = s11 * a11 + s12 * a21
+        m12 = s11 * a12 + s12 * a22
+        m21 = s12 * a11 + s22 * a21
+        m22 = s12 * a12 + s22 * a22
+        p1 = s11 * b1 + s12 * b2
+        p2 = s12 * b1 + s22 * b2
+        ds11 = -(2.0 * m11 - p1 * p1 * rinv + q2_11)
+        ds12 = -(m12 + m21 - p1 * p2 * rinv + q2_12)
+        ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
+        btv = b1 * v1 + b2 * v2
+        dv1 = -(a11 * v1 + a21 * v2 - p1 * btv * rinv - p1 * un + q2_11 * xr1 + q2_12 * xr2)
+        dv2 = -(a12 * v1 + a22 * v2 - p2 * btv * rinv - p2 * un + q2_12 * xr1 + q2_22 * xr2)
+        return (ds11, ds12, ds22, dv1, dv2)
+
+    n = grid.size
+    s_out = np.empty((n, 2, 2))
+    v_out = np.empty((n, 2))
+    s_out[-1] = q1
+    v_out[-1] = q1 @ xref[-1]
+    y = (
+        float(q1[0, 0]),
+        float(q1[0, 1]),
+        float(q1[1, 1]),
+        float(v_out[-1, 0]),
+        float(v_out[-1, 1]),
+    )
+    times = grid.tolist()
+    xr1s = xref[:, 0].tolist()
+    xr2s = xref[:, 1].tolist()
+    uns = unom.tolist()
+    for k in range(n - 1, 0, -1):
+        h = times[k - 1] - times[k]
+        xr1_hi, xr2_hi = xr1s[k], xr2s[k]
+        xr1_lo, xr2_lo = xr1s[k - 1], xr2s[k - 1]
+        xr1_mid = 0.5 * (xr1_hi + xr1_lo)
+        xr2_mid = 0.5 * (xr2_hi + xr2_lo)
+        un_hi = uns[k]
+        un_lo = uns[k - 1]
+        un_mid = 0.5 * (un_hi + un_lo)
+        k1 = rhs(y, xr1_hi, xr2_hi, un_hi)
+        y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
+        k2 = rhs(y2, xr1_mid, xr2_mid, un_mid)
+        y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
+        k3 = rhs(y3, xr1_mid, xr2_mid, un_mid)
+        y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
+        k4 = rhs(y4, xr1_lo, xr2_lo, un_lo)
+        y = tuple(
+            yi + (h / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            for yi, k1i, k2i, k3i, k4i in zip(y, k1, k2, k3, k4)
+        )
+        if not all(math.isfinite(yi) for yi in y):
+            raise DivergenceError(
+                f"riccati sweep diverged at t={grid[k - 1]} "
+                "(weights too stiff for this grid step)"
+            )
+        s11, s12, s22, v1, v2 = y
+        s_out[k - 1] = [[s11, s12], [s12, s22]]
+        v_out[k - 1] = [v1, v2]
+    return s_out, v_out
+
+
+def sweep_outcome(sweep, *args):
+    """The bytes of S and V, or the divergence message."""
+    try:
+        s, v = sweep(*args)
+    except DivergenceError as exc:
+        return "diverged", str(exc)
+    return s.tobytes(), v.tobytes()
+
+
+def psd_weight(draw, scale1, scale2, size):
+    """A 2x2 PSD weight in cell units; each entry is an exact or signed zero
+    on about one draw in four."""
+
+    def entry(values, zeros):
+        return draw(st.sampled_from(zeros)) if draw(st.integers(0, 3)) == 0 else draw(values)
+
+    d1 = entry(st.floats(1e-3, size), [0.0])
+    d2 = entry(st.floats(1e-3, size), [0.0])
+    corr = entry(st.floats(-1.0, 1.0), [0.0, -0.0])
+    off = corr * math.sqrt(d1 * d2) * scale1 * scale2
+    return np.array([[d1 * scale1 * scale1, off], [off, d2 * scale2 * scale2]])
+
+
+@st.composite
+def sweep_cases(draw, stiffness=1.0):
+    """Random cells, weights, references, inputs and grids for the sweep.
+
+    Weights are drawn relative to the cell (capacity and c1), so that S
+    settles within the horizon on many draws; dt values such as 0.1 and
+    0.3 make h vary in its last bit along the grid.
+    """
+    capacity = draw(st.floats(500.0, 2e4))
+    r1 = draw(st.floats(1e-3, 5e-2))
+    c1 = draw(st.floats(50.0, 5e3))
+    a = np.array([[0.0, 0.0], [0.0, -1.0 / (r1 * c1)]])
+    b = np.array([-1.0 / capacity, 1.0 / c1])
+    q1 = psd_weight(draw, capacity, c1, stiffness)
+    q2 = psd_weight(draw, capacity, c1, 1.0)
+    if draw(st.integers(0, 3)) == 0:
+        q2 = np.zeros((2, 2))  # terminal-only: S never settles
+    r = draw(st.floats(0.2, 5.0))
+    dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 2.0))
+    t0 = draw(st.sampled_from([0.0, 13.7, 1e3]))
+    n = draw(st.integers(2, 1200))
+    grid = t0 + dt * np.arange(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a vc reference of the size that makes both q2 terms of the V equation
+    # comparable, so that their rounding shows
+    xref = np.column_stack([rng.uniform(0.0, 1.0, n), rng.normal(0.0, capacity / c1, n)])
+    if draw(st.integers(0, 3)) == 0:
+        xref[:, 1] = 0.0
+    unom = rng.normal(0.0, 2.0, n) if draw(st.integers(0, 3)) else np.zeros(n)
+    return a, b, q1, q2, r, xref, unom, grid
+
+
+# a cell-scaled case with off-diagonal weights and signed zeros whose S
+# settles about 1400 steps before the end of its 2000-step grid
+_SETTLING = (
+    np.array([[0.0, 0.0], [0.0, -1.0 / 20.0]]),
+    np.array([-1.0 / 1e3, 1.0 / 1e3]),
+    np.array([[2e5, -0.0], [-0.0, 0.0]]),
+    np.array([[1e6, 2e5], [2e5, 1e6]]),
+    1.0,
+    np.column_stack([np.linspace(0.8, 0.2, 2000), 0.5 * np.cos(np.arange(2000) * 0.003)]),
+    np.sin(np.arange(2000) * 0.01),
+    0.3 * np.arange(2000),
+)
+
+
+def test_settling_case_settles():
+    s, v = _sweep_backward(*_SETTLING)
+    assert RiccatiSolution(_SETTLING[-1], s, v).stationary_from is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sweep_cases())
+@example(case=_SETTLING)
+def test_sweep_matches_generic_rk4_bit_for_bit(case):
+    assert sweep_outcome(_sweep_backward, *case) == sweep_outcome(generic_rk4_sweep, *case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=sweep_cases(stiffness=1e6))
+def test_sweep_diverges_where_generic_rk4_does(case):
+    # stiff terminal weights: the divergence message, with its time, must match
+    assert sweep_outcome(_sweep_backward, *case) == sweep_outcome(generic_rk4_sweep, *case)
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+_ZERO_OR_ONE = st.sampled_from([0.0, -0.0, 1.0])
+
+
+@st.composite
+def signed_zero_cases(draw):
+    """Short sweeps on small generic matrices full of 0.0 and -0.0.
+
+    Here S often steps to a value equal to the last one by == but not by
+    its bits (-0.0 + 0.0 is 0.0), which is where a reuse keyed on ==
+    would repeat the wrong S part.
+    """
+    a = np.array(draw(st.lists(_SIGNED, min_size=4, max_size=4))).reshape(2, 2)
+    b = np.array(draw(st.lists(_SIGNED, min_size=2, max_size=2)))
+
+    def weight():
+        off = draw(st.sampled_from([0.0, -0.0]))
+        return np.array([[draw(_ZERO_OR_ONE), off], [off, draw(_ZERO_OR_ONE)]])
+
+    q1, q2 = weight(), weight()
+    n = draw(st.integers(2, 12))
+    xref = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    unom = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
+    grid = draw(st.sampled_from([0.0, 2.5])) + draw(st.sampled_from([0.1, 0.3, 1.0])) * np.arange(n)
+    return a, b, q1, q2, 1.0, xref, unom, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_zero_cases())
+@example(
+    case=(
+        np.zeros((2, 2)),
+        np.zeros(2),
+        np.array([[0.0, -0.0], [-0.0, -0.0]]),
+        np.array([[0.0, 0.0], [0.0, -0.0]]),
+        1.0,
+        np.zeros((3, 2)),
+        np.zeros(3),
+        np.array([0.0, 0.1, 0.2]),
+    )
+)
+def test_sweep_keeps_signed_zeros_of_generic_rk4(case):
+    assert sweep_outcome(_sweep_backward, *case) == sweep_outcome(generic_rk4_sweep, *case)
+
+
+def test_stationary_from_marks_where_s_settles(scenario_dir):
+    prep = prepare(load_scenario(scenario_dir / "tc1.json"))
+    sol = solve_riccati(prep.adv_params, prep.weights, prep.reference, prep.u_nom)
+    j = sol.stationary_from
+    assert j is not None and 0 < j < sol.s.shape[0] - 1
+    assert sol.s[: j + 1].tobytes() == np.tile(sol.s[j], (j + 1, 1, 1)).tobytes()
+    assert sol.s[j + 1].tobytes() != sol.s[j].tobytes()
+
+    terminal_only = AttackWeights(q1=prep.weights.q1, q2=np.zeros((2, 2)), r=prep.weights.r)
+    sol = solve_riccati(prep.adv_params, terminal_only, prep.reference, prep.u_nom)
+    assert sol.stationary_from is None
+
+
+def test_stationary_from_counts_signed_zeros():
+    grid = np.array([0.0, 1.0, 2.0])
+    v = np.zeros((3, 2))
+    zero = np.zeros((2, 2))
+    negative_zero = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    assert RiccatiSolution(grid, np.array([zero, zero, zero]), v).stationary_from == 2
+    assert RiccatiSolution(grid, np.array([zero, zero, negative_zero]), v).stationary_from == 1
+    assert RiccatiSolution(grid, np.array([negative_zero, zero, zero]), v).stationary_from is None
+
+
+def reference_rollout(params, weights, u_nom, x0, s, v):
+    """The forward rollout as first written, indexing numpy scalars one by one."""
+    mats = state_matrices(params)
+    b1, b2 = float(mats.b[0]), float(mats.b[1])
+    rinv = 1.0 / weights.r
+    dt = u_nom.dt
+    alpha = math.exp(-dt / params.tau1)
+    beta = params.r1 * (1.0 - alpha)
+    scale = dt / params.capacity_q
+    unom = u_nom.samples
+    n = unom.size
+    u_a, soc_arr, vc_arr = np.empty(n), np.empty(n), np.empty(n)
+    soc, vc, charge, comp = x0.soc, x0.vc, 0.0, 0.0
+    for k in range(n):
+        soc_arr[k] = soc
+        vc_arr[k] = vc
+        lam1 = s[k, 0, 0] * soc + s[k, 0, 1] * vc - v[k, 0]
+        lam2 = s[k, 1, 0] * soc + s[k, 1, 1] * vc - v[k, 1]
+        ua = -(b1 * lam1 + b2 * lam2) * rinv
+        u_a[k] = ua
+        if k < n - 1:
+            total = unom[k] + ua
+            y = total - comp
+            t = charge + y
+            comp = (t - charge) - y
+            charge = t
+            soc = x0.soc - scale * charge
+            vc = alpha * vc + beta * total
+    return u_a, soc_arr, vc_arr
+
+
+@pytest.mark.parametrize("name", ["tc1", "tc1_mismatch", "tc2", "tc3", "tc4"])
+def test_rollout_matches_indexed_loop_bit_for_bit(scenario_dir, name):
+    prep = prepare(load_scenario(scenario_dir / f"{name}.json"))
+    atk = synthesize_input_attack(
+        prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
+    )
+    want = reference_rollout(
+        prep.adv_params, prep.weights, prep.u_nom, prep.x0, atk.riccati.s, atk.riccati.v
+    )
+    for got, ref in zip((atk.u_a.samples, atk.soc, atk.vc), want):
+        assert got.tobytes() == ref.tobytes()

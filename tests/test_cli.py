@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
-from voltmask.cli import main
+from voltmask.cli import _write_csv, main
 from voltmask.ecm import _ocv_array, load_params
 
 ATTACK_HEADER = [
@@ -206,6 +206,28 @@ class TestExitCodes:
         assert "config error" in err and repr(field) in err
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
+def test_csv_writer_matches_csv_module_bytes(tmp_path, n):
+    # values around chunk boundaries, with signed zeros, non-finite values,
+    # tiny and huge magnitudes, and an integer column (written as floats)
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1])
+    columns = [
+        rng.normal(0.0, 1e3, n),
+        np.resize(special, n),
+        rng.normal(0.0, 1.0, (n, 3))[:, 1],
+        np.arange(n),
+    ]
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "fast.csv", header, columns)
+    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(n):
+            writer.writerow([repr(float(col[k])) for col in columns])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
 class TestFitCommand:
     @pytest.fixture()
     def records(self, tmp_path, cell):
@@ -299,3 +321,41 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("block", "field", "value"),
+        [
+            ("rc", "soc0", [0.5]),
+            ("rc", "soc0", "abc"),
+            ("rc", "soc0", True),
+            ("rc", "soc0", float("nan")),
+            ("rc", "vc0", "0"),
+            ("rc", "vc0", False),
+            ("ocv", "n_breakpoints", "21"),
+            ("ocv", "n_breakpoints", True),
+            ("ocv", "n_breakpoints", 20.5),
+            ("ocv", "r0_guess", [0.01]),
+            ("ocv", "r0_guess", True),
+            pytest.param("ocv", "r0_guess", 10**400, id="ocv-r0_guess-huge_int"),
+        ],
+    )
+    def test_malformed_number_names_the_field(
+        self, records, params_path, capsys, block, field, value
+    ):
+        blocks = {
+            "ocv": {
+                "charge_current_csv": "chg_i.csv",
+                "charge_voltage_csv": "chg_v.csv",
+                "discharge_current_csv": "dis_i.csv",
+                "discharge_voltage_csv": "dis_v.csv",
+                "dt": 30.0,
+            },
+            "rc": {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0, "soc0": 0.55},
+        }
+        blocks[block][field] = value
+        config = records / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), block: blocks[block]}))
+        assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{block}: field {field!r}" in err
+        assert not (records / "o" / "fitted_params.json").exists()

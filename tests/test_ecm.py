@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voltmask import (
+    EcmParams,
     BatteryState,
     OcvCurve,
     TimeSeries,
@@ -19,7 +22,7 @@ from voltmask import (
     synthetic_profile,
     terminal_voltage,
 )
-from voltmask.ecm import dump_params, load_params
+from voltmask.ecm import _ocv_array, _simulate_arrays, dump_params, load_params
 
 
 class TestOcvCurve:
@@ -237,3 +240,79 @@ class TestSimulate:
         assert len(states) == 6
         assert states[0] == BatteryState(0.5, 0.0)
         assert sim.final_state == states[-1]
+
+
+def reference_kernel(params, soc0, vc0, current, dt):
+    """The stepping kernel as first written, indexing numpy scalars one by one."""
+    n = current.size
+    alpha = math.exp(-dt / params.tau1)
+    beta = params.r1 * (1.0 - alpha)
+    scale = dt / params.capacity_q
+    soc = np.empty(n)
+    vc = np.empty(n)
+    soc[0] = soc0
+    vc[0] = vc0
+    charge = 0.0
+    comp = 0.0
+    v = vc0
+    for k in range(1, n):
+        y = current[k - 1] - comp
+        t = charge + y
+        comp = (t - charge) - y
+        charge = t
+        soc[k] = soc0 - scale * charge
+        v = alpha * v + beta * current[k - 1]
+        vc[k] = v
+    volts = _ocv_array(params.ocv, soc) - vc - current * params.r0
+    return soc, vc, volts
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random cells and currents: float64, strided views, integer dtypes, signed zeros."""
+    params = EcmParams(
+        capacity_q=draw(st.floats(100.0, 1e5)),
+        r0=draw(st.floats(1e-4, 0.1)),
+        r1=draw(st.floats(1e-4, 0.1)),
+        c1=draw(st.floats(1.0, 1e5)),
+        ocv=OcvCurve((0.0, 0.3, 1.0), (3.0, 3.6, 4.2)),
+    )
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "signed_zeros", "strided", "column", "int64", "int32", "huge_int"]))
+    if kind == "float":
+        current = rng.normal(0.0, 5.0, n)
+    elif kind == "signed_zeros":
+        current = rng.choice([0.0, -0.0, 1.5, -2.25], n)
+    elif kind == "strided":
+        current = rng.normal(0.0, 5.0, 3 * n)[::3]
+    elif kind == "column":
+        current = rng.normal(0.0, 5.0, (n, 2))[:, 1]
+    elif kind == "int64":
+        current = rng.integers(-20, 20, n, dtype=np.int64)
+    elif kind == "int32":
+        current = rng.integers(-20, 20, n, dtype=np.int32)
+    else:  # beyond 2**53, so the conversion to float rounds
+        current = rng.integers(-(2**62), 2**62, n, dtype=np.int64)
+    soc0 = draw(st.floats(-0.5, 1.5))
+    vc0 = draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.1, 0.1))
+    dt = draw(st.sampled_from([0.1, 0.3, 1.0]) | st.floats(1e-3, 100.0))
+    return params, soc0, vc0, current, dt
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_cases())
+@example(
+    case=(
+        EcmParams(1e3, 0.01, 0.01, 1e3, OcvCurve((0.0, 1.0), (3.0, 4.2))),
+        0.5,
+        -0.0,
+        np.array([-0.0, -0.0, 1.0]),
+        1.0,
+    )
+)
+def test_kernel_matches_reference_loop_bit_for_bit(case):
+    got = _simulate_arrays(*case)
+    want = reference_kernel(*case)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
