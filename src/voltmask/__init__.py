@@ -54,8 +54,6 @@ from .stealth import (
     PlantConfig,
     StealthResult,
     feedback_output_attack,
-    nominal_model_output,
-    open_loop_output_attack,
 )
 from .sysid import FitReport, extract_ocv, fit_rc
 

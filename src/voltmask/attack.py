@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecm import BatteryState, EcmParams, state_matrices
+from .ecm import BatteryState, EcmParams, SimulationResult, _terminal_voltages, state_matrices
 from .profiles import TimeSeries
 
 __all__ = [
@@ -356,24 +356,16 @@ def attack_current(
 class InputAttackResult:
     """Synthesized injection u_a plus the attacked model trajectory.
 
-    soc/vc are the adversary-model states under u_nom + u_a, aligned with
-    the grid like SimulationResult.  i_max_violated reports whether the
-    total current ever exceeded the optional bound (never clipped).
+    model is the adversary's model simulated under u_nom + u_a, the
+    states the feedback law was evaluated on.  i_max_violated reports
+    whether the total current ever exceeded the optional bound (never
+    clipped).
     """
 
     u_a: TimeSeries
-    soc: np.ndarray
-    vc: np.ndarray
+    model: SimulationResult
     riccati: RiccatiSolution
     i_max_violated: bool
-    soc_violation: bool
-
-    def __post_init__(self):
-        self.soc.setflags(write=False)
-        self.vc.setflags(write=False)
-
-    def states(self) -> list[BatteryState]:
-        return [BatteryState(s, v) for s, v in zip(self.soc, self.vc)]
 
 
 def synthesize_input_attack(
@@ -388,7 +380,9 @@ def synthesize_input_attack(
 
     The forward pass advances the adversary's model with the exact
     zero-order-hold step under u_nom[k] + u_a[k], evaluating the feedback
-    law at each grid node along the simulated state.
+    law at each grid node along the simulated state.  It does the float
+    operations of the stepping kernel in the same order, so the model
+    trajectory equals simulate(params, x0, add(u_nom, u_a)) bit for bit.
     """
     riccati = solve_riccati(params, weights, ref, u_nom)
     mats = state_matrices(params)
@@ -438,15 +432,11 @@ def synthesize_input_attack(
         charge = t
         soc = soc0 - scale * charge
         vc = alpha * vc + beta * total
-    violated = False
-    if i_max is not None:
-        violated = bool(np.abs(unom + u_a).max() > i_max)
-    soc_violation = bool((soc_arr < 0.0).any() or (soc_arr > 1.0).any())
+    applied = unom + u_a
+    volts = _terminal_voltages(params, soc_arr, vc_arr, applied)
     return InputAttackResult(
-        u_a=TimeSeries(u_nom.t0, dt, u_a),
-        soc=soc_arr,
-        vc=vc_arr,
+        u_a=u_nom.with_samples(u_a),
+        model=SimulationResult(soc_arr, vc_arr, u_nom.with_samples(volts)),
         riccati=riccati,
-        i_max_violated=violated,
-        soc_violation=soc_violation,
+        i_max_violated=i_max is not None and bool(np.abs(applied).max() > i_max),
     )

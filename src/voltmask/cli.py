@@ -105,8 +105,8 @@ def _cmd_scenario(config_path: Path, out_dir: Path, seed: int | None) -> int:
             prep.u_nom.samples,
             atk.u_a.samples,
             i_applied,
-            run.plant_nominal.soc,
-            run.plant_attacked.soc,
+            st.plant_nominal.soc,
+            st.plant_attacked.soc,
             st.y_nom.samples,
             st.y_plant.samples,
             st.y_a.samples,
@@ -283,9 +283,11 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
         frozen = block.get("frozen", [])
         if not isinstance(frozen, list) or not all(isinstance(v, str) for v in frozen):
             raise ConfigError(f"{rctx}: field 'frozen' must be a list of parameter names")
-        vc0 = _number(block, "vc0", rctx) if "vc0" in block else 0.0
+        if "vc0" in block and "soc0" not in block:
+            raise ConfigError(f"{rctx}: field 'vc0' is given without 'soc0'; give both or neither")
         x0 = None
         if "soc0" in block:
+            vc0 = _number(block, "vc0", rctx) if "vc0" in block else 0.0
             x0 = BatteryState(_number(block, "soc0", rctx), vc0)
         try:
             report = fit_rc(params, (current, voltage), frozenset(frozen), x0=x0)

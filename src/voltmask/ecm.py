@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -119,19 +119,22 @@ def invert_ocv(curve: OcvCurve, volts: float) -> float:
     return slope * (volts - v[j]) + s[j]
 
 
-def _ocv_array(curve: OcvCurve, soc: np.ndarray) -> np.ndarray:
-    s = np.asarray(curve.soc_breakpoints)
-    v = np.asarray(curve.ocv_volts)
-    out = np.interp(soc, s, v)
-    lo = soc < s[0]
+def _interp_extrapolated(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp with the end segments extended linearly instead of clamped."""
+    out = np.interp(x, xp, fp)
+    lo = x < xp[0]
     if lo.any():
-        slope = (v[1] - v[0]) / (s[1] - s[0])
-        out[lo] = slope * (soc[lo] - s[0]) + v[0]
-    hi = soc > s[-1]
+        slope = (fp[1] - fp[0]) / (xp[1] - xp[0])
+        out[lo] = slope * (x[lo] - xp[0]) + fp[0]
+    hi = x > xp[-1]
     if hi.any():
-        slope = (v[-1] - v[-2]) / (s[-1] - s[-2])
-        out[hi] = slope * (soc[hi] - s[-1]) + v[-1]
+        slope = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
+        out[hi] = slope * (x[hi] - xp[-1]) + fp[-1]
     return out
+
+
+def _ocv_array(curve: OcvCurve, soc: np.ndarray) -> np.ndarray:
+    return _interp_extrapolated(soc, np.asarray(curve.soc_breakpoints), np.asarray(curve.ocv_volts))
 
 
 def _is_real(value) -> bool:
@@ -228,17 +231,20 @@ class SimulationResult:
 
     soc[k], vc[k] are the state at sample k (soc[0], vc[0] is x0);
     current[k] drives the step from sample k to k+1, so the final
-    sample's current only affects its voltage reading.
+    sample's current only affects its voltage reading.  soc_violation is
+    computed on construction: whether soc ever leaves [0, 1].
     """
 
     soc: np.ndarray
     vc: np.ndarray
     voltage: TimeSeries
-    soc_violation: bool
+    soc_violation: bool = field(init=False)
 
     def __post_init__(self):
         self.soc.setflags(write=False)
         self.vc.setflags(write=False)
+        violation = bool((self.soc < 0.0).any() or (self.soc > 1.0).any())
+        object.__setattr__(self, "soc_violation", violation)
 
     def states(self) -> list[BatteryState]:
         return [BatteryState(s, v) for s, v in zip(self.soc, self.vc)]
@@ -277,8 +283,14 @@ def _simulate_arrays(
         soc_mv[k] = soc0 - scale * charge
         v = alpha * v + beta * i
         vc_mv[k] = v
-    volts = _ocv_array(params.ocv, soc) - vc - current * params.r0
-    return soc, vc, volts
+    return soc, vc, _terminal_voltages(params, soc, vc, current)
+
+
+def _terminal_voltages(
+    params: EcmParams, soc: np.ndarray, vc: np.ndarray, current: np.ndarray
+) -> np.ndarray:
+    """terminal_voltage at every sample of a trajectory."""
+    return _ocv_array(params.ocv, soc) - vc - current * params.r0
 
 
 def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> SimulationResult:
@@ -291,13 +303,7 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
     if not isinstance(current, TimeSeries):
         raise TypeError("current must be a TimeSeries")
     soc, vc, volts = _simulate_arrays(params, x0.soc, x0.vc, current.samples, current.dt)
-    violation = bool((soc < 0.0).any() or (soc > 1.0).any())
-    return SimulationResult(
-        soc=soc,
-        vc=vc,
-        voltage=TimeSeries(current.t0, current.dt, volts),
-        soc_violation=violation,
-    )
+    return SimulationResult(soc, vc, current.with_samples(volts))
 
 
 _SCALAR_KEYS = ("capacity_As", "r0_ohm", "r1_ohm", "c1_farad")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attack import InputAttackResult
 from .ecm import BatteryState, EcmParams
 from .profiles import TimeSeries, check_same_grid
 from .stealth import PlantConfig, _measurement_noise, _score, _simulate_trajectories
@@ -78,12 +79,12 @@ def sweep_ka(
     plant: PlantConfig,
     x0: BatteryState,
     u_nom: TimeSeries,
-    u_a: TimeSeries,
+    attack: InputAttackResult,
     ka_values,
 ) -> KaSweepResult:
     """Score the masking residual over a set of feedback gains.
 
-    The injection u_a is fixed, so the four masking simulations are run
+    The injection is fixed, so the masking trajectories are simulated
     once and only the per-sample correction is recomputed per gain.
     Values are sorted first and each gets a noise seed derived from the
     plant seed and its sorted rank, so every row equals
@@ -92,7 +93,7 @@ def sweep_ka(
     kas = sorted(float(k) for k in ka_values)
     if not kas:
         raise ValueError("ka_values must not be empty")
-    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, u_a)
+    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, attack)
     rows = []
     for rank, ka in enumerate(kas):
         noise = _measurement_noise(_derived_seed(plant.seed, rank), plant.noise_std, len(u_nom))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "MAX_SAMPLES",
     "TimeSeries",
     "add",
     "load_csv",
@@ -22,6 +23,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ("time_s", "value")
+
+# Largest grid a profile may have, checked before anything is allocated;
+# about 50 times the longest horizon the package is scaled to (2e5).
+MAX_SAMPLES = 10_000_001
 
 # sin_mix uses three tones at fixed integer cycle counts over the applied
 # span, so the sampled tones sum to exactly zero charge and the bias alone
@@ -77,6 +82,17 @@ def check_same_grid(a: TimeSeries, b: TimeSeries) -> None:
         )
 
 
+def _sample_count(span: float, dt: float) -> int:
+    """Samples on a grid of step dt over span, limited to MAX_SAMPLES."""
+    steps = np.floor(span / dt + 1e-9)
+    if not steps < MAX_SAMPLES:
+        raise ValueError(
+            f"dt {dt} over {span} s gives {steps + 1:.6g} samples, "
+            f"more than the limit of {MAX_SAMPLES}"
+        )
+    return int(steps) + 1
+
+
 def add(a: TimeSeries, b: TimeSeries) -> TimeSeries:
     """Sample-wise sum; grids must match exactly."""
     check_same_grid(a, b)
@@ -128,8 +144,7 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
-    span = times[-1] - t0
-    n = int(np.floor(span / target_dt + 1e-9)) + 1
+    n = _sample_count(times[-1] - t0, target_dt)
     grid = t0 + target_dt * np.arange(n)
     samples = np.interp(grid, times, values)
     return TimeSeries(t0, target_dt, samples)
@@ -166,7 +181,7 @@ def synthetic_profile(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if duration < dt:
         raise ValueError(f"duration {duration} is shorter than dt {dt}")
-    n = int(np.floor(duration / dt + 1e-9)) + 1
+    n = _sample_count(duration, dt)
     t = dt * np.arange(n)
     span = dt * (n - 1)
     if kind == "constant":

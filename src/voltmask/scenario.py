@@ -22,7 +22,7 @@ from .attack import (
     ReferenceTrajectory,
     synthesize_input_attack,
 )
-from .ecm import BatteryState, EcmParams, SimulationResult, load_params
+from .ecm import BatteryState, EcmParams, load_params
 from .metrics import KaSweepResult, ScenarioSummary
 from .profiles import TimeSeries, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
@@ -255,12 +255,10 @@ def prepare(config: ScenarioConfig, seed_override: int | None = None) -> Prepare
 
 @dataclass(frozen=True, eq=False)
 class ScenarioRun:
-    """Full pipeline output: injection, masking, plant trajectories, summary."""
+    """Full pipeline output: injection, masking (with the plant trajectories), summary."""
 
     input_attack: InputAttackResult
     stealth: StealthResult
-    plant_nominal: SimulationResult
-    plant_attacked: SimulationResult
     summary: ScenarioSummary
 
 
@@ -269,27 +267,21 @@ def run_scenario(prep: PreparedScenario) -> ScenarioRun:
     atk = synthesize_input_attack(
         prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
     )
-    masked = feedback_output_attack(
-        prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk.u_a, prep.k_a
-    )
+    masked = feedback_output_attack(prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk, prep.k_a)
+    nominal = masked.plant_nominal
+    attacked = masked.plant_attacked
     summary = ScenarioSummary(
-        final_soc_nominal=masked.final_soc_nominal,
-        final_soc_attacked=masked.final_soc_plant,
+        final_soc_nominal=float(nominal.soc[-1]),
+        final_soc_attacked=float(attacked.soc[-1]),
         residual_rms=masked.residual_rms,
         residual_max=masked.residual_max,
         attack_energy=metrics.attack_energy(atk.u_a),
         i_max_violated=atk.i_max_violated,
-        soc_violation_nominal=masked.soc_violation_nominal,
-        soc_violation_attacked=masked.soc_violation_plant,
+        soc_violation_nominal=nominal.soc_violation,
+        soc_violation_attacked=attacked.soc_violation,
         ka_warning=masked.ka_warning,
     )
-    return ScenarioRun(
-        input_attack=atk,
-        stealth=masked,
-        plant_nominal=masked.plant_nominal,
-        plant_attacked=masked.plant_attacked,
-        summary=summary,
-    )
+    return ScenarioRun(input_attack=atk, stealth=masked, summary=summary)
 
 
 def sweep_scenario(prep: PreparedScenario, ka_values) -> KaSweepResult:
@@ -297,6 +289,4 @@ def sweep_scenario(prep: PreparedScenario, ka_values) -> KaSweepResult:
     atk = synthesize_input_attack(
         prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
     )
-    return metrics.sweep_ka(
-        prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk.u_a, ka_values
-    )
+    return metrics.sweep_ka(prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk, ka_values)

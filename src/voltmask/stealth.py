@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attack import InputAttackResult
 from .ecm import BatteryState, EcmParams, SimulationResult, simulate
 from .profiles import TimeSeries, add, check_same_grid
 
 __all__ = [
     "PlantConfig",
     "StealthResult",
-    "nominal_model_output",
-    "open_loop_output_attack",
     "feedback_output_attack",
 ]
 
@@ -63,52 +62,29 @@ class StealthResult:
     """Masking outcome on the scenario grid.
 
     y_nom        adversary-model nominal output g(X_nom, u_nom)
-    y_nom_plant  plant nominal output (true params under u_nom, no noise);
-                 the baseline the residual is measured against
     y_plant      plant voltage under u_nom + u_a, noise included, pre-masking
     y_a          injected output correction
     y_measured   what the monitor sees, y_plant + y_a exactly
     plant_nominal, plant_attacked
                  the plant simulations under u_nom and u_nom + u_a
-                 (noise-free), from which the SoC fields are taken
+                 (noise-free); the residual is measured against
+                 plant_nominal.voltage
     """
 
     y_nom: TimeSeries
-    y_nom_plant: TimeSeries
     y_plant: TimeSeries
     y_a: TimeSeries
     y_measured: TimeSeries
     residual_rms: float
     residual_max: float
-    final_soc_plant: float
-    final_soc_nominal: float
-    soc_violation_plant: bool
-    soc_violation_nominal: bool
     ka_warning: bool
     plant_nominal: SimulationResult
     plant_attacked: SimulationResult
 
 
-def nominal_model_output(
-    adv_params: EcmParams, x0: BatteryState, u_nom: TimeSeries
-) -> TimeSeries:
-    """The adversary-model nominal voltage g(X_nom, u_nom)."""
-    return simulate(adv_params, x0, u_nom).voltage
-
-
-def open_loop_output_attack(
-    adv_params: EcmParams, x0: BatteryState, u_nom: TimeSeries, u_a: TimeSeries
-) -> TimeSeries:
-    """Model-based correction g(X_nom, u_nom) - g(X, u_nom + u_a), no feedback."""
-    check_same_grid(u_nom, u_a)
-    y_nom = simulate(adv_params, x0, u_nom).voltage
-    y_att = simulate(adv_params, x0, add(u_nom, u_a)).voltage
-    return TimeSeries(u_nom.t0, u_nom.dt, y_nom.samples - y_att.samples)
-
-
 @dataclass(frozen=True, eq=False)
 class _Trajectories:
-    """The four masking simulations; none of them depends on k_a."""
+    """The masking trajectories; none of them depends on k_a."""
 
     nom_model: SimulationResult
     att_model: SimulationResult
@@ -121,14 +97,20 @@ def _simulate_trajectories(
     true_params: EcmParams,
     x0: BatteryState,
     u_nom: TimeSeries,
-    u_a: TimeSeries,
+    attack: InputAttackResult,
 ) -> _Trajectories:
-    """Run the model and plant once each without and with the injection."""
-    check_same_grid(u_nom, u_a)
-    u_total = add(u_nom, u_a)
+    """Run the model without and the plant without and with the injection.
+
+    The attacked model trajectory is the synthesis rollout's own.
+    """
+    check_same_grid(u_nom, attack.u_a)
+    start = attack.model
+    if (start.soc[0], start.vc[0]) != (x0.soc, x0.vc):
+        raise ValueError(f"attack starts at soc={start.soc[0]}, vc={start.vc[0]}, not at {x0}")
+    u_total = add(u_nom, attack.u_a)
     return _Trajectories(
         nom_model=simulate(adv_params, x0, u_nom),
-        att_model=simulate(adv_params, x0, u_total),
+        att_model=attack.model,
         plant_att=simulate(true_params, x0, u_total),
         plant_nom=simulate(true_params, x0, u_nom),
     )
@@ -144,35 +126,27 @@ def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
         raise ValueError(f"k_a must be finite, got {k_a}")
     if k_a == 1.0:
         raise ValueError("k_a = 1 makes the per-sample correction singular")
-    plant_att = traj.plant_att
-    plant_nom = traj.plant_nom
     y_nom = traj.nom_model.voltage.samples
-    y_plant = plant_att.voltage.samples + noise
+    y_plant = traj.plant_att.voltage.samples + noise
     delta = y_nom - traj.att_model.voltage.samples
     y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
     y_measured = y_plant + y_a
 
-    residual = y_measured - plant_nom.voltage.samples
+    residual = y_measured - traj.plant_nom.voltage.samples
     residual_rms = float(np.sqrt(np.mean(residual * residual)))
     residual_max = float(np.abs(residual).max())
 
     voltage = traj.nom_model.voltage
-    grid = (voltage.t0, voltage.dt)
     return StealthResult(
         y_nom=voltage,
-        y_nom_plant=plant_nom.voltage,
-        y_plant=TimeSeries(*grid, y_plant),
-        y_a=TimeSeries(*grid, y_a),
-        y_measured=TimeSeries(*grid, y_measured),
+        y_plant=voltage.with_samples(y_plant),
+        y_a=voltage.with_samples(y_a),
+        y_measured=voltage.with_samples(y_measured),
         residual_rms=residual_rms,
         residual_max=residual_max,
-        final_soc_plant=float(plant_att.soc[-1]),
-        final_soc_nominal=float(plant_nom.soc[-1]),
-        soc_violation_plant=plant_att.soc_violation,
-        soc_violation_nominal=plant_nom.soc_violation,
         ka_warning=bool(abs(k_a) >= 1.0),
-        plant_nominal=plant_nom,
-        plant_attacked=plant_att,
+        plant_nominal=traj.plant_nom,
+        plant_attacked=traj.plant_att,
     )
 
 
@@ -181,14 +155,17 @@ def feedback_output_attack(
     plant: PlantConfig,
     x0: BatteryState,
     u_nom: TimeSeries,
-    u_a: TimeSeries,
+    attack: InputAttackResult,
     k_a: float,
 ) -> StealthResult:
     """Run the masked attack against the plant and score the residual.
 
-    With k_a = 0 this reduces exactly to the open-loop correction.  The
-    residual compares y_measured against the plant's no-attack voltage,
-    i.e. what the monitor would have seen had nothing been injected.
+    attack is the synthesized injection from x0 under u_nom; its model
+    trajectory is the attacked model output g(X, u_nom + u_a).  With
+    k_a = 0 the correction is the open-loop model difference
+    y_nom - g(X, u_nom + u_a).  The residual compares y_measured against
+    the plant's no-attack voltage, i.e. what the monitor would have seen
+    had nothing been injected.
     """
-    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, u_a)
+    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, attack)
     return _score(traj, k_a, _measurement_noise(plant.seed, plant.noise_std, len(u_nom)))

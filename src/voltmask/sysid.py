@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecm import BatteryState, EcmParams, OcvCurve, _simulate_arrays, invert_ocv
+from .ecm import (
+    BatteryState,
+    EcmParams,
+    OcvCurve,
+    _interp_extrapolated,
+    _simulate_arrays,
+    invert_ocv,
+)
 from .profiles import TimeSeries, check_same_grid
 
 __all__ = ["FitReport", "extract_ocv", "fit_rc"]
@@ -63,19 +70,6 @@ def _coulomb_soc(current: TimeSeries, capacity_q: float, soc_start: float) -> np
     """SoC along a sweep by coulomb counting from a known start point."""
     inc = np.concatenate(([0.0], np.cumsum(current.samples[:-1])))
     return soc_start - (current.dt / capacity_q) * inc
-
-
-def _interp_with_end_slopes(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    out = np.interp(x, xp, fp)
-    lo = x < xp[0]
-    if lo.any():
-        slope = (fp[1] - fp[0]) / (xp[1] - xp[0])
-        out[lo] = fp[0] + slope * (x[lo] - xp[0])
-    hi = x > xp[-1]
-    if hi.any():
-        slope = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
-        out[hi] = fp[-1] + slope * (x[hi] - xp[-1])
-    return out
 
 
 def extract_ocv(
@@ -141,7 +135,7 @@ def extract_ocv(
     iso = _pava_increasing(avg)
 
     breakpoints = np.linspace(0.0, 1.0, n_breakpoints)
-    values = _interp_with_end_slopes(breakpoints, s_fine, iso)
+    values = _interp_extrapolated(breakpoints, s_fine, iso)
     for j in range(1, n_breakpoints):
         floor = values[j - 1] + _MIN_OCV_STEP
         if values[j] < floor:

@@ -260,9 +260,9 @@ def test_5_coulomb_exactness(report):
         q = prep.plant.true_params.capacity_q
         u_total = add(prep.u_nom, run.input_attack.u_a)
         for soc_final, profile in (
-            (run.plant_nominal.soc[-1], prep.u_nom),
-            (run.plant_attacked.soc[-1], u_total),
-            (run.input_attack.soc[-1], u_total),
+            (run.stealth.plant_nominal.soc[-1], prep.u_nom),
+            (run.stealth.plant_attacked.soc[-1], u_total),
+            (run.input_attack.model.soc[-1], u_total),
         ):
             expected = prep.x0.soc - profile.dt / q * math.fsum(profile.samples[:-1].tolist())
             worst = max(worst, abs(soc_final - expected) / abs(expected))
@@ -323,8 +323,8 @@ def test_7_zero_attack_identity(report):
     attacked = simulate(params, prep.x0, add(prep.u_nom, atk.u_a))
     ok = (
         (atk.u_a.samples == 0.0).all()
-        and np.array_equal(atk.soc, nominal.soc)
-        and np.array_equal(atk.vc, nominal.vc)
+        and np.array_equal(atk.model.soc, nominal.soc)
+        and np.array_equal(atk.model.vc, nominal.vc)
         and np.array_equal(attacked.soc, nominal.soc)
         and np.array_equal(attacked.voltage.samples, nominal.voltage.samples)
     )

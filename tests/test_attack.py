@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from attack_setups import attack_setups
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from voltmask import (
     ReferenceTrajectory,
     RiccatiSolution,
     TimeSeries,
+    add,
     attack_current,
     attack_energy,
     build_reference,
@@ -189,8 +191,8 @@ def test_zero_weights_mean_zero_attack(cell):
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     assert (atk.u_a.samples == 0.0).all()
     nominal = simulate(cell, x0, u_nom)
-    np.testing.assert_array_equal(atk.soc, nominal.soc)
-    np.testing.assert_array_equal(atk.vc, nominal.vc)
+    np.testing.assert_array_equal(atk.model.soc, nominal.soc)
+    np.testing.assert_array_equal(atk.model.vc, nominal.vc)
 
 
 def test_synthesis_reaches_target(cell):
@@ -199,8 +201,8 @@ def test_synthesis_reaches_target(cell):
     ref = ReferenceTrajectory(0.6, 0.5, 0.0, 600.0)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    assert abs(atk.soc[-1] - 0.5) < 5e-3
-    assert not atk.soc_violation
+    assert abs(atk.model.soc[-1] - 0.5) < 5e-3
+    assert not atk.model.soc_violation
 
 
 def test_grid_refinement_changes_little(cell):
@@ -212,7 +214,7 @@ def test_grid_refinement_changes_little(cell):
         u_nom = synthetic_profile("constant", 0.0, 1.0, 600.0, dt)
         ref = ReferenceTrajectory(0.6, 0.5, 0.0, u_nom.t_end)
         atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-        finals.append(atk.soc[-1])
+        finals.append(atk.model.soc[-1])
     assert abs(finals[0] - finals[1]) <= 1e-4
 
 
@@ -260,7 +262,7 @@ def test_feedback_law_consistency(cell):
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     mats = state_matrices(cell)
     for k in (0, 7, 150, 300):
-        state = BatteryState(atk.soc[k], atk.vc[k])
+        state = BatteryState(atk.model.soc[k], atk.model.vc[k])
         t = u_nom.t0 + k * u_nom.dt
         u = attack_current(atk.riccati, mats.b, weights.r, state, t)
         assert math.isclose(u, atk.u_a.samples[k], rel_tol=1e-9, abs_tol=1e-12)
@@ -540,5 +542,21 @@ def test_rollout_matches_indexed_loop_bit_for_bit(scenario_dir, name):
     want = reference_rollout(
         prep.adv_params, prep.weights, prep.u_nom, prep.x0, atk.riccati.s, atk.riccati.v
     )
-    for got, ref in zip((atk.u_a.samples, atk.soc, atk.vc), want):
+    for got, ref in zip((atk.u_a.samples, atk.model.soc, atk.model.vc), want):
         assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=attack_setups())
+def test_rollout_model_equals_simulation_bit_for_bit(setup):
+    # the masking takes the attacked model trajectory from the rollout
+    # instead of simulating it again, so the two must agree in every bit
+    cell, weights, ref, u_nom, x0 = setup
+    atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    sim = simulate(cell, x0, add(u_nom, atk.u_a))
+    model = atk.model
+    assert model.soc.tobytes() == sim.soc.tobytes()
+    assert model.vc.tobytes() == sim.vc.tobytes()
+    assert model.voltage.samples.tobytes() == sim.voltage.samples.tobytes()
+    assert (model.voltage.t0, model.voltage.dt) == (sim.voltage.t0, sim.voltage.dt)
+    assert model.soc_violation == sim.soc_violation

@@ -190,6 +190,12 @@ class TestExitCodes:
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "runtime error" in capsys.readouterr().err
 
+    def test_oversized_grid_is_a_config_error(self, tmp_path, params_path, capsys):
+        config = small_scenario(tmp_path, params_path, dt=1e-9)
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dt 1e-09" in err and "samples" in err
+
     @pytest.mark.parametrize(
         ("field", "value"), [("ocv", [1, 2]), ("capacity_As", True)]
     )
@@ -321,6 +327,17 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
         assert "ghost.csv" in capsys.readouterr().err
+
+    def test_vc0_without_soc0_is_a_config_error(self, records, params_path, capsys):
+        # without soc0 the fit inverts the start SoC and assumes vc = 0, so a
+        # lone vc0 would be ignored
+        config = records / "fit.json"
+        rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0, "vc0": 0.05}
+        config.write_text(json.dumps({"initial_params_file": str(params_path), "rc": rc}))
+        assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'vc0'" in err and "'soc0'" in err
+        assert not (records / "o" / "fitted_params.json").exists()
 
     @pytest.mark.parametrize(
         ("block", "field", "value"),

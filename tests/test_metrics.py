@@ -62,12 +62,12 @@ def sweep_setup(cell):
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true, noise_std=5e-4, seed=2)
-    return cell, plant, x0, u_nom, atk.u_a
+    return cell, plant, x0, u_nom, atk
 
 
 def test_sweep_rows_are_sorted_and_scored(sweep_setup):
-    adv, plant, x0, u_nom, u_a = sweep_setup
-    result = sweep_ka(adv, plant, x0, u_nom, u_a, [0.1, -0.1, 0.0])
+    adv, plant, x0, u_nom, atk = sweep_setup
+    result = sweep_ka(adv, plant, x0, u_nom, atk, [0.1, -0.1, 0.0])
     kas = [row[0] for row in result.rows]
     assert kas == sorted(kas) == [-0.1, 0.0, 0.1]
     assert all(r > 0.0 for _, r in result.rows)
@@ -75,15 +75,15 @@ def test_sweep_rows_are_sorted_and_scored(sweep_setup):
 
 
 def test_sweep_is_order_invariant(sweep_setup):
-    adv, plant, x0, u_nom, u_a = sweep_setup
+    adv, plant, x0, u_nom, atk = sweep_setup
     gains = [-0.1, -0.05, 0.0, 0.05, 0.1]
-    ordered = sweep_ka(adv, plant, x0, u_nom, u_a, gains)
-    shuffled = sweep_ka(adv, plant, x0, u_nom, u_a, [0.05, -0.1, 0.1, 0.0, -0.05])
+    ordered = sweep_ka(adv, plant, x0, u_nom, atk, gains)
+    shuffled = sweep_ka(adv, plant, x0, u_nom, atk, [0.05, -0.1, 0.1, 0.0, -0.05])
     assert ordered.rows == shuffled.rows
 
     # the per-gain noise seed is derived from the sorted rank, so the
     # same gain sees the same noise draw across runs
-    again = sweep_ka(adv, plant, x0, u_nom, u_a, list(reversed(gains)))
+    again = sweep_ka(adv, plant, x0, u_nom, atk, list(reversed(gains)))
     assert ordered.rows == again.rows
 
 
@@ -97,33 +97,33 @@ gain = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda k: k != 1.0)
     seed=st.integers(0, 2**63 - 1),
 )
 def test_sweep_rows_equal_per_gain_masking(sweep_setup, gains, noise_std, seed):
-    adv, plant, x0, u_nom, u_a = sweep_setup
+    adv, plant, x0, u_nom, atk = sweep_setup
     plant = dataclasses.replace(plant, noise_std=noise_std, seed=seed)
-    result = sweep_ka(adv, plant, x0, u_nom, u_a, gains)
+    result = sweep_ka(adv, plant, x0, u_nom, atk, gains)
     assert [row[0] for row in result.rows] == sorted(gains)
     for rank, (ka, residual_rms) in enumerate(result.rows):
         cfg = dataclasses.replace(plant, seed=_derived_seed(seed, rank))
-        single = feedback_output_attack(adv, cfg, x0, u_nom, u_a, ka)
+        single = feedback_output_attack(adv, cfg, x0, u_nom, atk, ka)
         assert residual_rms == single.residual_rms
 
 
 def test_sweep_perfect_model_is_flat_zero(cell, sweep_setup):
-    _, _, x0, u_nom, u_a = sweep_setup
+    _, _, x0, u_nom, atk = sweep_setup
     plant = PlantConfig(true_params=cell)
-    result = sweep_ka(cell, plant, x0, u_nom, u_a, [-0.1, 0.0, 0.1])
+    result = sweep_ka(cell, plant, x0, u_nom, atk, [-0.1, 0.0, 0.1])
     assert all(r <= 1e-12 for _, r in result.rows)
 
 
 def test_sweep_validation(sweep_setup):
-    adv, plant, x0, u_nom, u_a = sweep_setup
+    adv, plant, x0, u_nom, atk = sweep_setup
     with pytest.raises(ValueError, match="must not be empty"):
-        sweep_ka(adv, plant, x0, u_nom, u_a, [])
+        sweep_ka(adv, plant, x0, u_nom, atk, [])
     with pytest.raises(ValueError, match="singular"):
-        sweep_ka(adv, plant, x0, u_nom, u_a, [0.0, 1.0])
+        sweep_ka(adv, plant, x0, u_nom, atk, [0.0, 1.0])
 
 
 def test_single_gain_sweep(sweep_setup):
-    adv, plant, x0, u_nom, u_a = sweep_setup
-    result = sweep_ka(adv, plant, x0, u_nom, u_a, [-0.05])
+    adv, plant, x0, u_nom, atk = sweep_setup
+    result = sweep_ka(adv, plant, x0, u_nom, atk, [-0.05])
     assert len(result.rows) == 1
     assert result.argmin_ka == -0.05

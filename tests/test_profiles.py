@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voltmask import TimeSeries, add, load_csv, save_csv, synthetic_profile
-from voltmask.profiles import check_same_grid
+from voltmask.profiles import MAX_SAMPLES, _sample_count, check_same_grid
 
 
 def test_times_and_t_end():
@@ -140,6 +140,24 @@ def test_pulse_train_levels():
     ts = synthetic_profile("pulse_train", 1.5, 0.5, 80.0, 1.0)
     levels = set(np.unique(ts.samples))
     assert levels == {-1.0, 2.0}
+
+
+def test_sample_ceiling_is_checked_before_allocating(tmp_path):
+    # 2e12 samples would need 16 TB per array; the ceiling rejects the grid
+    # before anything is allocated and names dt and the sample count
+    with pytest.raises(ValueError, match=r"dt 1e-09 over 2000.0 s gives 2e\+12 samples"):
+        synthetic_profile("sin_mix", 2.0, 1.0, 2000.0, 1e-9)
+    path = tmp_path / "long.csv"
+    path.write_text("time_s,value\n0,1\n2000,1\n")
+    with pytest.raises(ValueError, match=r"dt 1e-09 over 2000.0 s gives 2e\+12 samples"):
+        load_csv(path, target_dt=1e-9)
+    # a subnormal step overflows the count to inf, still a ValueError
+    with pytest.raises(ValueError, match="inf samples"):
+        synthetic_profile("constant", 0.0, 1.0, 2000.0, 5e-324)
+    # the ceiling itself is allowed
+    assert _sample_count(MAX_SAMPLES - 1.0, 1.0) == MAX_SAMPLES
+    with pytest.raises(ValueError, match=f"limit of {MAX_SAMPLES}"):
+        _sample_count(float(MAX_SAMPLES), 1.0)
 
 
 def test_unknown_kind_rejected():

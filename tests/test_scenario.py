@@ -154,12 +154,12 @@ class TestRunScenario:
         prep = prepare(load_scenario(scenario_dir / "tc1.json"))
         run = run_scenario(prep)
         s = run.summary
-        assert s.final_soc_nominal == run.stealth.final_soc_nominal
-        assert s.final_soc_attacked == run.stealth.final_soc_plant
+        assert s.soc_violation_nominal == run.stealth.plant_nominal.soc_violation
+        assert s.soc_violation_attacked == run.stealth.plant_attacked.soc_violation
         assert s.residual_rms == run.stealth.residual_rms
         assert s.attack_energy == attack_energy(run.input_attack.u_a)
-        assert s.final_soc_nominal == run.plant_nominal.soc[-1]
-        assert s.final_soc_attacked == run.plant_attacked.soc[-1]
+        assert s.final_soc_nominal == run.stealth.plant_nominal.soc[-1]
+        assert s.final_soc_attacked == run.stealth.plant_attacked.soc[-1]
         assert not s.ka_warning
         assert not s.i_max_violated
 
@@ -183,7 +183,11 @@ def test_sweep_scenario_matches_selection(scenario_dir):
 
 @pytest.mark.parametrize("n_gains", [1, 3, 12])
 def test_masking_runs_each_simulation_once(scenario_dir, monkeypatch, n_gains):
-    """A scenario or a sweep of any length costs four stepping-kernel runs."""
+    """A scenario or a sweep of any length costs three stepping-kernel runs.
+
+    The attacked model trajectory is the synthesis rollout's own, so only
+    the nominal model and the nominal and attacked plant are simulated.
+    """
     calls = []
     kernel = ecm._simulate_arrays
 
@@ -194,7 +198,7 @@ def test_masking_runs_each_simulation_once(scenario_dir, monkeypatch, n_gains):
     monkeypatch.setattr(ecm, "_simulate_arrays", counting)
     prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
     run_scenario(prep)
-    assert len(calls) == 4
+    assert len(calls) == 3
     calls.clear()
     sweep_scenario(prep, [-0.5 + 0.1 * i for i in range(n_gains)])
-    assert len(calls) == 4
+    assert len(calls) == 3

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from attack_setups import attack_setups
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltmask import (
     AttackWeights,
@@ -14,8 +17,6 @@ from voltmask import (
     TimeSeries,
     add,
     feedback_output_attack,
-    nominal_model_output,
-    open_loop_output_attack,
     simulate,
     synthesize_input_attack,
     synthetic_profile,
@@ -30,44 +31,67 @@ def injection(cell):
     ref = ReferenceTrajectory(0.7, 0.5, 0.0, 800.0)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    return u_nom, atk.u_a, x0
+    return u_nom, atk, x0
 
 
-def test_nominal_model_output_is_plain_simulation(cell, injection):
-    u_nom, _, x0 = injection
-    out = nominal_model_output(cell, x0, u_nom)
-    np.testing.assert_array_equal(out.samples, simulate(cell, x0, u_nom).voltage.samples)
+def test_y_nom_is_plain_simulation(cell, injection):
+    u_nom, atk, x0 = injection
+    true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
+    res = feedback_output_attack(cell, PlantConfig(true_params=true), x0, u_nom, atk, -0.05)
+    np.testing.assert_array_equal(res.y_nom.samples, simulate(cell, x0, u_nom).voltage.samples)
 
 
-def test_open_loop_zero_injection_gives_zero_correction(cell, injection):
-    u_nom, u_a, x0 = injection
-    zero = u_a.with_samples(np.zeros(len(u_a)))
-    y_a = open_loop_output_attack(cell, x0, u_nom, zero)
-    assert (y_a.samples == 0.0).all()
+def test_zero_injection_gives_zero_correction(cell):
+    # zero weights synthesize a zero injection; at k_a = 0 the correction
+    # is the model difference alone, whatever the plant and its noise
+    u_nom = synthetic_profile("sin_mix", 2.0, 1.5, 800.0, 1.0, seed=14)
+    x0 = BatteryState(0.7, 0.0)
+    ref = ReferenceTrajectory(0.7, 0.5, 0.0, 800.0)
+    weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=1.0)
+    atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
+    plant = PlantConfig(true_params=true, noise_std=1e-3, seed=5)
+    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    assert (res.y_a.samples == 0.0).all()
 
 
 def test_perfect_model_masks_exactly(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
     for k_a in (-0.9, -0.05, 0.0, 0.3, 2.0):
-        res = feedback_output_attack(cell, plant, x0, u_nom, u_a, k_a)
+        res = feedback_output_attack(cell, plant, x0, u_nom, atk, k_a)
         assert res.residual_max <= 1e-12, f"k_a={k_a}"
         assert res.residual_rms <= 1e-12
 
 
+# Rounding in the correction grows like 1/|1 - k_a|, so gains within 1e-2
+# of the singular k_a = 1 are left out.
+_ADMISSIBLE_GAIN = st.floats(-3.0, 3.0).filter(lambda k: abs(1.0 - k) >= 1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=attack_setups(), k_a=_ADMISSIBLE_GAIN)
+def test_perfect_model_masks_exactly_for_random_cells(setup, k_a):
+    cell, weights, ref, u_nom, x0 = setup
+    atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    res = feedback_output_attack(cell, PlantConfig(true_params=cell), x0, u_nom, atk, k_a)
+    assert res.residual_max <= 1e-12
+
+
 def test_ka_zero_reduces_to_open_loop(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
-    ol = open_loop_output_attack(cell, x0, u_nom, u_a)
-    fb = feedback_output_attack(cell, plant, x0, u_nom, u_a, 0.0)
-    np.testing.assert_array_equal(fb.y_a.samples, ol.samples)
-    np.testing.assert_array_equal(fb.y_measured.samples, fb.y_plant.samples + ol.samples)
+    nominal = simulate(cell, x0, u_nom).voltage.samples
+    ol = nominal - simulate(cell, x0, add(u_nom, atk.u_a)).voltage.samples
+    fb = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    np.testing.assert_array_equal(fb.y_a.samples, ol)
+    np.testing.assert_array_equal(fb.y_measured.samples, fb.y_plant.samples + ol)
 
 
 def test_measured_is_plant_plus_correction(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell, noise_std=2e-3, seed=5)
-    res = feedback_output_attack(cell, plant, x0, u_nom, u_a, -0.05)
+    res = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.05)
     np.testing.assert_array_equal(
         res.y_measured.samples, res.y_plant.samples + res.y_a.samples
     )
@@ -76,72 +100,79 @@ def test_measured_is_plant_plus_correction(cell, injection):
 def test_r0_mismatch_residual_is_linear_in_injection(cell, injection):
     # r0 only enters the output map, so with k_a = 0 the masking error
     # is exactly -(r0_true - r0_model) * u_a at every sample
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     delta_r0 = true.r0 - cell.r0
     plant = PlantConfig(true_params=true)
-    res = feedback_output_attack(cell, plant, x0, u_nom, u_a, 0.0)
-    residual = res.y_measured.samples - res.y_nom_plant.samples
-    np.testing.assert_allclose(residual, -delta_r0 * u_a.samples, atol=1e-12)
+    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    residual = res.y_measured.samples - res.plant_nominal.voltage.samples
+    np.testing.assert_allclose(residual, -delta_r0 * atk.u_a.samples, atol=1e-12)
 
 
 def test_negative_gain_shrinks_mismatch_residual(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true)
-    at_zero = feedback_output_attack(cell, plant, x0, u_nom, u_a, 0.0)
-    at_neg = feedback_output_attack(cell, plant, x0, u_nom, u_a, -0.1)
+    at_zero = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    at_neg = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.1)
     assert at_neg.residual_rms < at_zero.residual_rms
 
 
 def test_noise_is_scaled_by_the_correction_loop(cell, injection):
     # perfect model: residual = noise / (1 - k_a), so positive gains
     # amplify measurement noise and negative gains damp it
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     sigma = 1e-3
     plant = PlantConfig(true_params=cell, noise_std=sigma, seed=9)
     for k_a in (0.5, 0.0, -1.0):
-        res = feedback_output_attack(cell, plant, x0, u_nom, u_a, k_a)
+        res = feedback_output_attack(cell, plant, x0, u_nom, atk, k_a)
         expected = sigma / abs(1.0 - k_a)
         assert 0.9 * expected <= res.residual_rms <= 1.1 * expected, f"k_a={k_a}"
-    warned = feedback_output_attack(cell, plant, x0, u_nom, u_a, -1.0)
+    warned = feedback_output_attack(cell, plant, x0, u_nom, atk, -1.0)
     assert warned.ka_warning
 
 
 def test_gain_validation(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
     with pytest.raises(ValueError, match="singular"):
-        feedback_output_attack(cell, plant, x0, u_nom, u_a, 1.0)
+        feedback_output_attack(cell, plant, x0, u_nom, atk, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        feedback_output_attack(cell, plant, x0, u_nom, u_a, math.nan)
-    ok = feedback_output_attack(cell, plant, x0, u_nom, u_a, 1.5)
+        feedback_output_attack(cell, plant, x0, u_nom, atk, math.nan)
+    ok = feedback_output_attack(cell, plant, x0, u_nom, atk, 1.5)
     assert ok.ka_warning
-    small = feedback_output_attack(cell, plant, x0, u_nom, u_a, 0.99)
+    small = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.99)
     assert not small.ka_warning
 
 
 def test_noise_seed_determinism(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     a = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, u_a, -0.05
+        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, atk, -0.05
     )
     b = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, u_a, -0.05
+        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, atk, -0.05
     )
     c = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=4), x0, u_nom, u_a, -0.05
+        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=4), x0, u_nom, atk, -0.05
     )
     np.testing.assert_array_equal(a.y_measured.samples, b.y_measured.samples)
     assert np.abs(a.y_measured.samples - c.y_measured.samples).max() > 0.0
 
 
 def test_grid_mismatch_rejected(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
-    off_grid = TimeSeries(u_a.t0 + 0.5, u_a.dt, u_a.samples)
+    off_grid = TimeSeries(u_nom.t0 + 0.5, u_nom.dt, u_nom.samples)
     with pytest.raises(ValueError, match="mismatch"):
-        feedback_output_attack(cell, plant, x0, u_nom, off_grid, 0.0)
+        feedback_output_attack(cell, plant, x0, off_grid, atk, 0.0)
+
+
+def test_attack_from_another_start_rejected(cell, injection):
+    u_nom, atk, x0 = injection
+    plant = PlantConfig(true_params=cell)
+    with pytest.raises(ValueError, match="attack starts at"):
+        feedback_output_attack(cell, plant, BatteryState(0.6, 0.0), u_nom, atk, 0.0)
 
 
 def test_plant_config_validation(cell):
@@ -150,9 +181,9 @@ def test_plant_config_validation(cell):
 
 
 def test_final_soc_fields_track_the_plant(cell, injection):
-    u_nom, u_a, x0 = injection
+    u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true)
-    res = feedback_output_attack(cell, plant, x0, u_nom, u_a, 0.0)
-    assert res.final_soc_nominal == simulate(true, x0, u_nom).soc[-1]
-    assert res.final_soc_plant == simulate(true, x0, add(u_nom, u_a)).soc[-1]
+    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    assert res.plant_nominal.soc[-1] == simulate(true, x0, u_nom).soc[-1]
+    assert res.plant_attacked.soc[-1] == simulate(true, x0, add(u_nom, atk.u_a)).soc[-1]
