@@ -51,7 +51,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """The backward sweep produced non-finite values."""
+    """The backward sweep or the forward rollout produced non-finite values."""
 
 
 def _check_weight_matrix(name: str, q: np.ndarray) -> None:
@@ -432,6 +432,15 @@ def synthesize_input_attack(
         charge = t
         soc = soc0 - scale * charge
         vc = alpha * vc + beta * total
+    # A non-finite state makes the next injection non-finite too (b has
+    # no zero entry), so u_a alone tells where the closed loop diverged.
+    finite = np.isfinite(u_a)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise DivergenceError(
+            f"closed-loop rollout diverged at t={riccati.grid[k]} "
+            "(feedback gain too stiff for this grid step)"
+        )
     applied = unom + u_a
     volts = _terminal_voltages(params, soc_arr, vc_arr, applied)
     return InputAttackResult(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attack import DivergenceError
 from .ecm import BatteryState, dump_params, load_params, simulate
-from .profiles import load_csv
+from .profiles import _write_csv, load_csv
 from .scenario import (
     ConfigError,
     load_scenario,
@@ -38,29 +38,18 @@ from .sysid import extract_ocv, fit_rc
 __all__ = ["main", "run"]
 
 
-# rows converted to Python floats at a time; bounds the extra memory
-_CSV_CHUNK = 256
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns as CSV, every cell as the repr of a float.
-
-    The bytes are those of csv.writer's default dialect, which never
-    quotes a float repr and ends each line with CRLF.  Rows are converted
-    and joined a chunk at a time, not cell by cell and not a whole column
-    at once.
-    """
-    n = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, _CSV_CHUNK):
-            chunk = [np.asarray(col[lo : lo + _CSV_CHUNK], dtype=float).tolist() for col in columns]
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*chunk)))
-
-
 def _write_json(path: Path, payload: dict) -> None:
+    """Write a flat payload as JSON; a non-finite number is a runtime error.
+
+    JSON has no inf or nan, so such a value names its field instead of
+    being written as a bare Infinity or NaN.
+    """
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatingPointError(f"{path.name}: field {key!r} is not finite ({value})")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

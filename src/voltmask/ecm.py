@@ -254,36 +254,76 @@ class SimulationResult:
         return BatteryState(self.soc[-1], self.vc[-1])
 
 
-def _simulate_arrays(
-    params: EcmParams, soc0: float, vc0: float, current: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Core stepping loop on raw arrays; returns (soc, vc, voltage)."""
-    n = current.size
-    alpha = math.exp(-dt / params.tau1)
-    beta = params.r1 * (1.0 - alpha)
-    scale = dt / params.capacity_q
-    soc = np.empty(n)
-    vc = np.empty(n)
-    soc[0] = soc0
-    vc[0] = vc0
-    # Kahan-compensated charge accumulator keeps the discrete coulomb count
-    # within a few ulp of the exactly rounded sum regardless of length.
+# The two recurrences below are generators that np.fromiter drains into a
+# preallocated array: the arithmetic is on plain floats, no numpy scalar
+# is made, no per-sample Python object is kept alive, and no sample is
+# stored by index.
+
+
+def _kahan_prefix_sums(items):
+    """0.0, then the Kahan-compensated running sum after each item."""
     charge = 0.0
     comp = 0.0
-    v = vc0
-    # plain floats through memoryviews: no numpy scalar arithmetic and no
-    # per-sample Python objects kept alive
-    soc_mv = memoryview(soc)
-    vc_mv = memoryview(vc)
-    for k, i in zip(range(1, n), memoryview(current)):
+    yield charge
+    for i in items:
         y = i - comp
         t = charge + y
         comp = (t - charge) - y
         charge = t
-        soc_mv[k] = soc0 - scale * charge
-        v = alpha * v + beta * i
-        vc_mv[k] = v
+        yield t
+
+
+def _zoh_recurrence(alpha: float, v: float, drive):
+    """v, then v = alpha * v + d for each d of drive."""
+    yield v
+    for d in drive:
+        v = alpha * v + d
+        yield v
+
+
+def _coulomb_counts(current: np.ndarray) -> np.ndarray:
+    """Running charge in sample units: counts[k] sums current[0..k-1].
+
+    The compensated sum keeps each count within a few ulp of the exactly
+    rounded sum regardless of length.  The counts depend on the current
+    alone, so one record's counts serve every cell.
+    """
+    items = memoryview(current)[:-1]
+    return np.fromiter(_kahan_prefix_sums(items), float, count=current.size)
+
+
+def _rc_trajectory(
+    params: EcmParams,
+    soc0: float,
+    vc0: float,
+    counts: np.ndarray,
+    current: np.ndarray,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(soc, vc, voltage) from the coulomb counts of current.
+
+    soc is the scaled counts and vc the zero-order-hold recurrence,
+    the float operations of one stepping loop done in the same order.
+    """
+    alpha = math.exp(-dt / params.tau1)
+    beta = params.r1 * (1.0 - alpha)
+    # like the plain-float recurrence, a blown-up cell overflows to inf
+    # silently; callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        soc = soc0 - (dt / params.capacity_q) * counts
+        drive = np.multiply(beta, current, dtype=float)
+    soc[0] = soc0  # as in the stepping loop, even where dt / capacity_q overflows
+    vc = np.fromiter(
+        _zoh_recurrence(alpha, vc0, memoryview(drive)[:-1]), float, count=current.size
+    )
     return soc, vc, _terminal_voltages(params, soc, vc, current)
+
+
+def _simulate_arrays(
+    params: EcmParams, soc0: float, vc0: float, current: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stepping kernel on raw arrays; returns (soc, vc, voltage)."""
+    return _rc_trajectory(params, soc0, vc0, _coulomb_counts(current), current, dt)
 
 
 def _terminal_voltages(

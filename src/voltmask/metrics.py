@@ -51,7 +51,9 @@ def rms(a: TimeSeries, b: TimeSeries) -> float:
 
 def attack_energy(u_a: TimeSeries) -> float:
     """Injection effort sum(u_a[k]^2) * dt."""
-    return float(np.sum(u_a.samples * u_a.samples) * u_a.dt)
+    # a runaway injection overflows to inf, which the caller reports
+    with np.errstate(over="ignore"):
+        return float(np.sum(u_a.samples * u_a.samples) * u_a.dt)
 
 
 @dataclass(frozen=True)

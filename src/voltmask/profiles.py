@@ -8,6 +8,7 @@ aligned.  Positive current means discharge everywhere in this package.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +112,9 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     path = Path(path)
     times: list[float] = []
     values: list[float] = []
+    # math.isfinite on plain floats: np.isfinite would be a ufunc call per cell
+    isfinite = math.isfinite
+    last = -math.inf  # the previous row's time; every finite time follows it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -132,15 +136,16 @@ def load_csv(path, target_dt: float) -> TimeSeries:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric cell in row {row!r}"
                 ) from None
-            if not (np.isfinite(t) and np.isfinite(v)):
+            if not (isfinite(t) and isfinite(v)):
                 raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
-            if times and t <= times[-1]:
+            if t <= last:
                 raise ValueError(
                     f"{path}: line {lineno}: time must be strictly increasing "
-                    f"({t} after {times[-1]})"
+                    f"({t} after {last})"
                 )
             times.append(t)
             values.append(v)
+            last = t
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
@@ -150,14 +155,29 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     return TimeSeries(t0, target_dt, samples)
 
 
+# rows converted to Python floats at a time; bounds the extra memory
+_CSV_CHUNK = 256
+
+
+def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns as CSV, every cell as the repr of a float.
+
+    The bytes are those of csv.writer's default dialect, which never
+    quotes a float repr and ends each line with CRLF.  Rows are converted
+    and joined a chunk at a time, not cell by cell and not a whole column
+    at once.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _CSV_CHUNK):
+            chunk = [np.asarray(col[lo : lo + _CSV_CHUNK], dtype=float).tolist() for col in columns]
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*chunk)))
+
+
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series as a two-column CSV with header ``time_s,value``."""
-    times = series.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t, v in zip(times, series.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_csv(path, list(CSV_HEADER), [series.times(), series.samples])
 
 
 def synthetic_profile(

@@ -133,7 +133,9 @@ def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
     y_measured = y_plant + y_a
 
     residual = y_measured - traj.plant_nom.voltage.samples
-    residual_rms = float(np.sqrt(np.mean(residual * residual)))
+    # a runaway attack overflows to inf, which the caller reports
+    with np.errstate(over="ignore"):
+        residual_rms = float(np.sqrt(np.mean(residual * residual)))
     residual_max = float(np.abs(residual).max())
 
     voltage = traj.nom_model.voltage

@@ -18,8 +18,9 @@ from .ecm import (
     BatteryState,
     EcmParams,
     OcvCurve,
+    _coulomb_counts,
     _interp_extrapolated,
-    _simulate_arrays,
+    _rc_trajectory,
     invert_ocv,
 )
 from .profiles import TimeSeries, check_same_grid
@@ -225,10 +226,13 @@ def fit_rc(
     measured = v_ts.samples
     dt = i_ts.dt
     base = {name: getattr(initial, name) for name in _FIT_NAMES}
+    # the coulomb counts depend on the current alone, so every candidate
+    # shares them and runs only the RC recurrence
+    counts = _coulomb_counts(current)
 
     def rmse_for(params: EcmParams) -> float:
         try:
-            _, _, volts = _simulate_arrays(params, x0.soc, x0.vc, current, dt)
+            _, _, volts = _rc_trajectory(params, x0.soc, x0.vc, counts, current, dt)
         except (OverflowError, FloatingPointError):
             return math.inf
         if not np.isfinite(volts).all():

@@ -195,6 +195,18 @@ def test_zero_weights_mean_zero_attack(cell):
     np.testing.assert_array_equal(atk.model.vc, nominal.vc)
 
 
+@settings(max_examples=40, deadline=None)
+@given(setup=attack_setups(), r=st.floats(1e-3, 1e3))
+def test_zero_weights_give_zero_attack_for_random_setups(setup, r):
+    cell, _, ref, u_nom, x0 = setup
+    weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=r)
+    atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    assert (atk.u_a.samples == 0.0).all()
+    nominal = simulate(cell, x0, u_nom)
+    assert atk.model.soc.tobytes() == nominal.soc.tobytes()
+    assert atk.model.vc.tobytes() == nominal.vc.tobytes()
+
+
 def test_synthesis_reaches_target(cell):
     u_nom = synthetic_profile("constant", 0.0, 0.0, 600.0, 1.0)
     x0 = BatteryState(0.6, 0.0)

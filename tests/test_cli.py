@@ -196,6 +196,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "dt 1e-09" in err and "samples" in err
 
+    @staticmethod
+    def tc1_with_weights(tmp_path, scenario_dir, params_path, q1, q2):
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["weights"] = {"q1": [q1, 0.0], "q2": [q2, 0.0], "r": 1.0}
+        path = tmp_path / "tc1_stiff.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    # On tc1 (Q = 14322 A s, dt = 1 s) q1 is the stationary S of the SoC
+    # channel and q2 = (q1 / Q)**2 as the sweep rounds it, so S stays put
+    # and the closed loop has h*lambda = sqrt(q2) / Q: stable for the RK4
+    # sweep (up to about 2.785) but not for the zero-order hold (above 2).
+    @pytest.mark.filterwarnings("error")
+    def test_unstable_rollout_is_a_runtime_error(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        # h*lambda = 2.5: u_a overflows to inf before the horizon ends
+        config = self.tc1_with_weights(
+            tmp_path, scenario_dir, params_path, 512799210.0, 1281998025.0
+        )
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: closed-loop rollout diverged at t=")
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_summary_value_is_a_runtime_error(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        # h*lambda = 2.2: the rollout stays finite (SoC near 6.5e151) but
+        # the attack energy overflows
+        config = self.tc1_with_weights(
+            tmp_path, scenario_dir, params_path, 451263304.8, 992779270.5600001
+        )
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "runtime error" in captured.err and "'attack_energy_A2s'" in captured.err
+        assert captured.out == ""
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         ("field", "value"), [("ocv", [1, 2]), ("capacity_As", True)]
     )

@@ -155,6 +155,29 @@ def test_step_composition_property(cell):
         assert math.isclose(twice.vc, once.vc, rel_tol=1e-9, abs_tol=1e-15)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity_q=st.floats(100.0, 1e5),
+    r1=st.floats(1e-4, 0.1),
+    c1=st.floats(1.0, 1e5),
+    soc=st.floats(-0.5, 1.5),
+    vc=st.floats(-0.1, 0.1),
+    current=st.floats(-50.0, 50.0),
+    dt=st.floats(1e-3, 100.0),
+)
+def test_zoh_composition_within_a_few_ulp(capacity_q, r1, c1, soc, vc, current, dt):
+    # one step of 2*dt equals two steps of dt to a few ulp of the terms
+    # each state sums: soc and the charge moved, vc and the RC drive
+    cell = EcmParams(capacity_q, 0.01, r1, c1, OcvCurve((0.0, 1.0), (3.0, 4.2)))
+    state = BatteryState(soc, vc)
+    twice = step(cell, step(cell, state, current, dt), current, dt)
+    once = step(cell, state, current, 2.0 * dt)
+    soc_scale = abs(soc) + abs(current) * 2.0 * dt / capacity_q
+    vc_scale = abs(vc) + r1 * abs(current)
+    assert abs(twice.soc - once.soc) <= 4 * math.ulp(soc_scale)
+    assert abs(twice.vc - once.vc) <= 4 * math.ulp(vc_scale)
+
+
 def test_step_rejects_bad_dt(cell):
     with pytest.raises(ValueError, match="dt must be positive"):
         step(cell, BatteryState(0.5, 0.0), 1.0, 0.0)
@@ -314,5 +337,17 @@ def kernel_cases(draw):
 def test_kernel_matches_reference_loop_bit_for_bit(case):
     got = _simulate_arrays(*case)
     want = reference_kernel(*case)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_kernel_starts_at_soc0_when_dt_over_capacity_overflows():
+    # capacity_q = 5e-324 is positive and finite, but dt / capacity_q is inf
+    params = EcmParams(5e-324, 0.01, 0.01, 1e3, OcvCurve((0.0, 1.0), (3.0, 4.2)))
+    case = (params, 0.5, 0.0, np.array([0.0, 1.0, -1.0]), 1.0)
+    with np.errstate(all="ignore"):
+        got = _simulate_arrays(*case)
+        want = reference_kernel(*case)
+    assert got[0][0] == 0.5
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()

@@ -1,9 +1,13 @@
 """Time-series grid handling, CSV round trips, and synthetic profiles."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voltmask import TimeSeries, add, load_csv, save_csv, synthetic_profile
 from voltmask.profiles import MAX_SAMPLES, _sample_count, check_same_grid
@@ -104,6 +108,113 @@ def test_load_csv_errors_name_the_line(tmp_path):
         load_csv(bad_header, 0.0)
 
 
+def reference_load_csv(path, target_dt):
+    """load_csv as first written: np.isfinite on every row's two floats."""
+    path = Path(path)
+    times = []
+    values = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected header 'time_s,value'")
+        if [c.strip() for c in header] != ["time_s", "value"]:
+            raise ValueError(
+                f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+            try:
+                t = float(row[0])
+                v = float(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-numeric cell in row {row!r}"
+                ) from None
+            if not (np.isfinite(t) and np.isfinite(v)):
+                raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
+            if times and t <= times[-1]:
+                raise ValueError(
+                    f"{path}: line {lineno}: time must be strictly increasing "
+                    f"({t} after {times[-1]})"
+                )
+            times.append(t)
+            values.append(v)
+    if len(times) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
+    t0 = times[0]
+    n = _sample_count(times[-1] - t0, target_dt)
+    grid = t0 + target_dt * np.arange(n)
+    return TimeSeries(t0, target_dt, np.interp(grid, times, values))
+
+
+# cells that float() reads, with spaces, underscores and signed zeros,
+# and cells it rejects or reads as non-finite
+_VALUE_CELLS = st.sampled_from(
+    ["0", "-0.0", "0.0", "1_0", " 2.5", "3.25 ", "-1e-3", "1E2", '"4.5"']
+    + ["nan", "inf", "-inf", "abc", ""]
+) | st.floats(-1e3, 1e3).map(repr)
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV profile: mostly valid rows, some of them hostile."""
+    header = draw(
+        st.sampled_from(
+            ["time_s,value"] * 6 + [" time_s , value", '"time_s","value"', "time,value"]
+        )
+    )
+    lines = [header]
+    t = draw(st.floats(-50.0, 50.0))
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(
+            st.sampled_from(
+                ["row"] * 40 + ["blank", "quoted"] * 3 + ["cells", "columns", "backwards"]
+            )
+        )
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "backwards":
+            t -= draw(st.sampled_from([0.0, -0.0, 0.5]))
+        else:
+            t += draw(st.floats(0.01, 5.0))
+        t_cell = repr(t)
+        if kind == "cells":
+            t_cell = draw(_VALUE_CELLS)
+        v_cell = draw(_VALUE_CELLS) if kind == "cells" else repr(draw(st.floats(-10.0, 10.0)))
+        if kind == "columns":
+            lines.append(",".join([t_cell, v_cell, v_cell][: draw(st.sampled_from([1, 3]))]))
+        elif kind == "quoted":  # a space before a quote keeps the quote in the cell
+            lines.append(f'"{t_cell}",{draw(st.sampled_from(["", " "]))}"{v_cell}"')
+        else:
+            lines.append(f"{t_cell},{v_cell}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_files(), target_dt=st.sampled_from([0.1, 0.7, 1.0, 2.5]))
+@example(text="time_s,value\n-0.0,1_0\n0.0,2\n", target_dt=1.0)
+@example(text="time_s,value\n0,1\n1,-inf\n", target_dt=1.0)
+def test_load_csv_matches_reference_parser(tmp_path_factory, text, target_dt):
+    path = tmp_path_factory.mktemp("csv") / "profile.csv"
+    path.write_text(text, newline="")
+    try:
+        want = reference_load_csv(path, target_dt)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_csv(path, target_dt)
+        assert str(got.value) == str(exc)
+        return
+    got = load_csv(path, target_dt)
+    assert (got.t0, got.dt) == (want.t0, want.dt)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def test_save_load_round_trip_is_exact(tmp_path):
     ts = synthetic_profile("sin_mix", 2.0, 0.5, 30.0, 1.0, seed=5)
     path = tmp_path / "round.csv"
@@ -112,6 +223,17 @@ def test_save_load_round_trip_is_exact(tmp_path):
     # repr() formatting round-trips doubles exactly
     assert back.t0 == ts.t0 and back.dt == ts.dt
     np.testing.assert_array_equal(back.samples, ts.samples)
+
+
+def test_save_csv_writes_the_csv_module_bytes(tmp_path):
+    ts = TimeSeries(-2.5, 0.1, [0.0, -0.0, 1e-320, 3.0, -1.7976931348623157e308, 0.1])
+    save_csv(ts, tmp_path / "fast.csv")
+    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time_s", "value"))
+        for t, v in zip(ts.times(), ts.samples):
+            writer.writerow([repr(float(t)), repr(float(v))])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_constant_profile():

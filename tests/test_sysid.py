@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ecm import reference_kernel
 
 from voltmask import (
     BatteryState,
+    EcmParams,
     TimeSeries,
     extract_ocv,
     fit_rc,
@@ -15,7 +19,7 @@ from voltmask import (
     synthetic_profile,
 )
 from voltmask.ecm import _ocv_array
-from voltmask.sysid import _pava_increasing
+from voltmask.sysid import _FIT_NAMES, FitReport, _log_pattern_search, _pava_increasing
 
 
 def sweep_pair(cell, soc0, amp, dt):
@@ -172,3 +176,73 @@ class TestFitRc:
         off = TimeSeries(current.t0, current.dt, current.samples[:-1])
         with pytest.raises(ValueError, match="mismatch"):
             fit_rc(cell, (off, voltage), x0=x0)
+
+
+def reference_fit(initial, data, frozen, x0):
+    """fit_rc's search with every candidate run through the reference stepping loop."""
+    current, measured = data
+    free = [name for name in _FIT_NAMES if name not in frozen]
+    base = {name: getattr(initial, name) for name in _FIT_NAMES}
+
+    def rmse_for(params):
+        try:
+            with np.errstate(all="ignore"):
+                _, _, volts = reference_kernel(
+                    params, x0.soc, x0.vc, current.samples, current.dt
+                )
+        except (OverflowError, FloatingPointError):
+            return math.inf
+        if not np.isfinite(volts).all():
+            return math.inf
+        err = volts - measured.samples
+        return float(np.sqrt(np.mean(err * err)))
+
+    if not free:
+        return FitReport(fitted=initial, rmse=rmse_for(initial), iterations=0, converged=True)
+
+    def objective(x_log):
+        trial = dict(base)
+        for name, value in zip(free, x_log):
+            trial[name] = math.exp(value)
+        try:
+            params = EcmParams(ocv=initial.ocv, **trial)
+        except ValueError:
+            return math.inf
+        return rmse_for(params)
+
+    x0_log = np.array([math.log(base[name]) for name in free])
+    x_log, fx, iterations, converged, _ = _log_pattern_search(objective, x0_log)
+    fitted = dict(base)
+    for name, value in zip(free, x_log):
+        fitted[name] = math.exp(value)
+    return FitReport(
+        fitted=EcmParams(ocv=initial.ocv, **fitted),
+        rmse=fx,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    scales=st.tuples(*[st.floats(0.5, 2.0)] * 4),
+    frozen=st.sets(st.sampled_from(_FIT_NAMES)),
+    n=st.integers(2, 150),
+    dt=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-3]),
+)
+def test_fit_matches_search_over_reference_kernel(cell, scales, frozen, n, dt, seed, noise):
+    # the record stays short: the reference loop steps numpy scalars
+    rng = np.random.default_rng(seed)
+    current = TimeSeries(0.0, dt, rng.normal(0.0, 20.0, n))
+    x0 = BatteryState(rng.uniform(0.2, 0.8), rng.uniform(-0.02, 0.02))
+    voltage = simulate(cell, x0, current).voltage
+    voltage = voltage.with_samples(voltage.samples + noise * rng.standard_normal(n))
+    start = dataclasses.replace(
+        cell, **{name: getattr(cell, name) * k for name, k in zip(_FIT_NAMES, scales)}
+    )
+    got = fit_rc(start, (current, voltage), frozen=frozen, x0=x0)
+    want = reference_fit(start, (current, voltage), frozen, x0)
+    assert got == want
+    assert repr(got) == repr(want)
