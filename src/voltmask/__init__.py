@@ -11,7 +11,6 @@ from .attack import (
     InputAttackResult,
     ReferenceTrajectory,
     RiccatiSolution,
-    attack_current,
     build_reference,
     solve_riccati,
     synthesize_input_attack,
@@ -25,17 +24,13 @@ from .ecm import (
     dump_params,
     invert_ocv,
     load_params,
-    ocv,
     simulate,
     state_matrices,
-    step,
-    terminal_voltage,
 )
 from .metrics import (
     KaSweepResult,
     ScenarioSummary,
     attack_energy,
-    rms,
     select_argmin,
     sweep_ka,
 )

@@ -24,6 +24,11 @@ resolution; u_nom and X_ref are linearly interpolated at the half-step
 stage points.  The synthesized trajectory is then rolled out forward with
 the exact zero-order-hold cell model, closing the loop on the adversary's
 own simulated state.
+
+solve_riccati runs the sweep alone and returns a RiccatiSolution on the
+profile grid.  synthesize_input_attack runs it and then the rollout,
+which evaluates the feedback law at the grid nodes only; S and V are
+never interpolated in time.  build_reference samples X_ref on a grid.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
     "DivergenceError",
     "build_reference",
     "solve_riccati",
-    "attack_current",
     "synthesize_input_attack",
 ]
 
@@ -143,10 +147,9 @@ class RiccatiSolution:
 
     s[k] is the symmetric 2x2 gain matrix and v[k] the feedforward
     vector at grid[k]; the last entries hold the terminal conditions
-    exactly.  interp() evaluates both by linear interpolation in time.
-    stationary_from is where S settled: the largest grid index j > 0
-    such that every earlier row s[0], ..., s[j-1] equals s[j] bit for
-    bit, or None when s[0] and s[1] already differ.
+    exactly.  stationary_from is where S settled: the largest grid index
+    j > 0 such that every earlier row s[0], ..., s[j-1] equals s[j] bit
+    for bit, or None when s[0] and s[1] already differ.
     """
 
     grid: np.ndarray
@@ -161,21 +164,6 @@ class RiccatiSolution:
         same = (rows == rows[0]).all(axis=1)
         settled = int(same.argmin()) - 1 if not same.all() else same.size - 1
         object.__setattr__(self, "stationary_from", settled if settled > 0 else None)
-
-    def interp(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        fuzz = 1e-9 * max(1.0, g[-1] - g[0])
-        if t < g[0] - fuzz or t > g[-1] + fuzz:
-            raise ValueError(f"t={t} outside sweep horizon [{g[0]}, {g[-1]}]")
-        if t <= g[0]:
-            return self.s[0].copy(), self.v[0].copy()
-        if t >= g[-1]:
-            return self.s[-1].copy(), self.v[-1].copy()
-        j = int(np.searchsorted(g, t, side="right")) - 1
-        w = (t - g[j]) / (g[j + 1] - g[j])
-        s = (1.0 - w) * self.s[j] + w * self.s[j + 1]
-        v = (1.0 - w) * self.v[j] + w * self.v[j + 1]
-        return s, v
 
 
 def _sweep_backward(
@@ -340,16 +328,6 @@ def solve_riccati(
         mats.a, mats.b, weights.q1, weights.q2, weights.r, xref, u_nom.samples, grid
     )
     return RiccatiSolution(grid=grid, s=s, v=v)
-
-
-def attack_current(
-    riccati: RiccatiSolution, b: np.ndarray, r: float, state: BatteryState, t: float
-) -> float:
-    """Feedback law u_a = -(1/r) b' (S(t) x - V(t))."""
-    s, v = riccati.interp(t)
-    lam1 = s[0, 0] * state.soc + s[0, 1] * state.vc - v[0]
-    lam2 = s[1, 0] * state.soc + s[1, 1] * state.vc - v[1]
-    return -(float(b[0]) * lam1 + float(b[1]) * lam2) / r
 
 
 @dataclass(frozen=True, eq=False)

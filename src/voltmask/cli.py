@@ -342,10 +342,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args.config, out_dir, args.seed, args.ka)
         return _cmd_fit(args.config, out_dir)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, FloatingPointError, OverflowError) as exc:

@@ -17,6 +17,13 @@ equals two steps of dt up to rounding.  SoC is never clamped; excursions
 outside [0, 1] are reported through a soc_violation flag (driving the
 state out of range is precisely what an attack tries to do).
 
+simulate runs the stepping kernel: a compensated coulomb count, then the
+RC recurrence.  sysid.extract_ocv builds its SoC axis from the same
+coulomb count, and invert_ocv reads the OCV curve through the same
+interpolator as the kernel's terminal voltage.  The rest of the API is
+the parameter and state types, state_matrices, and load_params /
+dump_params.
+
 All types are immutable values and all functions are pure, so they are
 safe to share across threads.
 """
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,11 +45,8 @@ __all__ = [
     "BatteryState",
     "StateMatrices",
     "SimulationResult",
-    "ocv",
     "invert_ocv",
     "state_matrices",
-    "terminal_voltage",
-    "step",
     "simulate",
     "load_params",
     "dump_params",
@@ -86,39 +89,6 @@ class OcvCurve:
                 raise ValueError(f"ocv values not strictly increasing at index {i}")
 
 
-def ocv(curve: OcvCurve, soc: float) -> float:
-    """Open-circuit voltage at soc, end segments extrapolated linearly."""
-    s = curve.soc_breakpoints
-    v = curve.ocv_volts
-    if soc <= s[0]:
-        j = 0
-    elif soc >= s[-1]:
-        j = len(s) - 2
-    else:
-        j = bisect_right(s, soc) - 1
-    # same expression order as np.interp so scalar and array paths agree
-    slope = (v[j + 1] - v[j]) / (s[j + 1] - s[j])
-    if soc == s[j]:
-        return v[j]
-    return slope * (soc - s[j]) + v[j]
-
-
-def invert_ocv(curve: OcvCurve, volts: float) -> float:
-    """SoC at a given open-circuit voltage (the curve is strictly increasing)."""
-    s = curve.soc_breakpoints
-    v = curve.ocv_volts
-    if volts <= v[0]:
-        j = 0
-    elif volts >= v[-1]:
-        j = len(v) - 2
-    else:
-        j = bisect_right(v, volts) - 1
-    slope = (s[j + 1] - s[j]) / (v[j + 1] - v[j])
-    if volts == v[j]:
-        return s[j]
-    return slope * (volts - v[j]) + s[j]
-
-
 def _interp_extrapolated(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp with the end segments extended linearly instead of clamped."""
     out = np.interp(x, xp, fp)
@@ -135,6 +105,16 @@ def _interp_extrapolated(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.nd
 
 def _ocv_array(curve: OcvCurve, soc: np.ndarray) -> np.ndarray:
     return _interp_extrapolated(soc, np.asarray(curve.soc_breakpoints), np.asarray(curve.ocv_volts))
+
+
+def invert_ocv(curve: OcvCurve, volts: float) -> float:
+    """SoC at a given open-circuit voltage (the curve is strictly increasing).
+
+    _ocv_array's interpolation with the axes swapped.
+    """
+    volts_axis = np.asarray(curve.ocv_volts)
+    soc_axis = np.asarray(curve.soc_breakpoints)
+    return float(_interp_extrapolated(np.array([volts], dtype=float), volts_axis, soc_axis)[0])
 
 
 def _is_real(value) -> bool:
@@ -210,21 +190,6 @@ def state_matrices(params: EcmParams) -> StateMatrices:
     return StateMatrices(a, b)
 
 
-def terminal_voltage(params: EcmParams, state: BatteryState, current: float) -> float:
-    """v = ocv(soc) - vc - i*r0.  Positive current sags the terminal voltage."""
-    return ocv(params.ocv, state.soc) - state.vc - current * params.r0
-
-
-def step(params: EcmParams, state: BatteryState, current: float, dt: float) -> BatteryState:
-    """Advance one interval under constant current (exact zero-order hold)."""
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    alpha = math.exp(-dt / params.tau1)
-    soc = state.soc - current * dt / params.capacity_q
-    vc = state.vc * alpha + params.r1 * (1.0 - alpha) * current
-    return BatteryState(soc, vc)
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Trajectory arrays plus the terminal-voltage series.
@@ -245,13 +210,6 @@ class SimulationResult:
         self.vc.setflags(write=False)
         violation = bool((self.soc < 0.0).any() or (self.soc > 1.0).any())
         object.__setattr__(self, "soc_violation", violation)
-
-    def states(self) -> list[BatteryState]:
-        return [BatteryState(s, v) for s, v in zip(self.soc, self.vc)]
-
-    @property
-    def final_state(self) -> BatteryState:
-        return BatteryState(self.soc[-1], self.vc[-1])
 
 
 # The two recurrences below are generators that np.fromiter drains into a
@@ -329,7 +287,7 @@ def _simulate_arrays(
 def _terminal_voltages(
     params: EcmParams, soc: np.ndarray, vc: np.ndarray, current: np.ndarray
 ) -> np.ndarray:
-    """terminal_voltage at every sample of a trajectory."""
+    """v = ocv(soc) - vc - i*r0 at every sample of a trajectory."""
     return _ocv_array(params.ocv, soc) - vc - current * params.r0
 
 
@@ -337,8 +295,8 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
     """Simulate the cell under a current profile.
 
     Returns the state trajectory aligned with the profile grid and the
-    terminal-voltage series; voltage[k] equals
-    terminal_voltage(params, state_k, current[k]).
+    terminal-voltage series; voltage[k] is the reading of state k under
+    current[k].
     """
     if not isinstance(current, TimeSeries):
         raise TypeError("current must be a TimeSeries")

@@ -1,4 +1,4 @@
-"""Scoring helpers: RMS residuals, scenario summaries, k_a sweeps."""
+"""Scoring helpers: scenario summaries, attack energy, k_a sweeps."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import numpy as np
 
 from .attack import InputAttackResult
 from .ecm import BatteryState, EcmParams
-from .profiles import TimeSeries, check_same_grid
+from .profiles import TimeSeries
 from .stealth import PlantConfig, _measurement_noise, _score, _simulate_trajectories
 
 __all__ = [
     "ScenarioSummary",
     "KaSweepResult",
-    "rms",
     "attack_energy",
     "sweep_ka",
     "select_argmin",
@@ -40,13 +39,6 @@ class ScenarioSummary:
     soc_violation_nominal: bool
     soc_violation_attacked: bool
     ka_warning: bool
-
-
-def rms(a: TimeSeries, b: TimeSeries) -> float:
-    """Root-mean-square difference of two series on the same grid."""
-    check_same_grid(a, b)
-    err = a.samples - b.samples
-    return float(np.sqrt(np.mean(err * err)))
 
 
 def attack_energy(u_a: TimeSeries) -> float:

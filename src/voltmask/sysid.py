@@ -67,12 +67,6 @@ def _pava_increasing(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coulomb_soc(current: TimeSeries, capacity_q: float, soc_start: float) -> np.ndarray:
-    """SoC along a sweep by coulomb counting from a known start point."""
-    inc = np.concatenate(([0.0], np.cumsum(current.samples[:-1])))
-    return soc_start - (current.dt / capacity_q) * inc
-
-
 def extract_ocv(
     charge: tuple[TimeSeries, TimeSeries],
     discharge: tuple[TimeSeries, TimeSeries],
@@ -85,12 +79,12 @@ def extract_ocv(
     charge and discharge are (current, voltage) series pairs.  The charge
     sweep is assumed to start from an empty cell (SoC 0) and the
     discharge sweep from a full cell (SoC 1); SoC along each sweep is
-    coulomb-counted from those anchors.  Charge and discharge voltages
-    are averaged at matched SoC, which cancels ohmic drop and hysteresis
-    to first order when both sweeps use the same current magnitude.  The
-    averaged curve is projected onto increasing sequences and resampled
-    at n_breakpoints uniform SoC points with the endpoints pinned to 0
-    and 1.
+    coulomb-counted from those anchors by the stepping kernel's
+    compensated count.  Charge and discharge voltages are averaged at
+    matched SoC, which cancels ohmic drop and hysteresis to first order
+    when both sweeps use the same current magnitude.  The averaged curve
+    is projected onto increasing sequences and resampled at n_breakpoints
+    uniform SoC points with the endpoints pinned to 0 and 1.
     """
     if n_breakpoints < 2:
         raise ValueError(f"n_breakpoints must be >= 2, got {n_breakpoints}")
@@ -110,8 +104,8 @@ def extract_ocv(
                 stacklevel=2,
             )
 
-    soc_chg = _coulomb_soc(i_chg, capacity_q, soc_start=0.0)
-    soc_dis = _coulomb_soc(i_dis, capacity_q, soc_start=1.0)
+    soc_chg = 0.0 - (i_chg.dt / capacity_q) * _coulomb_counts(i_chg.samples)
+    soc_dis = 1.0 - (i_dis.dt / capacity_q) * _coulomb_counts(i_dis.samples)
     d_chg = np.diff(soc_chg)
     if (d_chg <= 0).any():
         k = int(np.argmax(d_chg <= 0))

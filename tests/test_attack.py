@@ -7,6 +7,7 @@ import pytest
 from attack_setups import attack_setups
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_model import attack_current
 
 from voltmask import (
     AttackWeights,
@@ -16,7 +17,6 @@ from voltmask import (
     RiccatiSolution,
     TimeSeries,
     add,
-    attack_current,
     attack_energy,
     build_reference,
     simulate,
@@ -156,31 +156,6 @@ def test_solve_riccati_needs_two_samples(cell):
     lone = TimeSeries(0.0, 1.0, np.array([1.0]))
     with pytest.raises(ValueError, match="at least 2"):
         solve_riccati(cell, AttackWeights(), ref, lone)
-
-
-def test_riccati_interp_linear_between_nodes():
-    grid = np.array([0.0, 1.0])
-    s = np.array([np.eye(2), 2.0 * np.eye(2)])
-    v = np.array([[1.0, 0.0], [2.0, 0.0]])
-    sol = RiccatiSolution(grid=grid, s=s, v=v)
-    s_mid, v_mid = sol.interp(0.5)
-    np.testing.assert_allclose(s_mid, 1.5 * np.eye(2))
-    np.testing.assert_allclose(v_mid, [1.5, 0.0])
-    with pytest.raises(ValueError, match="outside sweep horizon"):
-        sol.interp(2.0)
-
-
-def test_attack_current_formula():
-    grid = np.array([0.0, 1.0])
-    sol = RiccatiSolution(
-        grid=grid,
-        s=np.array([np.eye(2), 2.0 * np.eye(2)]),
-        v=np.array([[1.0, 0.0], [2.0, 0.0]]),
-    )
-    state = BatteryState(0.2, 0.1)
-    # at t = 0.5: S = 1.5 I, V = (1.5, 0); u = -(1/r) b'(Sx - V)
-    u = attack_current(sol, np.array([1.0, 2.0]), 2.0, state, 0.5)
-    assert math.isclose(u, 0.45)
 
 
 def test_zero_weights_mean_zero_attack(cell):

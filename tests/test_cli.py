@@ -9,6 +9,7 @@ import pytest
 from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
 from voltmask.cli import _write_csv, main
 from voltmask.ecm import _ocv_array, load_params
+from voltmask.scenario import load_scenario, prepare
 
 ATTACK_HEADER = [
     "t",
@@ -113,6 +114,28 @@ class TestScenarioCommand:
         assert (out1 / "attack.csv").read_bytes() == (out2 / "attack.csv").read_bytes()
         assert (out1 / "attack.csv").read_bytes() != (out3 / "attack.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["sin_mix", "pulse_train", "constant"])
+    def test_csv_profile_gives_the_synthetic_outputs(
+        self, tmp_path, scenario_dir, params_path, kind
+    ):
+        # save_csv then load_csv gives the profile back bit for bit at dt = 1,
+        # so a config that reads it from a file must write the same bytes
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["profile"]["kind"] = kind
+        synthetic = tmp_path / "synthetic.json"
+        synthetic.write_text(json.dumps(raw))
+        save_csv(prepare(load_scenario(synthetic)).u_nom, tmp_path / "u_nom.csv")
+        raw["profile"] = {"csv": "u_nom.csv"}
+        from_file = tmp_path / "from_file.json"
+        from_file.write_text(json.dumps(raw))
+
+        out1, out2 = tmp_path / "synthetic", tmp_path / "from_file"
+        assert main(["scenario", "--config", str(synthetic), "--out", str(out1)]) == 0
+        assert main(["scenario", "--config", str(from_file), "--out", str(out2)]) == 0
+        for name in ("attack.csv", "riccati.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
 
 class TestSimulateCommand:
     def test_writes_nominal_trace(self, tmp_path, params_path, capsys):
@@ -189,6 +212,13 @@ class TestExitCodes:
         )
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def test_profile_csv_header_is_named(self, tmp_path, params_path, capsys):
+        (tmp_path / "drive.csv").write_text("t,i\n0,1\n300,1\n")
+        config = small_scenario(tmp_path, params_path, profile={"csv": "drive.csv"})
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "expected header 'time_s,value'" in err
 
     def test_oversized_grid_is_a_config_error(self, tmp_path, params_path, capsys):
         config = small_scenario(tmp_path, params_path, dt=1e-9)

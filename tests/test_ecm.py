@@ -1,4 +1,8 @@
-"""Cell model: OCV lookup, exact zero-order-hold stepping, simulation."""
+"""Cell model: OCV lookup, exact zero-order-hold stepping, simulation.
+
+The scalar ocv, step and terminal_voltage of tests/scalar_model.py are
+the reference the kernel is held to.
+"""
 
 import dataclasses
 import json
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_model import ocv, step, terminal_voltage
 
 from voltmask import (
     EcmParams,
@@ -15,27 +20,30 @@ from voltmask import (
     OcvCurve,
     TimeSeries,
     invert_ocv,
-    ocv,
+    load_csv,
     simulate,
     state_matrices,
-    step,
     synthetic_profile,
-    terminal_voltage,
 )
 from voltmask.ecm import _ocv_array, _simulate_arrays, dump_params, load_params
+
+
+def ocv_at(curve, soc):
+    """The kernel's OCV readout at one SoC."""
+    return float(_ocv_array(curve, np.array([soc]))[0])
 
 
 class TestOcvCurve:
     def test_interpolation_midpoint(self):
         curve = OcvCurve((0.0, 1.0), (3.0, 4.2))
-        assert math.isclose(ocv(curve, 0.5), 3.6)
-        assert ocv(curve, 0.0) == 3.0
-        assert ocv(curve, 1.0) == 4.2
+        assert math.isclose(ocv_at(curve, 0.5), 3.6)
+        assert ocv_at(curve, 0.0) == 3.0
+        assert ocv_at(curve, 1.0) == 4.2
 
     def test_extrapolation_extends_end_segments(self):
         curve = OcvCurve((0.0, 1.0), (3.0, 4.2))
-        assert math.isclose(ocv(curve, 1.1), 4.32)
-        assert math.isclose(ocv(curve, -0.1), 2.88)
+        assert math.isclose(ocv_at(curve, 1.1), 4.32)
+        assert math.isclose(ocv_at(curve, -0.1), 2.88)
 
     def test_inversion_round_trip(self, cell):
         for soc in np.linspace(-0.05, 1.05, 41):
@@ -117,20 +125,31 @@ class TestParams:
 
 def test_terminal_voltage_sign_convention(linear_cell):
     state = BatteryState(0.5, 0.05)
+
+    def reading(current):
+        # the first sample's voltage is read at x0 under that sample's current
+        return simulate(linear_cell, state, TimeSeries(0.0, 1.0, [current])).voltage.samples[0]
+
     # positive current discharges: ohmic drop subtracts from the terminal
-    assert math.isclose(terminal_voltage(linear_cell, state, 4.0), 3.495948)
-    assert math.isclose(terminal_voltage(linear_cell, state, -4.0), 3.604052)
-    assert math.isclose(terminal_voltage(linear_cell, state, 0.0), 3.55)
+    assert math.isclose(reading(4.0), 3.495948)
+    assert math.isclose(reading(-4.0), 3.604052)
+    assert math.isclose(reading(0.0), 3.55)
+
+
+def one_step(params, state, current, dt):
+    """The kernel's state after one interval of constant current."""
+    sim = simulate(params, state, TimeSeries(0.0, dt, [current, current]))
+    return BatteryState(sim.soc[1], sim.vc[1])
 
 
 def test_step_soc_is_exact_coulomb_counting(cell):
     # 4 A for 1074.15 s moves exactly 4 * 1074.15 / 14322 = 0.3 of SoC
-    out = step(cell, BatteryState(0.8, 0.0), 4.0, 1074.15)
+    out = one_step(cell, BatteryState(0.8, 0.0), 4.0, 1074.15)
     assert math.isclose(out.soc, 0.5, rel_tol=1e-12)
 
 
 def test_step_vc_zero_order_hold_value(cell):
-    out = step(cell, BatteryState(0.5, 0.0), 1.0, 1.0)
+    out = one_step(cell, BatteryState(0.5, 0.0), 1.0, 1.0)
     assert math.isclose(out.vc, 1.884237e-4, rel_tol=1e-5)
 
     # independent check: forward Euler on dvc/dt = -vc/tau + i/c1 at a
@@ -178,9 +197,18 @@ def test_zoh_composition_within_a_few_ulp(capacity_q, r1, c1, soc, vc, current, 
     assert abs(twice.vc - once.vc) <= 4 * math.ulp(vc_scale)
 
 
-def test_step_rejects_bad_dt(cell):
-    with pytest.raises(ValueError, match="dt must be positive"):
-        step(cell, BatteryState(0.5, 0.0), 1.0, 0.0)
+def test_step_rejects_bad_dt(tmp_path):
+    # the kernel steps by its profile's dt, and every way to build a
+    # profile rejects a step that is not positive and finite
+    path = tmp_path / "i.csv"
+    path.write_text("time_s,value\n0,1\n1,1\n")
+    for dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            TimeSeries(0.0, dt, [1.0])
+        with pytest.raises(ValueError, match="dt must be positive"):
+            synthetic_profile("constant", 0.0, 1.0, 10.0, dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            load_csv(path, dt)
 
 
 class TestSimulate:
@@ -255,14 +283,6 @@ class TestSimulate:
 
         calm = simulate(cell, BatteryState(0.3, 0.0), synthetic_profile("constant", 0.0, 0.1, 100.0, 1.0))
         assert not calm.soc_violation
-
-    def test_states_and_final_state(self, cell):
-        prof = synthetic_profile("constant", 0.0, 1.0, 5.0, 1.0)
-        sim = simulate(cell, BatteryState(0.5, 0.0), prof)
-        states = sim.states()
-        assert len(states) == 6
-        assert states[0] == BatteryState(0.5, 0.0)
-        assert sim.final_state == states[-1]
 
 
 def reference_kernel(params, soc0, vc0, current, dt):

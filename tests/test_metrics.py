@@ -16,24 +16,12 @@ from voltmask import (
     TimeSeries,
     attack_energy,
     feedback_output_attack,
-    rms,
     select_argmin,
     sweep_ka,
     synthesize_input_attack,
     synthetic_profile,
 )
 from voltmask.metrics import _derived_seed
-
-
-def test_rms_basics():
-    a = TimeSeries(0.0, 1.0, np.array([1.0, 2.0, 3.0]))
-    b = TimeSeries(0.0, 1.0, np.array([1.0, 2.0, 3.0]))
-    assert rms(a, b) == 0.0
-    c = TimeSeries(0.0, 1.0, np.array([2.0, 3.0, 4.0]))
-    assert math.isclose(rms(a, c), 1.0)
-    d = TimeSeries(0.5, 1.0, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="mismatch"):
-        rms(a, d)
 
 
 def test_attack_energy_formula():

@@ -41,6 +41,20 @@ def test_y_nom_is_plain_simulation(cell, injection):
     np.testing.assert_array_equal(res.y_nom.samples, simulate(cell, x0, u_nom).voltage.samples)
 
 
+def test_residual_figures_are_those_of_the_residual(cell, injection):
+    # residual_rms and residual_max read the displayed voltage against
+    # the plant's no-attack voltage; checked here with an exactly rounded sum
+    u_nom, atk, x0 = injection
+    true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
+    plant = PlantConfig(true_params=true, noise_std=1e-3, seed=5)
+    res = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.05)
+    residual = (res.y_measured.samples - res.plant_nominal.voltage.samples).tolist()
+    rms = math.sqrt(math.fsum(e * e for e in residual) / len(residual))
+    assert math.isclose(res.residual_rms, rms, rel_tol=1e-12)
+    assert res.residual_rms > 0.0
+    assert res.residual_max == max(abs(e) for e in residual)
+
+
 def test_zero_injection_gives_zero_correction(cell):
     # zero weights synthesize a zero injection; at k_a = 0 the correction
     # is the model difference alone, whatever the plant and its noise
