@@ -17,6 +17,7 @@ from .attack import (
 )
 from .ecm import (
     BatteryState,
+    ConfigError,
     EcmParams,
     OcvCurve,
     SimulationResult,
@@ -36,7 +37,6 @@ from .metrics import (
 )
 from .profiles import TimeSeries, add, load_csv, save_csv, synthetic_profile
 from .scenario import (
-    ConfigError,
     PreparedScenario,
     ScenarioConfig,
     ScenarioRun,

@@ -24,15 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from .attack import DivergenceError
-from .ecm import BatteryState, dump_params, load_params, simulate
-from .profiles import _write_csv, load_csv
-from .scenario import (
+from .ecm import (
+    _REQUIRED,
+    BatteryState,
     ConfigError,
-    load_scenario,
-    prepare,
-    run_scenario,
-    sweep_scenario,
+    _read_field,
+    _read_json_object,
+    dump_params,
+    load_params,
+    simulate,
 )
+from .profiles import _write_csv, load_csv
+from .scenario import load_scenario, prepare, run_scenario, sweep_scenario
 from .sysid import extract_ocv, fit_rc
 
 __all__ = ["main", "run"]
@@ -166,118 +169,57 @@ def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | Non
     return 0
 
 
-def _load_fit_config(config_path: Path) -> dict:
-    if not config_path.exists():
-        raise ConfigError(f"fit config not found: {config_path}")
-    with open(config_path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{config_path}: expected a JSON object")
-    return raw
-
-
-def _number(block: dict, field: str, ctx: str) -> float:
-    """block[field] as a float; a non-number, bool or non-finite value is a config error."""
-    value = block[field]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{ctx}: field {field!r} must be a finite number, got {value!r}")
-
-
-def _resolve_csv(base: Path, block: dict, field: str, ctx: str) -> Path:
-    if field not in block:
-        raise ConfigError(f"{ctx}: missing field {field!r}")
-    path = base / str(block[field])
-    if not path.exists():
-        raise ConfigError(f"{ctx}: file not found: {path}")
-    return path
-
-
 def _cmd_fit(config_path: Path, out_dir: Path) -> int:
-    raw = _load_fit_config(config_path)
+    raw = _read_json_object(config_path)
     ctx = str(config_path)
     base = config_path.parent
-    if "initial_params_file" not in raw:
-        raise ConfigError(f"{ctx}: missing field 'initial_params_file'")
-    params_path = base / str(raw["initial_params_file"])
-    if not params_path.exists():
-        raise ConfigError(f"{ctx}: initial_params_file not found: {params_path}")
-    try:
-        params = load_params(params_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = load_params(base / _read_field(raw, "initial_params_file", str, ctx, _REQUIRED))
     if "ocv" not in raw and "rc" not in raw:
         raise ConfigError(f"{ctx}: need an 'ocv' and/or 'rc' block, found neither")
 
     if "ocv" in raw:
-        block = raw["ocv"]
-        if not isinstance(block, dict):
-            raise ConfigError(f"{ctx}: field 'ocv' must be an object")
+        block = _read_field(raw, "ocv", dict, ctx, _REQUIRED)
         octx = f"{ctx}: ocv"
-        dt = block.get("dt")
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0:
-            raise ConfigError(f"{octx}: field 'dt' must be a positive number")
-        n_breakpoints = 21
-        if "n_breakpoints" in block:
-            n_breakpoints = _number(block, "n_breakpoints", octx)
-            if not n_breakpoints.is_integer():
-                raise ConfigError(
-                    f"{octx}: field 'n_breakpoints' must be a whole number, got {n_breakpoints!r}"
-                )
-        r0_guess = None
-        if block.get("r0_guess") is not None:
-            r0_guess = _number(block, "r0_guess", octx)
-        try:
-            charge = (
-                load_csv(_resolve_csv(base, block, "charge_current_csv", octx), dt),
-                load_csv(_resolve_csv(base, block, "charge_voltage_csv", octx), dt),
-            )
-            discharge = (
-                load_csv(_resolve_csv(base, block, "discharge_current_csv", octx), dt),
-                load_csv(_resolve_csv(base, block, "discharge_voltage_csv", octx), dt),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        dt = _read_field(block, "dt", float, octx, _REQUIRED)
+        if dt <= 0:
+            raise ConfigError(f"{octx}: field 'dt' must be positive, got {dt}")
+        n_breakpoints = _read_field(block, "n_breakpoints", int, octx, 21)
+        r0_guess = _read_field(block, "r0_guess", float, octx, None)
+        charge = tuple(
+            load_csv(base / _read_field(block, name, str, octx, _REQUIRED), dt)
+            for name in ("charge_current_csv", "charge_voltage_csv")
+        )
+        discharge = tuple(
+            load_csv(base / _read_field(block, name, str, octx, _REQUIRED), dt)
+            for name in ("discharge_current_csv", "discharge_voltage_csv")
+        )
         curve = extract_ocv(
             charge,
             discharge,
             capacity_q=params.capacity_q,
-            n_breakpoints=int(n_breakpoints),
+            n_breakpoints=n_breakpoints,
             r0_guess=r0_guess,
         )
         params = replace(params, ocv=curve)
 
     report = None
     if "rc" in raw:
-        block = raw["rc"]
-        if not isinstance(block, dict):
-            raise ConfigError(f"{ctx}: field 'rc' must be an object")
+        block = _read_field(raw, "rc", dict, ctx, _REQUIRED)
         rctx = f"{ctx}: rc"
-        dt = block.get("dt")
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0:
-            raise ConfigError(f"{rctx}: field 'dt' must be a positive number")
-        try:
-            current = load_csv(_resolve_csv(base, block, "current_csv", rctx), dt)
-            voltage = load_csv(_resolve_csv(base, block, "voltage_csv", rctx), dt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        frozen = block.get("frozen", [])
-        if not isinstance(frozen, list) or not all(isinstance(v, str) for v in frozen):
-            raise ConfigError(f"{rctx}: field 'frozen' must be a list of parameter names")
+        dt = _read_field(block, "dt", float, rctx, _REQUIRED)
+        if dt <= 0:
+            raise ConfigError(f"{rctx}: field 'dt' must be positive, got {dt}")
+        current = load_csv(base / _read_field(block, "current_csv", str, rctx, _REQUIRED), dt)
+        voltage = load_csv(base / _read_field(block, "voltage_csv", str, rctx, _REQUIRED), dt)
+        frozen = _read_field(block, "frozen", [str], rctx, [])
         if "vc0" in block and "soc0" not in block:
             raise ConfigError(f"{rctx}: field 'vc0' is given without 'soc0'; give both or neither")
         x0 = None
         if "soc0" in block:
-            vc0 = _number(block, "vc0", rctx) if "vc0" in block else 0.0
-            x0 = BatteryState(_number(block, "soc0", rctx), vc0)
+            x0 = BatteryState(
+                _read_field(block, "soc0", float, rctx, _REQUIRED),
+                _read_field(block, "vc0", float, rctx, 0.0),
+            )
         try:
             report = fit_rc(params, (current, voltage), frozenset(frozen), x0=x0)
         except ValueError as exc:
@@ -342,7 +284,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args.config, out_dir, args.seed, args.ka)
         return _cmd_fit(args.config, out_dir)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: a bad path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, FloatingPointError, OverflowError) as exc:

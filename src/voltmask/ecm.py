@@ -22,7 +22,9 @@ RC recurrence.  sysid.extract_ocv builds its SoC axis from the same
 coulomb count, and invert_ocv reads the OCV curve through the same
 interpolator as the kernel's terminal voltage.  The rest of the API is
 the parameter and state types, state_matrices, and load_params /
-dump_params.
+dump_params.  load_params reads its file through the JSON-object and
+field readers that the scenario and fit configs are read through too,
+so every config file has the same rules for what a number is.
 
 All types are immutable values and all functions are pure, so they are
 safe to share across threads.
@@ -33,13 +35,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .profiles import TimeSeries
 
 __all__ = [
+    "ConfigError",
     "OcvCurve",
     "EcmParams",
     "BatteryState",
@@ -117,11 +119,6 @@ def invert_ocv(curve: OcvCurve, volts: float) -> float:
     return float(_interp_extrapolated(np.array([volts], dtype=float), volts_axis, soc_axis)[0])
 
 
-def _is_real(value) -> bool:
-    """A JSON or Python number; bool is an int subclass but not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class EcmParams:
     """Cell parameters.
@@ -141,10 +138,10 @@ class EcmParams:
 
     def __post_init__(self):
         for name in ("capacity_q", "r0", "r1", "c1"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            value = _checked(getattr(self, name), float)
+            if value is None or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.ocv, OcvCurve):
             raise TypeError("ocv must be an OcvCurve")
 
@@ -304,8 +301,94 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
     return SimulationResult(soc, vc, current.with_samples(volts))
 
 
-_SCALAR_KEYS = ("capacity_As", "r0_ohm", "r1_ohm", "c1_farad")
-_PARAM_KEYS = (*_SCALAR_KEYS, "ocv")
+class ConfigError(ValueError):
+    """A scenario, cell or fit config is malformed; the message names the field."""
+
+
+def _read_json_object(path) -> dict:
+    """The JSON object in the file at path; a ConfigError naming the path otherwise."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: file not found") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return raw
+
+
+# the default of a field that has none
+_REQUIRED = object()
+
+_KIND_NAMES = {
+    float: ("a number", "numbers"),
+    int: ("a whole number", "whole numbers"),
+    str: ("a string", "strings"),
+    list: ("a list", "lists"),
+    dict: ("an object", "objects"),
+}
+
+
+def _checked(value, kind):
+    """value as kind, or None when it is not one (see _read_field)."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            return None
+        items = [_checked(item, kind[0]) for item in value]
+        return None if None in items else items
+    if kind is float or kind is int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            return None
+        if not math.isfinite(number):
+            return None
+        if kind is float:
+            return number
+        return int(value) if number.is_integer() and number >= 0 else None
+    return value if isinstance(value, kind) else None
+
+
+def _read_field(block: dict, name: str, kind, ctx: str, default):
+    """block[name] checked against kind; default when the field is absent.
+
+    kind is float (a finite number, returned as a float), int (a whole
+    number: finite, integral and >= 0, returned as an int), str, list,
+    dict, or [float] / [str] for a list of those.  A bool is not a
+    number, and NaN, +-Infinity and an int beyond the float range are
+    not finite.  A field whose default is None may also be null.  A
+    missing field whose default is _REQUIRED, or a value of another
+    kind, is a ConfigError naming ctx and the field.
+    """
+    if name not in block or (block[name] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{ctx}: missing field {name!r}")
+        return default
+    value = _checked(block[name], kind)
+    if value is None:
+        if isinstance(kind, list):
+            expected = f"a list of {_KIND_NAMES[kind[0]][1]}"
+        else:
+            expected = _KIND_NAMES[kind][0]
+        raise ConfigError(f"{ctx}: field {name!r} must be {expected}, got {block[name]!r}")
+    return value
+
+
+# cell-file keys of the scalar parameters, and the EcmParams field each fills
+_SCALAR_FIELDS = {"capacity_As": "capacity_q", "r0_ohm": "r0", "r1_ohm": "r1", "c1_farad": "c1"}
+
+
+def _read_scalars(block: dict, keys, ctx: str) -> dict:
+    """{key: value} for each cell-file scalar key of keys, each a positive number."""
+    scalars = {key: _read_field(block, key, float, ctx, _REQUIRED) for key in keys}
+    for key, value in scalars.items():
+        if value <= 0:
+            raise ConfigError(f"{ctx}: field {key!r} must be positive, got {value}")
+    return scalars
 
 
 def load_params(path) -> EcmParams:
@@ -314,47 +397,31 @@ def load_params(path) -> EcmParams:
     Schema: {"capacity_As": ..., "r0_ohm": ..., "r1_ohm": ...,
              "c1_farad": ..., "ocv": [[soc, volts], ...]}
     """
-    path = Path(path)
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in _PARAM_KEYS:
+    raw = _read_json_object(path)
+    ctx = str(path)
+    for key in (*_SCALAR_FIELDS, "ocv"):
         if key not in raw:
-            raise ValueError(f"{path}: missing key {key!r}")
-    for key in _SCALAR_KEYS:
-        if not _is_real(raw[key]):
-            raise ValueError(f"{path}: field {key!r} must be a number, got {raw[key]!r}")
-    pairs = raw["ocv"]
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(_is_real(x) for x in p) for p in pairs
-    ):
-        raise ValueError(f"{path}: field 'ocv' must be a list of [soc, volts] number pairs")
+            raise ConfigError(f"{ctx}: missing key {key!r}")
+    scalars = _read_scalars(raw, _SCALAR_FIELDS, ctx)
+    pairs = [_checked(pair, [float]) for pair in _read_field(raw, "ocv", list, ctx, _REQUIRED)]
+    if not all(pair is not None and len(pair) == 2 for pair in pairs):
+        raise ConfigError(f"{ctx}: field 'ocv' must be a list of [soc, volts] number pairs")
     try:
         return EcmParams(
-            capacity_q=raw["capacity_As"],
-            r0=raw["r0_ohm"],
-            r1=raw["r1_ohm"],
-            c1=raw["c1_farad"],
+            **{_SCALAR_FIELDS[key]: value for key, value in scalars.items()},
             ocv=OcvCurve(
                 soc_breakpoints=tuple(p[0] for p in pairs),
                 ocv_volts=tuple(p[1] for p in pairs),
             ),
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ConfigError(f"{ctx}: {exc}") from None
 
 
 def dump_params(params: EcmParams, path) -> None:
     """Write cell parameters as JSON (inverse of load_params)."""
     payload = {
-        "capacity_As": params.capacity_q,
-        "r0_ohm": params.r0,
-        "r1_ohm": params.r1,
-        "c1_farad": params.c1,
+        **{key: getattr(params, name) for key, name in _SCALAR_FIELDS.items()},
         "ocv": [
             [s, v] for s, v in zip(params.ocv.soc_breakpoints, params.ocv.ocv_volts)
         ],

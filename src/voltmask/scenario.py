@@ -9,7 +9,6 @@ file's directory, so scenarios can be launched from anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +21,17 @@ from .attack import (
     ReferenceTrajectory,
     synthesize_input_attack,
 )
-from .ecm import BatteryState, EcmParams, load_params
+from .ecm import (
+    _REQUIRED,
+    _SCALAR_FIELDS,
+    BatteryState,
+    ConfigError,
+    EcmParams,
+    _read_field,
+    _read_json_object,
+    _read_scalars,
+    load_params,
+)
 from .metrics import KaSweepResult, ScenarioSummary
 from .profiles import TimeSeries, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
@@ -38,37 +47,22 @@ __all__ = [
     "sweep_scenario",
 ]
 
-_PLANT_OVERRIDE_KEYS = {"capacity_As", "r0_ohm", "r1_ohm", "c1_farad", "noise_std", "seed"}
-_PROFILE_SYNTH_KEYS = {"kind", "amplitude", "bias", "duration", "seed"}
-
-
-class ConfigError(ValueError):
-    """A scenario or fit config is malformed; the message names the field."""
-
-
-def _require(raw: dict, field: str, kind, context: str):
-    if field not in raw:
-        raise ConfigError(f"{context}: missing field {field!r}")
-    value = raw[field]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{context}: field {field!r} must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{context}: field {field!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+_PROFILE_SYNTH_KINDS = {"kind": str, "amplitude": float, "bias": float, "duration": float, "seed": int}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario file; paths already resolved to absolute."""
+    """Parsed scenario file: every value checked and typed, paths absolute.
+
+    profile is the CSV path or the synthetic_profile keyword arguments
+    other than dt; reference is the ReferenceTrajectory keyword
+    arguments other than the horizon, soc_start defaulted to x0.soc.
+    """
 
     params_file: Path
     dt: float
     x0: BatteryState
-    profile: dict
+    profile: Path | dict
     reference: dict
     weights: AttackWeights
     k_a: float
@@ -81,91 +75,78 @@ class ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario config not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+    raw = _read_json_object(path)
     ctx = str(path)
     base = path.parent
 
-    params_file = base / _require(raw, "params_file", str, ctx)
+    params_file = base / _read_field(raw, "params_file", str, ctx, _REQUIRED)
     if not params_file.exists():
         raise ConfigError(f"{ctx}: params_file not found: {params_file}")
-    dt = _require(raw, "dt", float, ctx)
+    dt = _read_field(raw, "dt", float, ctx, _REQUIRED)
     if dt <= 0:
         raise ConfigError(f"{ctx}: field 'dt' must be positive, got {dt}")
 
-    x0_raw = _require(raw, "x0", dict, ctx)
+    x0_raw = _read_field(raw, "x0", dict, ctx, _REQUIRED)
     x0 = BatteryState(
-        _require(x0_raw, "soc", float, f"{ctx}: x0"),
-        _require(x0_raw, "vc", float, f"{ctx}: x0"),
+        _read_field(x0_raw, "soc", float, f"{ctx}: x0", _REQUIRED),
+        _read_field(x0_raw, "vc", float, f"{ctx}: x0", _REQUIRED),
     )
 
-    profile = _require(raw, "profile", dict, ctx)
-    if "csv" in profile:
-        csv_path = base / _require(profile, "csv", str, f"{ctx}: profile")
-        if not csv_path.exists():
-            raise ConfigError(f"{ctx}: profile csv not found: {csv_path}")
-        profile = {"csv": csv_path}
+    profile_raw = _read_field(raw, "profile", dict, ctx, _REQUIRED)
+    pctx = f"{ctx}: profile"
+    if "csv" in profile_raw:
+        profile = base / _read_field(profile_raw, "csv", str, pctx, _REQUIRED)
+        if not profile.exists():
+            raise ConfigError(f"{ctx}: profile csv not found: {profile}")
     else:
-        missing = _PROFILE_SYNTH_KEYS - set(profile)
+        missing = _PROFILE_SYNTH_KINDS.keys() - profile_raw.keys()
         if missing:
             raise ConfigError(
-                f"{ctx}: profile needs either 'csv' or keys {sorted(_PROFILE_SYNTH_KEYS)}; "
+                f"{ctx}: profile needs either 'csv' or keys {sorted(_PROFILE_SYNTH_KINDS)}; "
                 f"missing {sorted(missing)}"
             )
+        profile = {
+            key: _read_field(profile_raw, key, kind, pctx, _REQUIRED)
+            for key, kind in _PROFILE_SYNTH_KINDS.items()
+        }
 
-    reference = _require(raw, "reference", dict, ctx)
-    _require(reference, "soc_target", float, f"{ctx}: reference")
-    _require(reference, "shape", str, f"{ctx}: reference")
+    ref_raw = _read_field(raw, "reference", dict, ctx, _REQUIRED)
+    rctx = f"{ctx}: reference"
+    reference = {
+        "soc_start": _read_field(ref_raw, "soc_start", float, rctx, x0.soc),
+        "soc_target": _read_field(ref_raw, "soc_target", float, rctx, _REQUIRED),
+        "shape": _read_field(ref_raw, "shape", str, rctx, _REQUIRED),
+    }
 
-    w_raw = _require(raw, "weights", dict, ctx)
-    q1 = _require(w_raw, "q1", list, f"{ctx}: weights")
-    q2 = _require(w_raw, "q2", list, f"{ctx}: weights")
-    r = _require(w_raw, "r", float, f"{ctx}: weights")
+    w_raw = _read_field(raw, "weights", dict, ctx, _REQUIRED)
+    wctx = f"{ctx}: weights"
+    q1 = _read_field(w_raw, "q1", [float], wctx, _REQUIRED)
+    q2 = _read_field(w_raw, "q2", [float], wctx, _REQUIRED)
+    r = _read_field(w_raw, "r", float, wctx, _REQUIRED)
     for name, diag in (("q1", q1), ("q2", q2)):
-        if len(diag) != 2 or not all(isinstance(v, (int, float)) for v in diag):
-            raise ConfigError(
-                f"{ctx}: weights field {name!r} must be a [soc, vc] diagonal pair"
-            )
+        if len(diag) != 2:
+            raise ConfigError(f"{wctx}: field {name!r} must be a [soc, vc] diagonal pair")
     try:
-        weights = AttackWeights(q1=np.diag(q1).astype(float), q2=np.diag(q2).astype(float), r=r)
+        weights = AttackWeights(q1=np.diag(q1), q2=np.diag(q2), r=r)
     except ValueError as exc:
-        raise ConfigError(f"{ctx}: weights: {exc}") from None
+        raise ConfigError(f"{wctx}: {exc}") from None
 
-    k_a = _require(raw, "k_a", float, ctx)
+    k_a = _read_field(raw, "k_a", float, ctx, _REQUIRED)
 
-    overrides = raw.get("plant_overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{ctx}: field 'plant_overrides' must be an object")
-    bad = set(overrides) - _PLANT_OVERRIDE_KEYS
+    overrides = _read_field(raw, "plant_overrides", dict, ctx, {})
+    octx = f"{ctx}: plant_overrides"
+    bad = overrides.keys() - _SCALAR_FIELDS.keys() - {"noise_std", "seed"}
     if bad:
         raise ConfigError(f"{ctx}: unknown plant_overrides keys {sorted(bad)}")
-    for key in overrides:
-        _require(overrides, key, float, f"{ctx}: plant_overrides")
-    noise_std = float(overrides.get("noise_std", 0.0))
+    cell_overrides = _read_scalars(overrides, [k for k in overrides if k in _SCALAR_FIELDS], octx)
+    noise_std = _read_field(overrides, "noise_std", float, octx, 0.0)
     if noise_std < 0:
-        raise ConfigError(f"{ctx}: plant_overrides.noise_std must be >= 0, got {noise_std}")
-    seed = overrides.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{ctx}: plant_overrides.seed must be a non-negative integer")
+        raise ConfigError(f"{octx}: field 'noise_std' must be >= 0, got {noise_std}")
+    seed = _read_field(overrides, "seed", int, octx, 0)
 
-    i_max = raw.get("i_max")
-    if i_max is not None:
-        if isinstance(i_max, bool) or not isinstance(i_max, (int, float)) or i_max <= 0:
-            raise ConfigError(f"{ctx}: field 'i_max' must be a positive number, got {i_max!r}")
-        i_max = float(i_max)
-
-    ka_values = raw.get("ka_values", [])
-    if not isinstance(ka_values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in ka_values
-    ):
-        raise ConfigError(f"{ctx}: field 'ka_values' must be a list of numbers")
+    i_max = _read_field(raw, "i_max", float, ctx, None)
+    if i_max is not None and i_max <= 0:
+        raise ConfigError(f"{ctx}: field 'i_max' must be a positive number, got {i_max!r}")
 
     return ScenarioConfig(
         params_file=params_file,
@@ -175,11 +156,11 @@ def load_scenario(path) -> ScenarioConfig:
         reference=reference,
         weights=weights,
         k_a=k_a,
-        plant_overrides={k: float(v) for k, v in overrides.items() if k not in ("noise_std", "seed")},
+        plant_overrides=cell_overrides,
         noise_std=noise_std,
-        seed=int(seed),
+        seed=seed,
         i_max=i_max,
-        ka_values=tuple(float(v) for v in ka_values),
+        ka_values=tuple(_read_field(raw, "ka_values", [float], ctx, [])),
     )
 
 
@@ -198,48 +179,23 @@ class PreparedScenario:
     ka_values: tuple[float, ...]
 
 
-_OVERRIDE_TO_FIELD = {
-    "capacity_As": "capacity_q",
-    "r0_ohm": "r0",
-    "r1_ohm": "r1",
-    "c1_farad": "c1",
-}
-
-
 def prepare(config: ScenarioConfig, seed_override: int | None = None) -> PreparedScenario:
     """Load parameters, build the profile and reference, apply overrides."""
     adv_params = load_params(config.params_file)
     true_params = adv_params
     if config.plant_overrides:
         fields = {
-            _OVERRIDE_TO_FIELD[key]: value for key, value in config.plant_overrides.items()
+            _SCALAR_FIELDS[key]: value for key, value in config.plant_overrides.items()
         }
         true_params = replace(adv_params, **fields)
-    seed = config.seed if seed_override is None else int(seed_override)
+    seed = config.seed if seed_override is None else seed_override
     plant = PlantConfig(true_params=true_params, noise_std=config.noise_std, seed=seed)
 
-    if "csv" in config.profile:
-        u_nom = load_csv(config.profile["csv"], config.dt)
+    if isinstance(config.profile, Path):
+        u_nom = load_csv(config.profile, config.dt)
     else:
-        p = config.profile
-        u_nom = synthetic_profile(
-            kind=p["kind"],
-            amplitude=float(p["amplitude"]),
-            bias=float(p["bias"]),
-            duration=float(p["duration"]),
-            dt=config.dt,
-            seed=int(p["seed"]),
-        )
-
-    ref_raw = config.reference
-    soc_start = float(ref_raw.get("soc_start", config.x0.soc))
-    reference = ReferenceTrajectory(
-        soc_start=soc_start,
-        soc_target=float(ref_raw["soc_target"]),
-        t0=u_nom.t0,
-        tf=u_nom.t_end,
-        shape=str(ref_raw["shape"]),
-    )
+        u_nom = synthetic_profile(dt=config.dt, **config.profile)
+    reference = ReferenceTrajectory(t0=u_nom.t0, tf=u_nom.t_end, **config.reference)
     return PreparedScenario(
         adv_params=adv_params,
         plant=plant,

@@ -25,10 +25,14 @@ from .ecm import (
 )
 from .profiles import TimeSeries, check_same_grid
 
-__all__ = ["FitReport", "extract_ocv", "fit_rc"]
+__all__ = ["OCV_GRID_POINTS", "FitReport", "extract_ocv", "fit_rc"]
 
 # minimal slope enforced between recovered breakpoints [V per unit soc step]
 _MIN_OCV_STEP = 1e-6
+
+# points of the SoC grid the averaged sweeps are resampled on; more
+# breakpoints than this would only interpolate between its points
+OCV_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,13 @@ def extract_ocv(
     matched SoC, which cancels ohmic drop and hysteresis to first order
     when both sweeps use the same current magnitude.  The averaged curve
     is projected onto increasing sequences and resampled at n_breakpoints
-    uniform SoC points with the endpoints pinned to 0 and 1.
+    uniform SoC points with the endpoints pinned to 0 and 1; at most
+    OCV_GRID_POINTS, the size of the grid the averaged curve is resampled on.
     """
-    if n_breakpoints < 2:
-        raise ValueError(f"n_breakpoints must be >= 2, got {n_breakpoints}")
+    if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
+        raise ValueError(
+            f"n_breakpoints must be from 2 to {OCV_GRID_POINTS}, got {n_breakpoints}"
+        )
     if not (capacity_q > 0 and math.isfinite(capacity_q)):
         raise ValueError(f"capacity_q must be positive, got {capacity_q}")
     i_chg, v_chg = charge
@@ -123,7 +130,7 @@ def extract_ocv(
             "need at least 0.9 of overlap"
         )
 
-    s_fine = np.linspace(lo, hi, 2001)
+    s_fine = np.linspace(lo, hi, OCV_GRID_POINTS)
     v_chg_f = np.interp(s_fine, soc_chg, v_chg.samples)
     v_dis_f = np.interp(s_fine, soc_dis[::-1], v_dis.samples[::-1])
     avg = 0.5 * (v_chg_f + v_dis_f)

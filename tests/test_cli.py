@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
 from voltmask.cli import _write_csv, main
@@ -284,6 +289,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and repr(field) in err
 
+    def test_directory_as_config(self, tmp_path, scenario_dir, capsys):
+        assert main(["scenario", "--config", str(scenario_dir), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(scenario_dir) in err
+
+    def test_existing_file_as_out(self, tmp_path, scenario_dir, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config = str(scenario_dir / "tc1.json")
+        assert main(["scenario", "--config", config, "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(afile) in err
+
+    def test_out_below_a_file(self, tmp_path, scenario_dir, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config = str(scenario_dir / "tc1.json")
+        assert main(["scenario", "--config", config, "--out", str(afile / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(afile / "sub") in err
+
+    def test_json_nested_too_deep(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["scenario", "--config", str(deep), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and str(deep) in err
+
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
 def test_csv_writer_matches_csv_module_bytes(tmp_path, n):
@@ -401,6 +434,22 @@ class TestFitCommand:
         assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
         assert "ghost.csv" in capsys.readouterr().err
 
+    def test_more_breakpoints_than_the_ocv_grid_is_named(self, records, params_path, capsys):
+        ocv = {
+            "charge_current_csv": "chg_i.csv",
+            "charge_voltage_csv": "chg_v.csv",
+            "discharge_current_csv": "dis_i.csv",
+            "discharge_voltage_csv": "dis_v.csv",
+            "dt": 30.0,
+            "n_breakpoints": 2002,
+        }
+        config = records / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), "ocv": ocv}))
+        assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "n_breakpoints" in err and "2001" in err
+        assert not (records / "o" / "fitted_params.json").exists()
+
     def test_vc0_without_soc0_is_a_config_error(self, records, params_path, capsys):
         # without soc0 the fit inverts the start SoC and assumes vc = 0, so a
         # lone vc0 would be ignored
@@ -449,3 +498,155 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "config error" in err and f"{block}: field {field!r}" in err
         assert not (records / "o" / "fitted_params.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("path", "value"),
+    [
+        (("profile", "duration"), [1]),
+        (("reference", "soc_start"), [0.5]),
+        (("reference", "soc_start"), None),
+        (("profile", "amplitude"), True),
+        (("reference", "soc_start"), True),
+        (("weights", "q1"), [True, 0]),
+        (("profile", "seed"), 1.7),
+        (("profile", "seed"), -1),
+        (("i_max",), math.nan),
+        (("k_a",), math.inf),
+        pytest.param(("dt",), 10**400, id="dt-huge_int"),
+        (("plant_overrides", "seed"), -1),
+        (("plant_overrides", "r0_ohm"), -0.01),
+    ],
+)
+def test_scenario_field_of_wrong_kind_is_named(tmp_path, params_path, capsys, path, value):
+    raw = json.loads(small_scenario(tmp_path, params_path).read_text())
+    block = raw
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(path[-1]) in err
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [pytest.param("r0_ohm", 10**400, id="r0_ohm-huge_int"), ("capacity_As", -1.0)],
+)
+def test_cell_field_out_of_range_is_named(tmp_path, params_path, capsys, field, value):
+    cell = json.loads(params_path.read_text())
+    cell[field] = value
+    bad_cell = tmp_path / "cell.json"
+    bad_cell.write_text(json.dumps(cell))
+    config = small_scenario(tmp_path, bad_cell)
+    assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"field {field!r}" in err
+
+
+# -- hostile values: any one field of a config file set to a value of the
+# wrong kind or out of range must end in exit 0, 2 or 3, never a
+# traceback, and an exit 2 must name the field (or, for a path, the path)
+
+HOSTILE = st.one_of(
+    st.sampled_from(
+        ["abc", "0.5", True, False, None, [], [0.5], [True, 0], {}, {"x": 1}, math.nan,
+         math.inf, -math.inf, 10**400, -(10**400)]
+    ),
+    st.integers(max_value=-1),
+    st.floats(max_value=0.0, exclude_max=True, allow_nan=False, allow_infinity=False),
+)
+
+SCENARIO_FIELDS = [
+    ("params_file",), ("dt",), ("x0",), ("x0", "soc"), ("x0", "vc"), ("profile",),
+    ("profile", "kind"), ("profile", "amplitude"), ("profile", "bias"),
+    ("profile", "duration"), ("profile", "seed"), ("reference",), ("reference", "soc_start"),
+    ("reference", "soc_target"), ("reference", "shape"), ("weights",), ("weights", "q1"),
+    ("weights", "q2"), ("weights", "r"), ("k_a",), ("i_max",), ("ka_values",),
+    ("plant_overrides",), ("plant_overrides", "r0_ohm"), ("plant_overrides", "noise_std"),
+    ("plant_overrides", "seed"),
+]
+CELL_FIELDS = [("capacity_As",), ("r0_ohm",), ("r1_ohm",), ("c1_farad",), ("ocv",)]
+FIT_FIELDS = [
+    ("initial_params_file",), ("ocv",), ("rc",), ("ocv", "dt"), ("ocv", "n_breakpoints"),
+    ("ocv", "r0_guess"), ("ocv", "charge_voltage_csv"), ("rc", "dt"), ("rc", "current_csv"),
+    ("rc", "frozen"), ("rc", "soc0"), ("rc", "vc0"),
+]
+TARGETS = (
+    [("scenario", path) for path in SCENARIO_FIELDS]
+    + [("cell", path) for path in CELL_FIELDS]
+    + [("fit", path) for path in FIT_FIELDS]
+)
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory, params_path):
+    """A 20 s scenario, its cell file, and a fit config on short records."""
+    work = tmp_path_factory.mktemp("hostile")
+    cell = load_params(params_path)
+    (work / "cell.json").write_text(params_path.read_text())
+    scenario = {
+        "params_file": "cell.json",
+        "dt": 1.0,
+        "x0": {"soc": 0.7, "vc": 0.0},
+        "profile": {"kind": "sin_mix", "amplitude": 2.0, "bias": 1.0, "duration": 20.0,
+                    "seed": 11},
+        "reference": {"soc_target": 0.69, "shape": "linear_ramp", "soc_start": 0.7},
+        "weights": {"q1": [1e7, 0.0], "q2": [2e5, 0.0], "r": 1.0},
+        "k_a": -0.05,
+        "i_max": 30.0,
+        "ka_values": [-0.1, 0.0],
+        "plant_overrides": {"r0_ohm": 0.0162156, "noise_std": 0.001, "seed": 3},
+    }
+    n, dt = 21, 60.0
+    amp = cell.capacity_q / (dt * (n - 1))  # the sweeps span the whole SoC range
+    for name, current, soc0 in (("chg", -amp, 0.0), ("dis", amp, 1.0)):
+        series = TimeSeries(0.0, dt, np.full(n, current))
+        save_csv(series, work / f"{name}_i.csv")
+        save_csv(simulate(cell, BatteryState(soc0, 0.0), series).voltage, work / f"{name}_v.csv")
+    exc_i = synthetic_profile("sin_mix", 4.0, 0.5, 40.0, 2.0, seed=9)
+    save_csv(exc_i, work / "exc_i.csv")
+    save_csv(simulate(cell, BatteryState(0.55, 0.0), exc_i).voltage, work / "exc_v.csv")
+    fit = {
+        "initial_params_file": "cell.json",
+        "ocv": {"charge_current_csv": "chg_i.csv", "charge_voltage_csv": "chg_v.csv",
+                "discharge_current_csv": "dis_i.csv", "discharge_voltage_csv": "dis_v.csv",
+                "dt": dt, "n_breakpoints": 5, "r0_guess": 0.0},
+        "rc": {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0,
+               "frozen": ["capacity_q"], "soc0": 0.55, "vc0": 0.0},
+    }
+    (work / "scenario.json").write_text(json.dumps(scenario))
+    (work / "fit.json").write_text(json.dumps(fit))
+    scenario["params_file"] = "case_cell.json"
+    (work / "scenario_on_case_cell.json").write_text(json.dumps(scenario))
+    for command, config in (("scenario", "scenario.json"), ("fit", "fit.json")):
+        out = str(work / "out")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(work / config), "--out", out]) == 0
+    return work
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(TARGETS), value=HOSTILE)
+def test_hostile_field_value_never_raises(hostile_dir, target, value):
+    kind, path = target
+    raw = json.loads((hostile_dir / f"{kind}.json").read_text())
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    (hostile_dir / f"case_{kind}.json").write_text(json.dumps(raw))
+    command, config = {
+        "scenario": ("scenario", "case_scenario.json"),
+        "cell": ("scenario", "scenario_on_case_cell.json"),
+        "fit": ("fit", "case_fit.json"),
+    }[kind]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(hostile_dir / config), "--out", str(hostile_dir / "o")])
+    assert code in (0, 2, 3)
+    if code == 2:
+        message = err.getvalue()
+        assert path[-1] in message or (isinstance(value, str) and value in message), message
