@@ -21,7 +21,6 @@ from .ecm import (
     EcmParams,
     OcvCurve,
     SimulationResult,
-    StateMatrices,
     dump_params,
     invert_ocv,
     load_params,

@@ -28,6 +28,7 @@ from .ecm import (
     _REQUIRED,
     BatteryState,
     ConfigError,
+    _checked,
     _read_field,
     _read_json_object,
     dump_params,
@@ -35,7 +36,7 @@ from .ecm import (
     simulate,
 )
 from .profiles import _write_csv, load_csv
-from .scenario import load_scenario, prepare, run_scenario, sweep_scenario
+from .scenario import PreparedScenario, load_scenario, prepare, run_scenario, sweep_scenario
 from .sysid import extract_ocv, fit_rc
 
 __all__ = ["main", "run"]
@@ -56,9 +57,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
+def _prepare(config_path: Path, seed: int | None) -> PreparedScenario:
+    """The scenario at config_path, prepared with --seed as its noise seed if given.
+
+    --seed follows the rule for the config seeds: a whole number.
+    """
     config = load_scenario(config_path)
-    prep = prepare(config, seed_override=seed)
+    if seed is not None:
+        if _checked(seed, int) is None:
+            raise ConfigError(f"--seed must be a whole number, got {seed}")
+        config = replace(config, seed=seed)
+    return prepare(config)
+
+
+def _cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
+    prep = _prepare(config_path, seed)
     result = simulate(prep.plant.true_params, prep.x0, prep.u_nom)
     times = prep.u_nom.times()
     _write_csv(
@@ -71,8 +84,7 @@ def _cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
 
 
 def _cmd_scenario(config_path: Path, out_dir: Path, seed: int | None) -> int:
-    config = load_scenario(config_path)
-    prep = prepare(config, seed_override=seed)
+    prep = _prepare(config_path, seed)
     run = run_scenario(prep)
     times = prep.u_nom.times()
     atk = run.input_attack
@@ -149,8 +161,7 @@ def _parse_ka_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | None) -> int:
-    config = load_scenario(config_path)
-    prep = prepare(config, seed_override=seed)
+    prep = _prepare(config_path, seed)
     ka_values = _parse_ka_list(ka) if ka is not None else list(prep.ka_values)
     if not ka_values:
         raise ConfigError(

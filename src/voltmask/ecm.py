@@ -45,7 +45,6 @@ __all__ = [
     "OcvCurve",
     "EcmParams",
     "BatteryState",
-    "StateMatrices",
     "SimulationResult",
     "invert_ocv",
     "state_matrices",
@@ -165,26 +164,13 @@ class BatteryState:
         object.__setattr__(self, "vc", float(self.vc))
 
 
-@dataclass(frozen=True, eq=False)
-class StateMatrices:
-    """Continuous-time x' = A x + B i matrices for x = (soc, vc)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def state_matrices(params: EcmParams) -> StateMatrices:
+def state_matrices(params: EcmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only continuous-time (A, B) of x' = A x + B i for x = (soc, vc)."""
     a = np.array([[0.0, 0.0], [0.0, -1.0 / params.tau1]])
     b = np.array([-1.0 / params.capacity_q, 1.0 / params.c1])
-    return StateMatrices(a, b)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)

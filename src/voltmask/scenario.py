@@ -55,15 +55,15 @@ class ScenarioConfig:
     """Parsed scenario file: every value checked and typed, paths absolute.
 
     profile is the CSV path or the synthetic_profile keyword arguments
-    other than dt; reference is the ReferenceTrajectory keyword
-    arguments other than the horizon, soc_start defaulted to x0.soc.
+    other than dt; reference spans the profile grid, its soc_start
+    defaulted to x0.soc.
     """
 
     params_file: Path
     dt: float
     x0: BatteryState
     profile: Path | dict
-    reference: dict
+    reference: ReferenceTrajectory
     weights: AttackWeights
     k_a: float
     plant_overrides: dict
@@ -112,11 +112,20 @@ def load_scenario(path) -> ScenarioConfig:
 
     ref_raw = _read_field(raw, "reference", dict, ctx, _REQUIRED)
     rctx = f"{ctx}: reference"
-    reference = {
+    if "soc_start" not in ref_raw and not 0.0 <= x0.soc <= 1.0:
+        raise ConfigError(
+            f"{rctx}: field 'soc_start' is absent, so it defaults to x0.soc, "
+            f"which must then lie in [0, 1], got {x0.soc}"
+        )
+    ref_fields = {
         "soc_start": _read_field(ref_raw, "soc_start", float, rctx, x0.soc),
         "soc_target": _read_field(ref_raw, "soc_target", float, rctx, _REQUIRED),
         "shape": _read_field(ref_raw, "shape", str, rctx, _REQUIRED),
     }
+    try:
+        reference = ReferenceTrajectory(**ref_fields)
+    except ValueError as exc:
+        raise ConfigError(f"{rctx}: {exc}") from None
 
     w_raw = _read_field(raw, "weights", dict, ctx, _REQUIRED)
     wctx = f"{ctx}: weights"
@@ -179,8 +188,8 @@ class PreparedScenario:
     ka_values: tuple[float, ...]
 
 
-def prepare(config: ScenarioConfig, seed_override: int | None = None) -> PreparedScenario:
-    """Load parameters, build the profile and reference, apply overrides."""
+def prepare(config: ScenarioConfig) -> PreparedScenario:
+    """Load parameters, build the profile, apply the plant overrides."""
     adv_params = load_params(config.params_file)
     true_params = adv_params
     if config.plant_overrides:
@@ -188,20 +197,18 @@ def prepare(config: ScenarioConfig, seed_override: int | None = None) -> Prepare
             _SCALAR_FIELDS[key]: value for key, value in config.plant_overrides.items()
         }
         true_params = replace(adv_params, **fields)
-    seed = config.seed if seed_override is None else seed_override
-    plant = PlantConfig(true_params=true_params, noise_std=config.noise_std, seed=seed)
+    plant = PlantConfig(true_params=true_params, noise_std=config.noise_std, seed=config.seed)
 
     if isinstance(config.profile, Path):
         u_nom = load_csv(config.profile, config.dt)
     else:
         u_nom = synthetic_profile(dt=config.dt, **config.profile)
-    reference = ReferenceTrajectory(t0=u_nom.t0, tf=u_nom.t_end, **config.reference)
     return PreparedScenario(
         adv_params=adv_params,
         plant=plant,
         x0=config.x0,
         u_nom=u_nom,
-        reference=reference,
+        reference=config.reference,
         weights=config.weights,
         k_a=config.k_a,
         i_max=config.i_max,

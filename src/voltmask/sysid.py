@@ -104,9 +104,11 @@ def extract_ocv(
 
     if r0_guess is not None:
         worst = max(np.abs(i_chg.samples).max(), np.abs(i_dis.samples).max())
-        if worst * r0_guess > 0.010:
+        with np.errstate(over="ignore"):  # an overflow is an infinite drop, warned about
+            drop = worst * r0_guess
+        if drop > 0.010:
             warnings.warn(
-                f"sweep current is not small: max |i|*r0 = {worst * r0_guess:.4f} V "
+                f"sweep current is not small: max |i|*r0 = {drop:.4f} V "
                 "of ohmic drop will bias the recovered curve",
                 stacklevel=2,
             )
@@ -238,8 +240,9 @@ def fit_rc(
             return math.inf
         if not np.isfinite(volts).all():
             return math.inf
-        err = volts - measured
-        return float(np.sqrt(np.mean(err * err)))
+        with np.errstate(over="ignore"):  # an overflow is an infinite rmse, a rejected candidate
+            err = volts - measured
+            return float(np.sqrt(np.mean(err * err)))
 
     if not free:
         return FitReport(fitted=initial, rmse=rmse_for(initial), iterations=0, converged=True)

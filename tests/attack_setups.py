@@ -50,8 +50,6 @@ def attack_setups(draw):
     ref = ReferenceTrajectory(
         soc_start=x0.soc,
         soc_target=draw(st.floats(0.0, 1.0)),
-        t0=0.0,
-        tf=duration,
         shape=draw(st.sampled_from(["linear_ramp", "hold_target"])),
     )
     u_nom = synthetic_profile(

@@ -181,7 +181,7 @@ def test_2_riccati_matches_dp_oracle(report):
     q1 = np.diag([1e6, 0.0])
     q2 = np.diag([50.0, 0.0])
     r = 1.0
-    ref = ReferenceTrajectory(0.6, 0.55, 0.0, duration, "linear_ramp")
+    ref = ReferenceTrajectory(0.6, 0.55, "linear_ramp")
 
     grid_c = dt_coarse * np.arange(N + 1)
     xref_c = build_reference(ref, grid_c)
@@ -286,7 +286,7 @@ def test_6_riccati_structure(report):
                 q2=np.array([[1.5, 0.2], [0.2, 0.4]]),
                 r=0.7,
             ),
-            ReferenceTrajectory(0.6, 0.4, 0.0, 500.0),
+            ReferenceTrajectory(0.6, 0.4),
             u_nom,
         )
     )

@@ -75,7 +75,7 @@ class TestWeights:
 
 class TestReference:
     def test_linear_ramp_endpoints(self):
-        ref = ReferenceTrajectory(0.8, 0.2, 0.0, 100.0)
+        ref = ReferenceTrajectory(0.8, 0.2)
         grid = np.linspace(0.0, 100.0, 11)
         xref = build_reference(ref, grid)
         assert xref.shape == (11, 2)
@@ -84,22 +84,41 @@ class TestReference:
         np.testing.assert_array_equal(xref[:, 1], np.zeros(11))
 
     def test_hold_target(self):
-        ref = ReferenceTrajectory(0.8, 0.2, 0.0, 100.0, shape="hold_target")
+        ref = ReferenceTrajectory(0.8, 0.2, shape="hold_target")
         xref = build_reference(ref, np.linspace(0.0, 100.0, 5))
         np.testing.assert_array_equal(xref[:, 0], np.full(5, 0.2))
 
-    def test_grid_must_stay_inside_horizon(self):
-        ref = ReferenceTrajectory(0.8, 0.2, 0.0, 100.0)
-        with pytest.raises(ValueError, match="horizon"):
-            build_reference(ref, np.linspace(0.0, 200.0, 5))
+    def test_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points, got 1"):
+            build_reference(ReferenceTrajectory(0.8, 0.2), np.array([0.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown reference shape"):
-            ReferenceTrajectory(0.8, 0.2, 0.0, 1.0, shape="step")
+            ReferenceTrajectory(0.8, 0.2, shape="step")
         with pytest.raises(ValueError, match="soc_target"):
-            ReferenceTrajectory(0.8, 1.2, 0.0, 1.0)
-        with pytest.raises(ValueError, match="tf must exceed t0"):
-            ReferenceTrajectory(0.8, 0.2, 1.0, 1.0)
+            ReferenceTrajectory(0.8, 1.2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t0=st.sampled_from([0.0, 13.7, 1e3]),
+        dt=st.sampled_from([0.1, 0.3, 0.7, 1.0]),
+        n=st.integers(2, 500),
+        soc_start=st.floats(0.0, 1.0),
+        soc_target=st.floats(0.0, 1.0),
+        shape=st.sampled_from(["linear_ramp", "hold_target"]),
+    )
+    def test_span_is_the_profile_span(self, t0, dt, n, soc_start, soc_target, shape):
+        # the ramp over the grid's own span equals the ramp over the
+        # profile's [t0, t_end] bit for bit, whatever the grid's start
+        u = TimeSeries(t0, dt, np.zeros(n))
+        xref = build_reference(ReferenceTrajectory(soc_start, soc_target, shape), u.times())
+        want = np.zeros((n, 2))
+        if shape == "hold_target":
+            want[:, 0] = soc_target
+        else:
+            frac = (u.times() - u.t0) / (u.t_end - u.t0)
+            want[:, 0] = soc_start + (soc_target - soc_start) * frac
+        assert xref.tobytes() == want.tobytes()
 
 
 def test_sweep_matches_scalar_euler_oracle():
@@ -126,7 +145,7 @@ def test_sweep_matches_scalar_euler_oracle():
 
 def test_terminal_conditions_are_assigned_exactly(cell):
     u_nom = synthetic_profile("constant", 0.0, 2.0, 300.0, 1.0)
-    ref = ReferenceTrajectory(0.6, 0.4, 0.0, 300.0)
+    ref = ReferenceTrajectory(0.6, 0.4)
     q1 = np.array([[5.0, 1.0], [1.0, 2.0]])
     weights = AttackWeights(q1=q1, q2=np.array([[2.0, 0.3], [0.3, 0.5]]), r=0.5)
     sol = solve_riccati(cell, weights, ref, u_nom)
@@ -137,7 +156,7 @@ def test_terminal_conditions_are_assigned_exactly(cell):
 
 def test_sweep_stays_symmetric_and_psd(cell):
     u_nom = synthetic_profile("sin_mix", 1.0, 2.0, 400.0, 1.0, seed=6)
-    ref = ReferenceTrajectory(0.7, 0.3, 0.0, 400.0)
+    ref = ReferenceTrajectory(0.7, 0.3)
     weights = AttackWeights(
         q1=np.array([[5.0, 1.0], [1.0, 2.0]]),
         q2=np.array([[2.0, 0.3], [0.3, 0.5]]),
@@ -152,7 +171,7 @@ def test_sweep_stays_symmetric_and_psd(cell):
 
 
 def test_solve_riccati_needs_two_samples(cell):
-    ref = ReferenceTrajectory(0.5, 0.4, 0.0, 10.0)
+    ref = ReferenceTrajectory(0.5, 0.4)
     lone = TimeSeries(0.0, 1.0, np.array([1.0]))
     with pytest.raises(ValueError, match="at least 2"):
         solve_riccati(cell, AttackWeights(), ref, lone)
@@ -162,7 +181,7 @@ def test_zero_weights_mean_zero_attack(cell):
     u_nom = synthetic_profile("sin_mix", 2.0, 1.0, 500.0, 1.0, seed=8)
     x0 = BatteryState(0.6, 0.0)
     weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=1.0)
-    ref = ReferenceTrajectory(0.6, 0.1, 0.0, 500.0)
+    ref = ReferenceTrajectory(0.6, 0.1)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     assert (atk.u_a.samples == 0.0).all()
     nominal = simulate(cell, x0, u_nom)
@@ -185,7 +204,7 @@ def test_zero_weights_give_zero_attack_for_random_setups(setup, r):
 def test_synthesis_reaches_target(cell):
     u_nom = synthetic_profile("constant", 0.0, 0.0, 600.0, 1.0)
     x0 = BatteryState(0.6, 0.0)
-    ref = ReferenceTrajectory(0.6, 0.5, 0.0, 600.0)
+    ref = ReferenceTrajectory(0.6, 0.5)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     assert abs(atk.model.soc[-1] - 0.5) < 5e-3
@@ -199,7 +218,7 @@ def test_grid_refinement_changes_little(cell):
     finals = []
     for dt in (2.0, 1.0):
         u_nom = synthetic_profile("constant", 0.0, 1.0, 600.0, dt)
-        ref = ReferenceTrajectory(0.6, 0.5, 0.0, u_nom.t_end)
+        ref = ReferenceTrajectory(0.6, 0.5)
         atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
         finals.append(atk.model.soc[-1])
     assert abs(finals[0] - finals[1]) <= 1e-4
@@ -208,7 +227,7 @@ def test_grid_refinement_changes_little(cell):
 def test_higher_effort_price_shrinks_energy(cell):
     u_nom = synthetic_profile("constant", 0.0, 1.0, 600.0, 1.0)
     x0 = BatteryState(0.6, 0.0)
-    ref = ReferenceTrajectory(0.6, 0.5, 0.0, 600.0)
+    ref = ReferenceTrajectory(0.6, 0.5)
     energies = []
     for r in (1.0, 2.0, 4.0):
         weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=r)
@@ -221,7 +240,7 @@ def test_higher_effort_price_shrinks_energy(cell):
 def test_i_max_is_reported_never_clipped(cell):
     u_nom = synthetic_profile("constant", 0.0, 1.0, 600.0, 1.0)
     x0 = BatteryState(0.6, 0.0)
-    ref = ReferenceTrajectory(0.6, 0.5, 0.0, 600.0)
+    ref = ReferenceTrajectory(0.6, 0.5)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     tight = synthesize_input_attack(cell, weights, ref, u_nom, x0, i_max=0.5)
     loose = synthesize_input_attack(cell, weights, ref, u_nom, x0, i_max=1e4)
@@ -233,7 +252,7 @@ def test_i_max_is_reported_never_clipped(cell):
 def test_divergence_raises(cell):
     # absurdly stiff terminal weight versus a 1 s step blows up the RK4
     u_nom = synthetic_profile("constant", 0.0, 1.0, 50.0, 1.0)
-    ref = ReferenceTrajectory(0.6, 0.5, 0.0, 50.0)
+    ref = ReferenceTrajectory(0.6, 0.5)
     weights = AttackWeights(q1=np.diag([1e19, 0.0]), q2=np.zeros((2, 2)), r=1e-12)
     with pytest.raises(DivergenceError, match="diverged"):
         synthesize_input_attack(cell, weights, ref, u_nom, BatteryState(0.6, 0.0))
@@ -244,14 +263,14 @@ def test_feedback_law_consistency(cell):
     # trajectory at the grid nodes
     u_nom = synthetic_profile("sin_mix", 1.0, 1.5, 300.0, 1.0, seed=5)
     x0 = BatteryState(0.65, 0.0)
-    ref = ReferenceTrajectory(0.65, 0.45, 0.0, 300.0)
+    ref = ReferenceTrajectory(0.65, 0.45)
     weights = AttackWeights(q1=np.diag([1e6, 0.0]), q2=np.diag([1e3, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    mats = state_matrices(cell)
+    _, b = state_matrices(cell)
     for k in (0, 7, 150, 300):
         state = BatteryState(atk.model.soc[k], atk.model.vc[k])
         t = u_nom.t0 + k * u_nom.dt
-        u = attack_current(atk.riccati, mats.b, weights.r, state, t)
+        u = attack_current(atk.riccati, b, weights.r, state, t)
         assert math.isclose(u, atk.u_a.samples[k], rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -491,8 +510,8 @@ def test_stationary_from_counts_signed_zeros():
 
 def reference_rollout(params, weights, u_nom, x0, s, v):
     """The forward rollout as first written, indexing numpy scalars one by one."""
-    mats = state_matrices(params)
-    b1, b2 = float(mats.b[0]), float(mats.b[1])
+    _, b = state_matrices(params)
+    b1, b2 = float(b[0]), float(b[1])
     rinv = 1.0 / weights.r
     dt = u_nom.dt
     alpha = math.exp(-dt / params.tau1)

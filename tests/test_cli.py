@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(afile / "sub") in err
 
+    @pytest.mark.parametrize(
+        ("command", "config"),
+        [
+            ("scenario", "tc1_mismatch"),
+            ("simulate", "tc1_mismatch"),
+            ("sweep", "noise_free"),
+            ("scenario", "noisy"),
+        ],
+    )
+    def test_negative_seed_flag_is_named(
+        self, tmp_path, scenario_dir, params_path, capsys, command, config
+    ):
+        if config == "tc1_mismatch":
+            path = scenario_dir / "tc1_mismatch.json"
+        else:
+            noise = {"noise_std": 0.001, "seed": 3} if config == "noisy" else {}
+            path = small_scenario(tmp_path, params_path, plant_overrides=noise)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(path), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed must be a whole number, got -1")
+        assert list(out.iterdir()) == []
+
+    def test_out_of_range_x0_soc_default_is_named(self, tmp_path, params_path, capsys):
+        config = small_scenario(tmp_path, params_path, x0={"soc": 1.5, "vc": 0.0})
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: reference: field 'soc_start' is absent")
+        assert "x0.soc" in err and "1.5" in err
+
+    def test_out_of_range_soc_target_is_named(self, tmp_path, params_path, capsys):
+        reference = {"soc_target": 1.2, "shape": "linear_ramp"}
+        config = small_scenario(tmp_path, params_path, reference=reference)
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: {config}: reference: soc_target must lie in [0, 1], got 1.2\n"
+        )
+
     def test_json_nested_too_deep(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -460,6 +501,48 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "'vc0'" in err and "'soc0'" in err
         assert not (records / "o" / "fitted_params.json").exists()
+
+    @staticmethod
+    def run_fit_catching_warnings(records, params_path, blocks):
+        config = records / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), **blocks}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main(["fit", "--config", str(config), "--out", str(records / "o")])
+        return status, [w.category for w in caught]
+
+    def test_huge_r0_guess_warns_without_overflow_noise(self, records, params_path, cell):
+        # at 4 A, |i| * r0 overflows to an infinite ohmic drop
+        amp, dt = 4.0, 30.0
+        n = int(cell.capacity_q / amp / dt) + 1
+        for name, sign, soc0 in (("chg", -1.0, 0.0), ("dis", 1.0, 1.0)):
+            current = TimeSeries(0.0, dt, np.full(n, sign * amp))
+            save_csv(current, records / f"{name}_i.csv")
+            voltage = simulate(cell, BatteryState(soc0, 0.0), current).voltage
+            save_csv(voltage, records / f"{name}_v.csv")
+        ocv = {
+            "charge_current_csv": "chg_i.csv",
+            "charge_voltage_csv": "chg_v.csv",
+            "discharge_current_csv": "dis_i.csv",
+            "discharge_voltage_csv": "dis_v.csv",
+            "dt": dt,
+            "r0_guess": 1e308,
+        }
+        status, categories = self.run_fit_catching_warnings(records, params_path, {"ocv": ocv})
+        assert status == 0
+        assert categories == [UserWarning]
+
+    @pytest.mark.parametrize("field", ["soc0", "vc0"])
+    def test_huge_start_state_fails_without_overflow_noise(
+        self, records, params_path, capsys, field
+    ):
+        rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0,
+              "soc0": 0.55, "vc0": 0.0}
+        rc[field] = 1e300
+        status, categories = self.run_fit_catching_warnings(records, params_path, {"rc": rc})
+        assert status == 3
+        assert "runtime error" in capsys.readouterr().err
+        assert not any(issubclass(c, RuntimeWarning) for c in categories)
 
     @pytest.mark.parametrize(
         ("block", "field", "value"),

@@ -65,14 +65,14 @@ class TestOcvCurve:
 
 class TestParams:
     def test_state_matrices_values(self, cell):
-        mats = state_matrices(cell)
+        a, b = state_matrices(cell)
         # x = (soc, vc): soc has no self-dynamics, vc decays with 1/(r1 c1)
-        assert mats.a[0, 0] == 0.0 and mats.a[0, 1] == 0.0 and mats.a[1, 0] == 0.0
-        assert mats.a[1, 1] == -1.0 / (cell.r1 * cell.c1)
-        assert np.isclose(mats.a[1, 1], -0.0184992, atol=1e-7)
-        assert np.allclose(mats.b, [-6.98226e-5, 1.901719e-4], rtol=1e-5)
-        assert mats.b[0] == -1.0 / cell.capacity_q
-        assert mats.b[1] == 1.0 / cell.c1
+        assert a[0, 0] == 0.0 and a[0, 1] == 0.0 and a[1, 0] == 0.0
+        assert a[1, 1] == -1.0 / (cell.r1 * cell.c1)
+        assert np.isclose(a[1, 1], -0.0184992, atol=1e-7)
+        assert np.allclose(b, [-6.98226e-5, 1.901719e-4], rtol=1e-5)
+        assert b[0] == -1.0 / cell.capacity_q
+        assert b[1] == 1.0 / cell.c1
 
     def test_tau1(self, cell):
         assert cell.tau1 == cell.r1 * cell.c1

@@ -45,7 +45,7 @@ def test_select_argmin_tie_breaking():
 def sweep_setup(cell):
     u_nom = synthetic_profile("sin_mix", 2.0, 1.5, 600.0, 1.0, seed=17)
     x0 = BatteryState(0.7, 0.0)
-    ref = ReferenceTrajectory(0.7, 0.55, 0.0, 600.0)
+    ref = ReferenceTrajectory(0.7, 0.55)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -117,8 +118,6 @@ class TestPrepare:
         prep = prepare(load_scenario(scenario_dir / "tc1.json"))
         assert prep.reference.soc_start == prep.x0.soc == 0.8
         assert prep.reference.soc_target == 0.2
-        assert prep.reference.t0 == prep.u_nom.t0
-        assert prep.reference.tf == prep.u_nom.t_end
 
     def test_plant_overrides_change_only_named_fields(self, scenario_dir):
         prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
@@ -131,7 +130,7 @@ class TestPrepare:
     def test_seed_override(self, scenario_dir):
         config = load_scenario(scenario_dir / "tc1.json")
         assert prepare(config).plant.seed == 0
-        assert prepare(config, seed_override=7).plant.seed == 7
+        assert prepare(replace(config, seed=7)).plant.seed == 7
 
     def test_csv_profile(self, tmp_path, params_path):
         csv_path = tmp_path / "drive.csv"

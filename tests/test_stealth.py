@@ -28,7 +28,7 @@ def injection(cell):
     """A modest synthesized injection reused across masking tests."""
     u_nom = synthetic_profile("sin_mix", 2.0, 1.5, 800.0, 1.0, seed=14)
     x0 = BatteryState(0.7, 0.0)
-    ref = ReferenceTrajectory(0.7, 0.5, 0.0, 800.0)
+    ref = ReferenceTrajectory(0.7, 0.5)
     weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     return u_nom, atk, x0
@@ -60,7 +60,7 @@ def test_zero_injection_gives_zero_correction(cell):
     # is the model difference alone, whatever the plant and its noise
     u_nom = synthetic_profile("sin_mix", 2.0, 1.5, 800.0, 1.0, seed=14)
     x0 = BatteryState(0.7, 0.0)
-    ref = ReferenceTrajectory(0.7, 0.5, 0.0, 800.0)
+    ref = ReferenceTrajectory(0.7, 0.5)
     weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=1.0)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
