@@ -45,13 +45,14 @@ __all__ = ["main", "run"]
 def _write_json(path: Path, payload: dict) -> None:
     """Write a flat payload as JSON; a non-finite number is a runtime error.
 
-    JSON has no inf or nan, so such a value names its field instead of
-    being written as a bare Infinity or NaN.
+    JSON has no inf or nan, so such a value, alone or in a list, names
+    its field instead of being written as a bare Infinity or NaN.
     """
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FloatingPointError(f"{path.name}: field {key!r} is not finite ({value})")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, float) and not math.isfinite(item):
+                raise FloatingPointError(f"{path.name}: field {key!r} is not finite ({item})")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -237,7 +238,8 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
             raise ConfigError(f"{rctx}: {exc}") from None
         params = report.fitted
 
-    dump_params(params, out_dir / "fitted_params.json")
+    # the report goes first: _write_json checks it before writing, so a
+    # fit that fails leaves nothing in out_dir
     if report is not None:
         _write_json(
             out_dir / "fit_report.json",
@@ -245,8 +247,12 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
                 "rmse_V": report.rmse,
                 "iterations": report.iterations,
                 "converged": report.converged,
+                "rmse_history": list(report.rmse_history),
+                "damping_history": list(report.damping_history),
             },
         )
+    dump_params(params, out_dir / "fitted_params.json")
+    if report is not None:
         print(
             f"fit rmse {report.rmse:.6e} V after {report.iterations} iterations "
             f"(converged={report.converged})"

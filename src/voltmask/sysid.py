@@ -2,7 +2,8 @@
 
 extract_ocv recovers the open-circuit-voltage curve from a slow
 charge/discharge sweep pair; fit_rc recovers the scalar cell parameters
-from an excitation record by derivative-free search.  Both are the
+from an excitation record by Levenberg-Marquardt least squares on exact
+sensitivities of the simulated voltage.  Both are the
 adversary's tooling for building the model the attack runs on.
 """
 
@@ -21,6 +22,7 @@ from .ecm import (
     _coulomb_counts,
     _interp_extrapolated,
     _rc_trajectory,
+    _zoh_recurrence,
     invert_ocv,
 )
 from .profiles import TimeSeries, check_same_grid
@@ -43,6 +45,9 @@ class FitReport:
     rmse: float
     iterations: int
     converged: bool
+    # after each iteration: the rmse of the cell kept, and the damping tried
+    rmse_history: tuple[float, ...]
+    damping_history: tuple[float, ...]
 
 
 def _pava_increasing(y: np.ndarray) -> np.ndarray:
@@ -149,50 +154,201 @@ def extract_ocv(
 
 _FIT_NAMES = ("r0", "r1", "c1", "capacity_q")
 
+# trial steps fit_rc takes at most; a rejected step counts as one
+_MAX_ITERATIONS = 500
+# an accepted step that lowers the rmse by less than this share ends the fit
+_REL_TOL = 1e-6
+# Marquardt's damping at the first step, and its factor on each rejection
+_DAMPING0 = 1e-3
+_DAMPING_FACTOR = 10.0
+# the largest change of a log-parameter in one step (a factor e).  Far
+# from the optimum the Gauss-Newton step in log space can be hundreds
+# long and end on a flat limit such as r1 -> inf (a bare capacitor),
+# where the fit would stop as if converged
+_MAX_LOG_STEP = 1.0
 
-def _log_pattern_search(objective, x0_log, max_iter=500, rel_tol=1e-6, step0=0.25):
-    """Compass search over log-parameters; best value never increases.
 
-    Each iteration polls +-step along every axis and takes the best
-    improving move.  A poll with no improvement halves every step.
-    Terminates when an accepted move improves the objective by less than
-    rel_tol relative, when the steps collapse, or at max_iter.  Returns
-    (x, f, iterations, converged, history of best f per iteration).
+def _ocv_slopes(curve: OcvCurve, soc: np.ndarray) -> np.ndarray:
+    """Slope of the piecewise-linear OCV at each soc, the end segments extended.
+
+    At a breakpoint the segment to its right counts (the last segment at 1).
     """
-    x = np.array(x0_log, dtype=float)
-    fx = objective(x)
-    steps = np.full(x.size, step0)
-    history = [fx]
-    iterations = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        iterations = it
-        best_f = fx
-        best_x = None
-        for j in range(x.size):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[j] += sign * steps[j]
-                fc = objective(cand)
-                if fc < best_f:
-                    best_f = fc
-                    best_x = cand
-        if best_x is None:
-            steps *= 0.5
-            if steps.max() < 1e-7:
-                converged = True
-                history.append(fx)
-                break
+    s = np.asarray(curve.soc_breakpoints)
+    slopes = np.diff(curve.ocv_volts) / np.diff(s)
+    segment = np.clip(np.searchsorted(s, soc, side="right") - 1, 0, s.size - 2)
+    return slopes[segment]
+
+
+def _sensitivities(
+    params: EcmParams,
+    free: list[str],
+    soc: np.ndarray,
+    vc: np.ndarray,
+    counts: np.ndarray,
+    current: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """d voltage / d ln p along a trajectory, one row per name of free.
+
+    soc and vc are the trajectory _rc_trajectory gives for params and
+    the coulomb counts of current.  With alpha = exp(-dt/tau) and
+    beta = r1 (1 - alpha), the r1 and c1 rows are -s for the
+    recurrence s <- alpha s + d alpha vc + d beta i from s = 0; each
+    costs one more zero-order-hold pass.
+    """
+    rows = np.empty((len(free), current.size))
+    for row, name in zip(rows, free):
+        if name == "r0":
+            np.multiply(-params.r0, current, out=row)
+        elif name == "capacity_q":
+            scale = dt / params.capacity_q
+            np.multiply(_ocv_slopes(params.ocv, soc), scale * counts, out=row)
         else:
-            improvement = (fx - best_f) / fx if math.isfinite(fx) and fx > 0 else math.inf
-            x = best_x
-            fx = best_f
-            if improvement < rel_tol:
-                converged = True
-                history.append(fx)
+            tau = params.tau1
+            alpha = math.exp(-dt / tau)
+            d_alpha = alpha * (dt / tau)  # the same for ln r1 and ln c1
+            r1_d_alpha = params.r1 * d_alpha
+            if name == "r1":
+                d_beta = params.r1 * (1.0 - alpha) - r1_d_alpha
+            else:
+                d_beta = -r1_d_alpha
+            drive = d_alpha * vc + d_beta * current
+            row[:] = np.fromiter(
+                _zoh_recurrence(alpha, 0.0, memoryview(drive)[:-1]), float, count=current.size
+            )
+            np.negative(row, out=row)
+    return rows
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with a x = b for a symmetric positive definite a; None when
+    rounding leaves a pivot that is not positive or x is not finite.
+
+    Gaussian elimination, which such a matrix needs no pivoting for, on
+    plain floats: the systems are at most 4 x 4, and a LAPACK call would
+    allocate the BLAS buffers on its first use.
+    """
+    rows = [row + [rhs] for row, rhs in zip(a.tolist(), b.tolist())]
+    k = len(rows)
+    for j in range(k):
+        pivot = rows[j][j]
+        if not pivot > 0.0:
+            return None
+        for i in range(j + 1, k):
+            factor = rows[i][j] / pivot
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[j])]
+    x = [0.0] * k
+    for j in reversed(range(k)):
+        x[j] = (rows[j][k] - sum(rows[j][c] * x[c] for c in range(j + 1, k))) / rows[j][j]
+    return np.array(x) if all(map(math.isfinite, x)) else None
+
+
+def _levenberg_marquardt(
+    initial: EcmParams,
+    free: list[str],
+    measured: np.ndarray,
+    trajectory,
+    jacobian,
+) -> FitReport:
+    """Least-squares fit of the free parameters of initial, over their logs.
+
+    trajectory(params) gives the (soc, vc, voltage) a cell simulates to;
+    jacobian(params, soc, vc) gives d voltage / d ln p along it, one
+    row per name of free.  Each iteration solves
+    (J'J + lam diag(J'J)) step = -J'err over the columns that are not
+    all zero, Marquardt's scaling, shortens the step so that no
+    log-parameter moves by more than 1, and scores it.  A step that
+    does not raise the rmse is taken and divides lam by ten; any other,
+    or one whose cell is invalid or simulates to a non-finite voltage,
+    multiplies lam by ten.  The fit converges at a zero rmse, at a zero
+    Jacobian, or when a taken step lowers the rmse by less than 1e-6 of
+    it; it stops unconverged after 500 iterations or when the Jacobian
+    is not finite.  A start that does not simulate to a finite rmse is
+    returned at once, unconverged, with an infinite rmse.
+    """
+
+    def score(params):
+        """(soc, vc, err, rmse) of params, or None if it does not simulate to a finite rmse."""
+        # an overflow, here or in the rmse, rejects the candidate
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                soc, vc, volts = trajectory(params)
+        except ArithmeticError:  # exp or a division over- or underflowed
+            return None
+        if not np.isfinite(volts).all():
+            return None
+        with np.errstate(over="ignore"):
+            err = volts - measured
+            rmse = float(np.sqrt(np.mean(err * err)))
+        return (soc, vc, err, rmse) if math.isfinite(rmse) else None
+
+    def cell_at(x_log):
+        values = {name: getattr(initial, name) for name in _FIT_NAMES}
+        with np.errstate(over="ignore"):  # exp to inf, rejected by EcmParams
+            values.update(zip(free, np.exp(x_log).tolist()))
+        try:
+            return EcmParams(ocv=initial.ocv, **values)
+        except ValueError:
+            return None
+
+    def linearize(params, soc, vc, err):
+        """J'J and J'err at params, J freed on return."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = jacobian(params, soc, vc)
+            # plain sums of products: matmul would start BLAS (see _solve_spd)
+            # and einsum load its own kernels, each some 0.3 MB more resident
+            normal = np.array([[(a * b).sum() for b in jac] for a in jac])
+            return normal, np.array([(a * err).sum() for a in jac])
+
+    at = score(initial)
+    if at is None:
+        return FitReport(initial, math.inf, 0, False, (), ())
+    params = initial
+    # at is the (soc, vc, err) of params until the fit linearizes there;
+    # only the rmse is kept while a step is tried, so that one trajectory
+    # is held at a time
+    *at, rmse = at
+    x_log = np.array([math.log(getattr(initial, name)) for name in free])
+    damping = _DAMPING0
+    rmse_history: list[float] = []
+    damping_history: list[float] = []
+    converged = not free or rmse == 0.0
+    while not converged and len(rmse_history) < _MAX_ITERATIONS:
+        if at is not None:
+            normal, gradient = linearize(params, *at)
+            at = None
+            if not (np.isfinite(normal).all() and np.isfinite(gradient).all()):
                 break
-        history.append(fx)
-    return x, fx, iterations, converged, history
+            active = np.diag(normal) > 0.0
+            if not active.any():
+                converged = True  # the record does not move with any free parameter
+                break
+            normal = normal[np.ix_(active, active)]
+            gradient = gradient[active]
+            scale = np.diag(normal)
+        step = np.zeros(x_log.size)
+        trial = None
+        solved = _solve_spd(normal + np.diag(damping * scale), -gradient)
+        if solved is not None:  # else singular at this damping; a larger one is not
+            step[active] = solved
+            longest = np.abs(step).max()
+            if longest > _MAX_LOG_STEP:
+                step *= _MAX_LOG_STEP / longest
+            cell = cell_at(x_log + step)
+            trial = None if cell is None else score(cell)
+        damping_history.append(damping)
+        if trial is not None and trial[3] <= rmse:
+            converged = trial[3] == 0.0 or rmse - trial[3] < _REL_TOL * rmse
+            x_log = x_log + step
+            params = cell
+            *at, rmse = trial
+            damping /= _DAMPING_FACTOR
+        else:
+            damping *= _DAMPING_FACTOR
+        rmse_history.append(rmse)
+    return FitReport(
+        params, rmse, len(rmse_history), converged, tuple(rmse_history), tuple(damping_history)
+    )
 
 
 def fit_rc(
@@ -205,9 +361,10 @@ def fit_rc(
 
     data is a (current, voltage) pair on a shared grid.  Parameters named
     in frozen keep their initial values; the OCV curve is always taken
-    from initial.  The search runs in log space (positivity for free) and
-    scores candidates by voltage RMSE under exact zero-order-hold
-    simulation; candidates whose simulation blows up score +inf.
+    from initial.  The fit is Levenberg-Marquardt over the log of the
+    free parameters (positivity for free) on the voltage residuals of
+    exact zero-order-hold simulation, with exact sensitivities for its
+    Jacobian; see _levenberg_marquardt for its steps and stopping rules.
 
     If x0 is not given, vc is assumed 0 at the first sample and the
     starting SoC is inverted from the first voltage after removing the
@@ -226,41 +383,15 @@ def fit_rc(
         x0 = BatteryState(soc0, 0.0)
 
     current = i_ts.samples
-    measured = v_ts.samples
     dt = i_ts.dt
-    base = {name: getattr(initial, name) for name in _FIT_NAMES}
     # the coulomb counts depend on the current alone, so every candidate
     # shares them and runs only the RC recurrence
     counts = _coulomb_counts(current)
 
-    def rmse_for(params: EcmParams) -> float:
-        try:
-            _, _, volts = _rc_trajectory(params, x0.soc, x0.vc, counts, current, dt)
-        except (OverflowError, FloatingPointError):
-            return math.inf
-        if not np.isfinite(volts).all():
-            return math.inf
-        with np.errstate(over="ignore"):  # an overflow is an infinite rmse, a rejected candidate
-            err = volts - measured
-            return float(np.sqrt(np.mean(err * err)))
+    def trajectory(params):
+        return _rc_trajectory(params, x0.soc, x0.vc, counts, current, dt)
 
-    if not free:
-        return FitReport(fitted=initial, rmse=rmse_for(initial), iterations=0, converged=True)
+    def jacobian(params, soc, vc):
+        return _sensitivities(params, free, soc, vc, counts, current, dt)
 
-    def objective(x_log: np.ndarray) -> float:
-        trial = dict(base)
-        for name, value in zip(free, x_log):
-            trial[name] = math.exp(value)
-        try:
-            params = EcmParams(ocv=initial.ocv, **trial)
-        except ValueError:
-            return math.inf
-        return rmse_for(params)
-
-    x0_log = np.array([math.log(base[name]) for name in free])
-    x_log, fx, iterations, converged, _ = _log_pattern_search(objective, x0_log)
-    fitted_values = dict(base)
-    for name, value in zip(free, x_log):
-        fitted_values[name] = math.exp(value)
-    fitted = EcmParams(ocv=initial.ocv, **fitted_values)
-    return FitReport(fitted=fitted, rmse=fx, iterations=iterations, converged=converged)
+    return _levenberg_marquardt(initial, free, v_ts.samples, trajectory, jacobian)

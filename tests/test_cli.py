@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
 from voltmask.cli import _write_csv, main
-from voltmask.ecm import _ocv_array, load_params
+from voltmask.ecm import _ocv_array, dump_params, load_params
 from voltmask.scenario import load_scenario, prepare
 
 ATTACK_HEADER = [
@@ -432,12 +433,14 @@ class TestFitCommand:
         assert err <= 2e-3
         assert fitted.r0 == cell.r0  # scalar parameters untouched
 
-    def test_rc_block_writes_report(self, records, params_path, capsys):
+    def test_rc_block_writes_report(self, records, cell, capsys):
+        start = records / "start.json"
+        dump_params(replace(cell, r0=cell.r0 * 1.5, r1=cell.r1 * 1.5, c1=cell.c1 * 1.5), start)
         config = records / "fit.json"
         config.write_text(
             json.dumps(
                 {
-                    "initial_params_file": str(params_path),
+                    "initial_params_file": str(start),
                     "rc": {
                         "current_csv": "exc_i.csv",
                         "voltage_csv": "exc_v.csv",
@@ -451,9 +454,19 @@ class TestFitCommand:
         out = records / "out"
         assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
         report = json.loads((out / "fit_report.json").read_text())
-        assert set(report) == {"converged", "iterations", "rmse_V"}
+        assert set(report) == {
+            "converged",
+            "iterations",
+            "rmse_V",
+            "rmse_history",
+            "damping_history",
+        }
         assert report["converged"]
         assert report["rmse_V"] < 1e-8
+        assert 0 < report["iterations"] == len(report["rmse_history"])
+        assert len(report["damping_history"]) == report["iterations"]
+        assert report["rmse_history"][-1] == report["rmse_V"]
+        assert report["rmse_history"] == sorted(report["rmse_history"], reverse=True)
         assert "fit rmse" in capsys.readouterr().out
 
     def test_needs_at_least_one_block(self, records, params_path, capsys):
@@ -543,6 +556,8 @@ class TestFitCommand:
         assert status == 3
         assert "runtime error" in capsys.readouterr().err
         assert not any(issubclass(c, RuntimeWarning) for c in categories)
+        # the report is rejected before fitted_params.json is written
+        assert not any((records / "o").iterdir())
 
     @pytest.mark.parametrize(
         ("block", "field", "value"),
