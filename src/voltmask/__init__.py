@@ -49,6 +49,6 @@ from .stealth import (
     StealthResult,
     feedback_output_attack,
 )
-from .sysid import FitReport, extract_ocv, fit_rc
+from .sysid import FitConfig, FitReport, extract_ocv, fit_rc, load_fit_config
 
 __version__ = "0.1.0"

@@ -25,10 +25,14 @@ stage points.  The synthesized trajectory is then rolled out forward with
 the exact zero-order-hold cell model, closing the loop on the adversary's
 own simulated state.
 
-solve_riccati runs the sweep alone and returns a RiccatiSolution on the
-profile grid.  synthesize_input_attack runs it and then the rollout,
-which evaluates the feedback law at the grid nodes only; S and V are
-never interpolated in time.  build_reference samples X_ref on a grid.
+solve_riccati runs the sweep alone, rejects an S that left the positive
+semidefinite cone, and returns a RiccatiSolution on the profile grid.
+synthesize_input_attack runs it, rejects a zero-order-hold closed loop
+that is unstable where S is stationary (h*lambda > 2 on the SoC
+channel, which the RK4 sweep itself survives up to about 2.785), and
+then runs the rollout, which evaluates the feedback law at the grid
+nodes only; S and V are never interpolated in time.  build_reference
+samples X_ref on a grid.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """The backward sweep or the forward rollout produced non-finite values."""
+    """The synthesis failed numerically: the backward sweep went non-finite or
+    left the positive semidefinite cone, or the closed loop is unstable or
+    went non-finite in the forward rollout."""
 
 
 def _check_weight_matrix(name: str, q: np.ndarray) -> None:
@@ -317,7 +323,71 @@ def solve_riccati(
     xref = build_reference(ref, grid)
     a, b = state_matrices(params)
     s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, xref, u_nom.samples, grid)
-    return RiccatiSolution(grid=grid, s=s, v=v)
+    solution = RiccatiSolution(grid=grid, s=s, v=v)
+    _check_psd(solution)
+    return solution
+
+
+# how far a row of S, scaled by its largest entry, may sit outside the
+# positive semidefinite cone: the diagonal by this, the determinant by its square
+_PSD_TOL = 1e-6
+
+
+def _check_psd(solution: RiccatiSolution) -> None:
+    """Raise DivergenceError where the sweep stepped S out of the PSD cone.
+
+    An RK4 step past its stability limit can stay finite and still give
+    an indefinite S, whose feedback then drives the state away from the
+    reference.  The check runs on the finished sweep, so that
+    _sweep_backward stays the plain RK4 integration.  Rows before
+    stationary_from repeat its S, so only the rows from there on are
+    checked; the first bad row in sweep order, the last in time, is named.
+    """
+    start = solution.stationary_from or 0
+    s = solution.s[start:]
+    scale = np.abs(s).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    s11, s12, s22 = s[:, 0, 0] / scale, s[:, 0, 1] / scale, s[:, 1, 1] / scale
+    det = s11 * s22 - s12 * s12
+    bad = (s11 < -_PSD_TOL) | (s22 < -_PSD_TOL) | (det < -_PSD_TOL * _PSD_TOL)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[-1])
+        (r11, r12), (_, r22) = s[k].tolist()
+        if s11[k] < -_PSD_TOL:
+            entry = f"s11 = {r11!r}"
+        elif s22[k] < -_PSD_TOL:
+            entry = f"s22 = {r22!r}"
+        else:
+            entry = f"s11*s22 - s12**2 < 0 at s11 = {r11!r}, s12 = {r12!r}, s22 = {r22!r}"
+        raise DivergenceError(
+            f"riccati sweep left the positive semidefinite cone at t={solution.grid[start + k]}: "
+            f"{entry} (weights too stiff for this grid step)"
+        )
+
+
+# rounding leeway on the spectral radius of the closed loop: far above the
+# rounding of one step, and (1 + 1e-9) ** MAX_SAMPLES is below 1.01
+_ZOH_RADIUS_TOL = 1e-9
+
+
+def _zoh_radius(s, b1, b2, rinv, gamma1, alpha, beta) -> float:
+    """Spectral radius of one zero-order-hold step of the closed loop at a fixed S.
+
+    The step is M = Phi - Gamma (1/r) b'S with Phi = diag(1, alpha) and
+    Gamma = (gamma1, beta) = (-dt/Q, r1 (1 - alpha)); its two eigenvalues
+    are taken in closed form on plain floats.
+    """
+    s11, s12, s22 = float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
+    k1 = (b1 * s11 + b2 * s12) * rinv
+    k2 = (b1 * s12 + b2 * s22) * rinv
+    m11, m12 = 1.0 - gamma1 * k1, -gamma1 * k2
+    m21, m22 = -beta * k1, alpha - beta * k2
+    half_gap = 0.5 * (m11 - m22)
+    # (trace/2)**2 - det without its cancellation: exact for a triangular M
+    disc = half_gap * half_gap + m12 * m21
+    if disc < 0.0:  # a complex pair, of modulus sqrt(det)
+        return math.sqrt(m11 * m22 - m12 * m21)
+    return abs(0.5 * (m11 + m22)) + math.sqrt(disc)  # nan if an entry overflowed
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,6 +430,15 @@ def synthesize_input_attack(
     alpha = math.exp(-dt / params.tau1)
     beta = params.r1 * (1.0 - alpha)
     scale = dt / params.capacity_q
+    j = riccati.stationary_from
+    if j is not None:
+        rho = _zoh_radius(riccati.s[j], b1, b2, rinv, -scale, alpha, beta)
+        if not rho <= 1.0 + _ZOH_RADIUS_TOL:
+            raise DivergenceError(
+                f"zero-order-hold closed loop is unstable where S is stationary "
+                f"(t={riccati.grid[0]} to t={riccati.grid[j]}): spectral radius {rho!r} > 1 "
+                "(feedback gain too stiff for this grid step)"
+            )
     unom = u_nom.samples
     n = unom.size
     u_a = np.empty(n)

@@ -6,7 +6,9 @@ Subcommands:
   sweep      masking-gain sweep -> sweep.csv, argmin printed to stdout
   fit        parameter identification from CSV records -> fitted_params.json
 
-Exit codes: 0 success, 2 config error, 3 runtime/numerical error.
+Exit codes go by stage: 0 success, 2 when reading the inputs fails (the
+flags, --out, the config and every file it names), 3 when the run on the
+loaded inputs fails.
 The soc_violation and i_max_violated flags are reported in summary.json
 but never fail a run; producing them is what an attack is for.  All
 outputs are byte-deterministic for a given config and seed.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,20 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .attack import DivergenceError
-from .ecm import (
-    _REQUIRED,
-    BatteryState,
-    ConfigError,
-    _checked,
-    _read_field,
-    _read_json_object,
-    dump_params,
-    load_params,
-    simulate,
-)
-from .profiles import _write_csv, load_csv
+from .ecm import ConfigError, _checked, dump_params, simulate
+from .profiles import _write_csv
 from .scenario import PreparedScenario, load_scenario, prepare, run_scenario, sweep_scenario
-from .sysid import extract_ocv, fit_rc
+from .sysid import FitConfig, extract_ocv, fit_rc, load_fit_config
 
 __all__ = ["main", "run"]
 
@@ -58,21 +51,32 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _prepare(config_path: Path, seed: int | None) -> PreparedScenario:
-    """The scenario at config_path, prepared with --seed as its noise seed if given.
+# a gain in --ka: a decimal number, optionally signed and with an exponent
+_GAIN = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
-    --seed follows the rule for the config seeds: a whole number.
+
+def _prepare(config_path: Path, seed: int | None, ka: str | None) -> PreparedScenario:
+    """The scenario at config_path, prepared with --seed as its noise seed
+    and --ka as its ka_values if given.
+
+    The flags follow the rules for the config's fields: --seed is a whole
+    number, and --ka a comma-separated list of finite gains other than 1.
     """
     config = load_scenario(config_path)
     if seed is not None:
         if _checked(seed, int) is None:
             raise ConfigError(f"--seed must be a whole number, got {seed}")
         config = replace(config, seed=seed)
+    if ka is not None:
+        tokens = [tok for tok in ka.split(",") if tok.strip() != ""]
+        gains = tuple(float(tok) if _GAIN.fullmatch(tok) else math.nan for tok in tokens)
+        if not all(map(math.isfinite, gains)) or 1.0 in gains:
+            raise ConfigError(f"--ka must be comma-separated finite gains other than 1, got {ka!r}")
+        config = replace(config, ka_values=gains)
     return prepare(config)
 
 
-def _cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
-    prep = _prepare(config_path, seed)
+def _cmd_simulate(prep: PreparedScenario, out_dir: Path) -> int:
     result = simulate(prep.plant.true_params, prep.x0, prep.u_nom)
     times = prep.u_nom.times()
     _write_csv(
@@ -84,8 +88,7 @@ def _cmd_simulate(config_path: Path, out_dir: Path, seed: int | None) -> int:
     return 0
 
 
-def _cmd_scenario(config_path: Path, out_dir: Path, seed: int | None) -> int:
-    prep = _prepare(config_path, seed)
+def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
     run = run_scenario(prep)
     times = prep.u_nom.times()
     atk = run.input_attack
@@ -154,21 +157,8 @@ def _cmd_scenario(config_path: Path, out_dir: Path, seed: int | None) -> int:
     return 0
 
 
-def _parse_ka_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"--ka must be a comma-separated list of numbers, got {text!r}") from None
-
-
-def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | None) -> int:
-    prep = _prepare(config_path, seed)
-    ka_values = _parse_ka_list(ka) if ka is not None else list(prep.ka_values)
-    if not ka_values:
-        raise ConfigError(
-            f"{config_path}: no gains to sweep; set 'ka_values' in the config or pass --ka"
-        )
-    result = sweep_scenario(prep, ka_values)
+def _cmd_sweep(prep: PreparedScenario, out_dir: Path) -> int:
+    result = sweep_scenario(prep, prep.ka_values)
     _write_csv(
         out_dir / "sweep.csv",
         ["k_a", "residual_rms_V"],
@@ -181,84 +171,36 @@ def _cmd_sweep(config_path: Path, out_dir: Path, seed: int | None, ka: str | Non
     return 0
 
 
-def _cmd_fit(config_path: Path, out_dir: Path) -> int:
-    raw = _read_json_object(config_path)
-    ctx = str(config_path)
-    base = config_path.parent
-    params = load_params(base / _read_field(raw, "initial_params_file", str, ctx, _REQUIRED))
-    if "ocv" not in raw and "rc" not in raw:
-        raise ConfigError(f"{ctx}: need an 'ocv' and/or 'rc' block, found neither")
-
-    if "ocv" in raw:
-        block = _read_field(raw, "ocv", dict, ctx, _REQUIRED)
-        octx = f"{ctx}: ocv"
-        dt = _read_field(block, "dt", float, octx, _REQUIRED)
-        if dt <= 0:
-            raise ConfigError(f"{octx}: field 'dt' must be positive, got {dt}")
-        n_breakpoints = _read_field(block, "n_breakpoints", int, octx, 21)
-        r0_guess = _read_field(block, "r0_guess", float, octx, None)
-        charge = tuple(
-            load_csv(base / _read_field(block, name, str, octx, _REQUIRED), dt)
-            for name in ("charge_current_csv", "charge_voltage_csv")
-        )
-        discharge = tuple(
-            load_csv(base / _read_field(block, name, str, octx, _REQUIRED), dt)
-            for name in ("discharge_current_csv", "discharge_voltage_csv")
-        )
+def _cmd_fit(config: FitConfig, out_dir: Path) -> int:
+    params = config.initial
+    if config.charge is not None:
         curve = extract_ocv(
-            charge,
-            discharge,
-            capacity_q=params.capacity_q,
-            n_breakpoints=n_breakpoints,
-            r0_guess=r0_guess,
+            config.charge, config.discharge, params.capacity_q, config.n_breakpoints, config.r0_guess
         )
         params = replace(params, ocv=curve)
 
-    report = None
-    if "rc" in raw:
-        block = _read_field(raw, "rc", dict, ctx, _REQUIRED)
-        rctx = f"{ctx}: rc"
-        dt = _read_field(block, "dt", float, rctx, _REQUIRED)
-        if dt <= 0:
-            raise ConfigError(f"{rctx}: field 'dt' must be positive, got {dt}")
-        current = load_csv(base / _read_field(block, "current_csv", str, rctx, _REQUIRED), dt)
-        voltage = load_csv(base / _read_field(block, "voltage_csv", str, rctx, _REQUIRED), dt)
-        frozen = _read_field(block, "frozen", [str], rctx, [])
-        if "vc0" in block and "soc0" not in block:
-            raise ConfigError(f"{rctx}: field 'vc0' is given without 'soc0'; give both or neither")
-        x0 = None
-        if "soc0" in block:
-            x0 = BatteryState(
-                _read_field(block, "soc0", float, rctx, _REQUIRED),
-                _read_field(block, "vc0", float, rctx, 0.0),
-            )
-        try:
-            report = fit_rc(params, (current, voltage), frozenset(frozen), x0=x0)
-        except ValueError as exc:
-            raise ConfigError(f"{rctx}: {exc}") from None
-        params = report.fitted
-
+    if config.record is None:
+        dump_params(params, out_dir / "fitted_params.json")
+        print("wrote fitted_params.json (ocv extraction only)")
+        return 0
+    report = fit_rc(params, config.record, config.frozen, x0=config.x0)
     # the report goes first: _write_json checks it before writing, so a
     # fit that fails leaves nothing in out_dir
-    if report is not None:
-        _write_json(
-            out_dir / "fit_report.json",
-            {
-                "rmse_V": report.rmse,
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "rmse_history": list(report.rmse_history),
-                "damping_history": list(report.damping_history),
-            },
-        )
-    dump_params(params, out_dir / "fitted_params.json")
-    if report is not None:
-        print(
-            f"fit rmse {report.rmse:.6e} V after {report.iterations} iterations "
-            f"(converged={report.converged})"
-        )
-    else:
-        print("wrote fitted_params.json (ocv extraction only)")
+    _write_json(
+        out_dir / "fit_report.json",
+        {
+            "rmse_V": report.rmse,
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "rmse_history": list(report.rmse_history),
+            "damping_history": list(report.damping_history),
+        },
+    )
+    dump_params(report.fitted, out_dir / "fitted_params.json")
+    print(
+        f"fit rmse {report.rmse:.6e} V after {report.iterations} iterations "
+        f"(converged={report.converged})"
+    )
     return 0
 
 
@@ -271,13 +213,14 @@ def main(argv=None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "run the no-attack plant simulation"),
-        ("scenario", "run the full attack pipeline"),
-        ("sweep", "sweep the masking gain k_a"),
-        ("fit", "identify cell parameters from CSV records"),
+    for name, help_text, command in (
+        ("simulate", "run the no-attack plant simulation", _cmd_simulate),
+        ("scenario", "run the full attack pipeline", _cmd_scenario),
+        ("sweep", "sweep the masking gain k_a", _cmd_sweep),
+        ("fit", "identify cell parameters from CSV records", _cmd_fit),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=command)
         p.add_argument("--config", required=True, type=Path, help="config JSON path")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         if name != "fit":
@@ -291,20 +234,24 @@ def main(argv=None) -> int:
             )
 
     args = parser.parse_args(argv)
+    # reading the inputs: anything raised here is the config's, a flag's or a path's
     try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return _cmd_simulate(args.config, out_dir, args.seed)
-        if args.command == "scenario":
-            return _cmd_scenario(args.config, out_dir, args.seed)
-        if args.command == "sweep":
-            return _cmd_sweep(args.config, out_dir, args.seed, args.ka)
-        return _cmd_fit(args.config, out_dir)
+        args.out.mkdir(parents=True, exist_ok=True)
+        if args.command == "fit":
+            loaded = load_fit_config(args.config)
+        else:
+            loaded = _prepare(args.config, args.seed, getattr(args, "ka", None))
+            if args.command == "sweep" and not loaded.ka_values:
+                raise ConfigError(
+                    f"{args.config}: no gains to sweep; set 'ka_values' in the config or pass --ka"
+                )
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: a bad path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, FloatingPointError, OverflowError) as exc:
+    # running on the loaded inputs: anything raised here is the run's
+    try:
+        return args.run(loaded, args.out)
+    except (ValueError, OSError, ArithmeticError, DivergenceError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

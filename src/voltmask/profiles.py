@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,13 +106,15 @@ def load_csv(path, target_dt: float) -> TimeSeries:
 
     Rows may be non-uniformly spaced; values are linearly interpolated
     onto the uniform grid starting at the first timestamp with step
-    target_dt.  The grid never extends past the last timestamp.
+    target_dt.  The grid never extends past the last timestamp, and the
+    rows must span at least one step, so that it has 2 points or more.
     """
     if not (target_dt > 0.0 and np.isfinite(target_dt)):
         raise ValueError(f"target_dt must be positive and finite, got {target_dt}")
     path = Path(path)
-    times: list[float] = []
-    values: list[float] = []
+    # raw doubles: 8 bytes a cell, not a 24-byte float object and a pointer
+    times = array("d")
+    values = array("d")
     # math.isfinite on plain floats: np.isfinite would be a ufunc call per cell
     isfinite = math.isfinite
     last = -math.inf  # the previous row's time; every finite time follows it
@@ -150,6 +153,11 @@ def load_csv(path, target_dt: float) -> TimeSeries:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
     n = _sample_count(times[-1] - t0, target_dt)
+    if n < 2:
+        raise ValueError(
+            f"{path}: rows span {times[-1] - t0} s, less than one step of {target_dt} s; "
+            "need at least 2 grid points"
+        )
     grid = t0 + target_dt * np.arange(n)
     samples = np.interp(grid, times, values)
     return TimeSeries(t0, target_dt, samples)

@@ -141,6 +141,10 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{wctx}: {exc}") from None
 
     k_a = _read_field(raw, "k_a", float, ctx, _REQUIRED)
+    ka_values = tuple(_read_field(raw, "ka_values", [float], ctx, []))
+    for name, gains in (("k_a", [k_a]), ("ka_values", ka_values)):
+        if 1.0 in gains:
+            raise ConfigError(f"{ctx}: field {name!r}: the gain 1 makes the masking singular")
 
     overrides = _read_field(raw, "plant_overrides", dict, ctx, {})
     octx = f"{ctx}: plant_overrides"
@@ -169,7 +173,7 @@ def load_scenario(path) -> ScenarioConfig:
         noise_std=noise_std,
         seed=seed,
         i_max=i_max,
-        ka_values=tuple(_read_field(raw, "ka_values", [float], ctx, [])),
+        ka_values=ka_values,
     )
 
 

@@ -16,10 +16,10 @@ per-sample to
     y_a[k] = (delta[k] + k_a (y_plant[k] - y_nom[k])) / (1 - k_a)
 
 with delta the open-loop model difference and y_plant the (noisy) plant
-voltage under attack.  k_a = 1 is singular and rejected; |k_a| >= 1 is
-flagged as a stability warning since large gains amplify measurement
-noise.  With a perfect model and no noise the masking is exact for any
-admissible k_a.
+voltage under attack.  The measurement noise reaches the residual
+multiplied by 1 / |1 - k_a|: k_a = 1 is singular and rejected, and a gain
+that amplifies the noise (0 < k_a < 2) is flagged with ka_warning.  With
+a perfect model and no noise the masking is exact for any admissible k_a.
 
 The plant may differ from the adversary's model (parameter mismatch) and
 may add gaussian measurement noise drawn from a seeded generator, which
@@ -146,7 +146,7 @@ def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
         y_measured=voltage.with_samples(y_measured),
         residual_rms=residual_rms,
         residual_max=residual_max,
-        ka_warning=bool(abs(k_a) >= 1.0),
+        ka_warning=bool(abs(1.0 - k_a) < 1.0),  # the noise gain 1 / |1 - k_a| exceeds 1
         plant_nominal=traj.plant_nom,
         plant_attacked=traj.plant_att,
     )

@@ -5,6 +5,7 @@ charge/discharge sweep pair; fit_rc recovers the scalar cell parameters
 from an excitation record by Levenberg-Marquardt least squares on exact
 sensitivities of the simulated voltage.  Both are the
 adversary's tooling for building the model the attack runs on.
+load_fit_config reads a fit file, records included, for the two of them.
 """
 
 from __future__ import annotations
@@ -12,22 +13,28 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .ecm import (
+    _REQUIRED,
     BatteryState,
+    ConfigError,
     EcmParams,
     OcvCurve,
     _coulomb_counts,
     _interp_extrapolated,
     _rc_trajectory,
+    _read_field,
+    _read_json_object,
     _zoh_recurrence,
     invert_ocv,
+    load_params,
 )
-from .profiles import TimeSeries, check_same_grid
+from .profiles import TimeSeries, check_same_grid, load_csv
 
-__all__ = ["OCV_GRID_POINTS", "FitReport", "extract_ocv", "fit_rc"]
+__all__ = ["OCV_GRID_POINTS", "FitConfig", "FitReport", "extract_ocv", "fit_rc", "load_fit_config"]
 
 # minimal slope enforced between recovered breakpoints [V per unit soc step]
 _MIN_OCV_STEP = 1e-6
@@ -395,3 +402,83 @@ def fit_rc(
         return _sensitivities(params, free, soc, vc, counts, current, dt)
 
     return _levenberg_marquardt(initial, free, v_ts.samples, trajectory, jacobian)
+
+
+@dataclass(frozen=True, eq=False)
+class FitConfig:
+    """Parsed fit file: the start cell and every record loaded, each value checked.
+
+    charge and discharge are the ocv block's (current, voltage) pairs
+    and record the rc block's; they are None when their block is absent.
+    x0 is None when the rc block gives no soc0.
+    """
+
+    initial: EcmParams
+    charge: tuple[TimeSeries, TimeSeries] | None
+    discharge: tuple[TimeSeries, TimeSeries] | None
+    n_breakpoints: int
+    r0_guess: float | None
+    record: tuple[TimeSeries, TimeSeries] | None
+    frozen: frozenset[str]
+    x0: BatteryState | None
+
+
+def _read_records(block: dict, ctx: str, base: Path, *prefixes: str) -> list:
+    """Per prefix, the files of <prefix>current_csv and <prefix>voltage_csv on the dt grid."""
+    dt = _read_field(block, "dt", float, ctx, _REQUIRED)
+    if dt <= 0:
+        raise ConfigError(f"{ctx}: field 'dt' must be positive, got {dt}")
+    records = []
+    for prefix in prefixes:
+        fields = (f"{prefix}current_csv", f"{prefix}voltage_csv")
+        i, v = (load_csv(base / _read_field(block, f, str, ctx, _REQUIRED), dt) for f in fields)
+        if (i.t0, len(i)) != (v.t0, len(v)):
+            raise ConfigError(
+                f"{ctx}: fields {fields[0]!r} and {fields[1]!r} give different grids: "
+                f"{len(i)} samples from t={i.t0} and {len(v)} from t={v.t0}"
+            )
+        records.append((i, v))
+    return records
+
+
+def load_fit_config(path) -> FitConfig:
+    """Read a fit file and load the start cell and every record it names.
+
+    What extract_ocv and fit_rc would reject before computing is a ConfigError
+    here that names the file, block and field: n_breakpoints out of range, an
+    unknown frozen name, records of one pair on different grids, vc0 without soc0.
+    """
+    path = Path(path)
+    raw = _read_json_object(path)
+    ctx, base = str(path), path.parent
+    initial = load_params(base / _read_field(raw, "initial_params_file", str, ctx, _REQUIRED))
+    if "ocv" not in raw and "rc" not in raw:
+        raise ConfigError(f"{ctx}: need an 'ocv' and/or 'rc' block, found neither")
+    charge = discharge = record = x0 = None
+    n_breakpoints, r0_guess, frozen = 21, None, frozenset()
+    if "ocv" in raw:
+        octx = f"{ctx}: ocv"
+        block = _read_field(raw, "ocv", dict, ctx, _REQUIRED)
+        n_breakpoints = _read_field(block, "n_breakpoints", int, octx, 21)
+        if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
+            raise ConfigError(
+                f"{octx}: field 'n_breakpoints' must be 2 to {OCV_GRID_POINTS}, got {n_breakpoints}"
+            )
+        r0_guess = _read_field(block, "r0_guess", float, octx, None)
+        charge, discharge = _read_records(block, octx, base, "charge_", "discharge_")
+    if "rc" in raw:
+        rctx = f"{ctx}: rc"
+        block = _read_field(raw, "rc", dict, ctx, _REQUIRED)
+        (record,) = _read_records(block, rctx, base, "")
+        frozen = frozenset(_read_field(block, "frozen", [str], rctx, []))
+        if not frozen <= set(_FIT_NAMES):
+            raise ConfigError(
+                f"{rctx}: field 'frozen' names {sorted(frozen - set(_FIT_NAMES))}, "
+                f"not among {list(_FIT_NAMES)}"
+            )
+        if "vc0" in block and "soc0" not in block:
+            raise ConfigError(f"{rctx}: field 'vc0' is given without 'soc0'; give both or neither")
+        if "soc0" in block:
+            soc0 = _read_field(block, "soc0", float, rctx, _REQUIRED)
+            x0 = BatteryState(soc0, _read_field(block, "vc0", float, rctx, 0.0))
+    return FitConfig(initial, charge, discharge, n_breakpoints, r0_guess, record, frozen, x0)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voltmask.attack
+import voltmask.cli
 from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
 from voltmask.cli import _write_csv, main
-from voltmask.ecm import _ocv_array, dump_params, load_params
+from voltmask.ecm import _ocv_array, dump_params, load_params, state_matrices
 from voltmask.scenario import load_scenario, prepare
 
 ATTACK_HEADER = [
@@ -250,29 +253,32 @@ class TestExitCodes:
     def test_unstable_rollout_is_a_runtime_error(
         self, tmp_path, scenario_dir, params_path, capsys
     ):
-        # h*lambda = 2.5: u_a overflows to inf before the horizon ends
+        # h*lambda = 2.5: the rollout would overflow u_a to inf before the
+        # horizon ends; the zero-order-hold check stops the run before it
         config = self.tc1_with_weights(
             tmp_path, scenario_dir, params_path, 512799210.0, 1281998025.0
         )
         out = tmp_path / "o"
         assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: closed-loop rollout diverged at t=")
+        assert err.startswith("runtime error: zero-order-hold closed loop is unstable")
+        assert "spectral radius 1.5 > 1" in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_summary_value_is_a_runtime_error(
         self, tmp_path, scenario_dir, params_path, capsys
     ):
-        # h*lambda = 2.2: the rollout stays finite (SoC near 6.5e151) but
-        # the attack energy overflows
+        # h*lambda = 2.2: the rollout would stay finite (SoC near 6.5e151)
+        # and the attack energy overflow; the zero-order-hold check stops
+        # the run before either
         config = self.tc1_with_weights(
             tmp_path, scenario_dir, params_path, 451263304.8, 992779270.5600001
         )
         out = tmp_path / "o"
         assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
         captured = capsys.readouterr()
-        assert "runtime error" in captured.err and "'attack_energy_A2s'" in captured.err
+        assert captured.err.startswith("runtime error: zero-order-hold closed loop is unstable")
         assert captured.out == ""
         assert not (out / "summary.json").exists()
 
@@ -358,6 +364,149 @@ class TestExitCodes:
         assert main(["scenario", "--config", str(deep), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "invalid JSON" in err and str(deep) in err
+
+    # -- the stage rule: what fails while the inputs are read is exit 2,
+    # what fails in the run on them is exit 3, whatever the exception type
+
+    @pytest.mark.parametrize("error", [ValueError("bad value"), OSError("disk full")])
+    def test_run_stage_error_is_a_runtime_error(
+        self, tmp_path, params_path, capsys, monkeypatch, error
+    ):
+        def failing_run(prep):
+            raise error
+
+        monkeypatch.setattr(voltmask.cli, "run_scenario", failing_run)
+        config = small_scenario(tmp_path, params_path)
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"runtime error: {error}\n"
+        assert list(out.iterdir()) == []
+
+    def test_load_stage_os_error_is_a_config_error(self, tmp_path, params_path, capsys):
+        # the profile path exists but is a directory: open() raises IsADirectoryError
+        (tmp_path / "drive.csv").mkdir()
+        config = small_scenario(tmp_path, params_path, profile={"csv": "drive.csv"})
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "drive.csv" in err
+
+    @pytest.mark.parametrize("command", ["scenario", "sweep"])
+    def test_gain_of_one_is_named_before_any_riccati_step(
+        self, tmp_path, scenario_dir, params_path, capsys, monkeypatch, command
+    ):
+        steps = []
+        sweep = voltmask.attack._sweep_backward
+        monkeypatch.setattr(
+            voltmask.attack, "_sweep_backward", lambda *args: steps.append(1) or sweep(*args)
+        )
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["k_a"] = 1
+        config = tmp_path / "tc1_ka1.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: field 'k_a'") and "singular" in err
+        assert steps == []
+        assert list(out.iterdir()) == []
+
+    def test_gain_of_one_in_ka_values_is_named(self, tmp_path, params_path, capsys):
+        config = small_scenario(tmp_path, params_path, ka_values=[0.0, 1.0])
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: field 'ka_values'")
+
+    @pytest.mark.parametrize("ka", ["0,1", "-0.5, 1.0", "nan", "1e999"])
+    def test_ka_flag_of_one_or_not_finite_is_named(self, tmp_path, params_path, capsys, ka):
+        config = small_scenario(tmp_path, params_path)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out), f"--ka={ka}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --ka must be")
+        assert list(out.iterdir()) == []
+
+    def test_gain_near_one_exits_0_with_the_warning(self, tmp_path, params_path):
+        # the noise gain 1 / |1 - k_a| is 1e9
+        config = small_scenario(tmp_path, params_path, k_a=0.999999999)
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scenario", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["ka_warning"] is True
+
+    def test_csv_profile_under_one_step_is_named(self, tmp_path, params_path, capsys):
+        (tmp_path / "drive.csv").write_text("time_s,value\n0,1\n0.5,1\n")
+        config = small_scenario(tmp_path, params_path, profile={"csv": "drive.csv"})
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {tmp_path / 'drive.csv'}: rows span 0.5 s")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_leaving_the_psd_cone_is_a_runtime_error(self, tmp_path, params_path, capsys):
+        # RK4 past its limit on a 4 A s cell: S11 runs 16, -5.33, -15.3, -9.3e3,
+        # -3.4e45 and stays finite
+        cell = json.loads(params_path.read_text())
+        cell.update(capacity_As=4.0, r0_ohm=0.03125, r1_ohm=0.03125, c1_farad=50.0)
+        (tmp_path / "cell4.json").write_text(json.dumps(cell))
+        config = small_scenario(
+            tmp_path,
+            tmp_path / "cell4.json",
+            profile={"kind": "constant", "amplitude": 0.0, "bias": 0.0, "duration": 4.0,
+                     "seed": 0},
+            weights={"q1": [16.0, 0.0], "q2": [0.0, 0.0], "r": 0.5},
+        )
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: riccati sweep left the positive semidefinite cone at t=3.0: "
+            "s11 = -5.333333333333332 (weights too stiff for this grid step)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("command", "h_lambda"), [("scenario", 2.05), ("scenario", 2.3), ("sweep", 2.3)]
+    )
+    def test_unstable_zero_order_hold_loop_writes_nothing(
+        self, tmp_path, scenario_dir, params_path, capsys, command, h_lambda
+    ):
+        # q2 = (h*lambda * Q)**2 as rounded: without the zero-order-hold
+        # check, 2.05 exits 0 with a SoC of 7.8e35, a 2.3 sweep writes inf
+        # rows, and a 2.3 scenario leaves attack.csv and riccati.csv behind
+        q = 14322.0
+        config = self.tc1_with_weights(
+            tmp_path, scenario_dir, params_path, h_lambda * q * q, (h_lambda * q) ** 2
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("runtime error: zero-order-hold closed loop is unstable")
+        rho = float(re.search(r"spectral radius (\S+) > 1", captured.err).group(1))
+        assert rho == pytest.approx(h_lambda - 1.0, rel=1e-12)
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        h_lambda=st.floats(0.5, 2.7).filter(lambda x: abs(x - 2.0) >= 1e-6),
+    )
+    def test_exit_3_exactly_when_the_zero_order_hold_loop_is_unstable(
+        self, tmp_path_factory, scenario_dir, params_path, h_lambda
+    ):
+        # tc1 with q1 = h*lambda * Q**2 and q2 = (q1 b1)**2 as the sweep rounds
+        # it, so that S stays at q1 over the whole horizon
+        tmp_path = tmp_path_factory.mktemp("zoh")
+        q = load_params(params_path).capacity_q
+        b1 = float(state_matrices(load_params(params_path))[1][0])
+        q1 = h_lambda * q * q
+        config = self.tc1_with_weights(tmp_path, scenario_dir, params_path, q1, (q1 * b1) ** 2)
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["scenario", "--config", str(config), "--out", str(out)])
+        assert code == (3 if h_lambda > 2.0 else 0)
+        if code == 3:
+            assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
@@ -515,6 +664,93 @@ class TestFitCommand:
         assert "config error" in err and "'vc0'" in err and "'soc0'" in err
         assert not (records / "o" / "fitted_params.json").exists()
 
+    OCV_BLOCK = {
+        "charge_current_csv": "chg_i.csv",
+        "charge_voltage_csv": "chg_v.csv",
+        "discharge_current_csv": "dis_i.csv",
+        "discharge_voltage_csv": "dis_v.csv",
+        "dt": 30.0,
+    }
+
+    def run_fit(self, records, params_path, blocks):
+        config = records / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), **blocks}))
+        out = records / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["fit", "--config", str(config), "--out", str(out)]), config, out
+
+    def test_records_of_one_pair_on_different_grids_are_named(
+        self, records, params_path, capsys
+    ):
+        # a charge voltage record one sample shorter than its current
+        volts = np.loadtxt(records / "chg_v.csv", delimiter=",", skiprows=1)[:-1, 1]
+        save_csv(TimeSeries(0.0, 30.0, volts), records / "chg_v.csv")
+        code, config, out = self.run_fit(records, params_path, {"ocv": self.OCV_BLOCK})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {config}: ocv: fields 'charge_current_csv' and "
+            "'charge_voltage_csv' give different grids"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_too_few_breakpoints_win_over_a_missing_rc_record(
+        self, records, params_path, capsys
+    ):
+        blocks = {
+            "ocv": {**self.OCV_BLOCK, "n_breakpoints": 1},
+            "rc": {"current_csv": "ghost.csv", "voltage_csv": "exc_v.csv", "dt": 2.0},
+        }
+        code, config, _ = self.run_fit(records, params_path, blocks)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config}: ocv: field 'n_breakpoints' must be 2 to 2001, got 1\n"
+        )
+
+    def test_unknown_frozen_name_is_named(self, records, params_path, capsys):
+        rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0,
+              "frozen": ["r0", "tau"]}
+        code, config, out = self.run_fit(records, params_path, {"rc": rc})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: rc: field 'frozen' names ['tau']")
+        assert list(out.iterdir()) == []
+
+    def test_sweeps_that_do_not_cover_the_soc_range_are_a_runtime_error(
+        self, records, params_path, capsys
+    ):
+        # the data, not the file, is at fault: the same sweeps at a third of
+        # their length cover only a third of the SoC range
+        for name in ("chg_i", "chg_v", "dis_i", "dis_v"):
+            rows = (records / f"{name}.csv").read_text().splitlines()
+            (records / f"{name}.csv").write_text("\n".join(rows[: len(rows) // 3]) + "\n")
+        code, _, out = self.run_fit(records, params_path, {"ocv": self.OCV_BLOCK})
+        assert code == 3
+        assert capsys.readouterr().err.startswith("runtime error: sweeps cover only")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [ValueError("bad value"), OSError("disk full")])
+    def test_run_stage_error_is_a_runtime_error(
+        self, records, params_path, capsys, monkeypatch, error
+    ):
+        def failing_fit(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(voltmask.cli, "fit_rc", failing_fit)
+        rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0}
+        code, _, out = self.run_fit(records, params_path, {"rc": rc})
+        assert code == 3
+        assert capsys.readouterr().err == f"runtime error: {error}\n"
+        assert list(out.iterdir()) == []
+
+    def test_record_path_of_a_directory_is_a_config_error(self, records, params_path, capsys):
+        (records / "dir.csv").mkdir()
+        rc = {"current_csv": "dir.csv", "voltage_csv": "exc_v.csv", "dt": 2.0}
+        code, _, _ = self.run_fit(records, params_path, {"rc": rc})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "dir.csv" in err
+
     @staticmethod
     def run_fit_catching_warnings(records, params_path, blocks):
         config = records / "fit.json"
@@ -669,8 +905,9 @@ SCENARIO_FIELDS = [
 CELL_FIELDS = [("capacity_As",), ("r0_ohm",), ("r1_ohm",), ("c1_farad",), ("ocv",)]
 FIT_FIELDS = [
     ("initial_params_file",), ("ocv",), ("rc",), ("ocv", "dt"), ("ocv", "n_breakpoints"),
-    ("ocv", "r0_guess"), ("ocv", "charge_voltage_csv"), ("rc", "dt"), ("rc", "current_csv"),
-    ("rc", "frozen"), ("rc", "soc0"), ("rc", "vc0"),
+    ("ocv", "r0_guess"), ("ocv", "charge_current_csv"), ("ocv", "charge_voltage_csv"),
+    ("ocv", "discharge_current_csv"), ("ocv", "discharge_voltage_csv"), ("rc", "dt"),
+    ("rc", "current_csv"), ("rc", "voltage_csv"), ("rc", "frozen"), ("rc", "soc0"), ("rc", "vc0"),
 ]
 TARGETS = (
     [("scenario", path) for path in SCENARIO_FIELDS]

@@ -104,6 +104,11 @@ def test_load_csv_errors_name_the_line(tmp_path):
     with pytest.raises(ValueError, match="at least 2 data rows"):
         load_csv(single, 1.0)
 
+    under_one_step = tmp_path / "e.csv"
+    under_one_step.write_text("time_s,value\n0,1\n0.5,1\n")
+    with pytest.raises(ValueError, match="e.csv: rows span 0.5 s, less than one step of 1.0 s"):
+        load_csv(under_one_step, 1.0)
+
     with pytest.raises(ValueError, match="target_dt"):
         load_csv(bad_header, 0.0)
 
@@ -147,6 +152,11 @@ def reference_load_csv(path, target_dt):
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
     n = _sample_count(times[-1] - t0, target_dt)
+    if n < 2:
+        raise ValueError(
+            f"{path}: rows span {times[-1] - t0} s, less than one step of {target_dt} s; "
+            "need at least 2 grid points"
+        )
     grid = t0 + target_dt * np.arange(n)
     return TimeSeries(t0, target_dt, np.interp(grid, times, values))
 

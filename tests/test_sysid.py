@@ -1,6 +1,7 @@
 """Parameter identification: OCV extraction and RC fitting."""
 
 import dataclasses
+import json
 import math
 import warnings
 from bisect import bisect_right
@@ -15,14 +16,19 @@ from voltmask import (
     BatteryState,
     EcmParams,
     TimeSeries,
+    ConfigError,
     extract_ocv,
     fit_rc,
+    load_csv,
+    load_fit_config,
+    save_csv,
     simulate,
     synthetic_profile,
 )
 from voltmask.ecm import _coulomb_counts, _ocv_array, _rc_trajectory
 from voltmask.sysid import (
     _FIT_NAMES,
+    FitConfig,
     FitReport,
     _levenberg_marquardt,
     _pava_increasing,
@@ -365,3 +371,96 @@ def test_degenerate_records_end_quietly(cell):
             assert report == FitReport(start, math.inf, 0, False, (), ())
         report = fit_rc(cell, (current, voltage), x0=BatteryState(0.55, 0.0))
         assert report == FitReport(cell, 0.0, 0, True, (), ())
+
+
+class TestLoadFitConfig:
+    @pytest.fixture()
+    def fit_dir(self, tmp_path, params_path, cell, excitation):
+        """A start cell, OCV sweeps at dt 60 and an excitation record at dt 1."""
+        (tmp_path / "cell.json").write_text(params_path.read_text())
+        for name, soc0, amp in (("chg", 0.0, -2.0), ("dis", 1.0, 2.0)):
+            current, voltage = sweep_pair(cell, soc0, amp, 60.0)
+            save_csv(current, tmp_path / f"{name}_i.csv")
+            save_csv(voltage, tmp_path / f"{name}_v.csv")
+        current, voltage, _ = excitation
+        save_csv(current, tmp_path / "exc_i.csv")
+        save_csv(voltage, tmp_path / "exc_v.csv")
+        return tmp_path
+
+    OCV = {
+        "charge_current_csv": "chg_i.csv",
+        "charge_voltage_csv": "chg_v.csv",
+        "discharge_current_csv": "dis_i.csv",
+        "discharge_voltage_csv": "dis_v.csv",
+        "dt": 60.0,
+    }
+    RC = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 1.0}
+
+    @staticmethod
+    def write(fit_dir, **blocks):
+        path = fit_dir / "fit.json"
+        path.write_text(json.dumps({"initial_params_file": "cell.json", **blocks}))
+        return path
+
+    def test_loads_the_cell_and_every_record(self, fit_dir, cell):
+        rc = {**self.RC, "frozen": ["capacity_q", "r0"], "soc0": 0.55, "vc0": 0.01}
+        config = load_fit_config(self.write(fit_dir, ocv={**self.OCV, "r0_guess": 0.01}, rc=rc))
+        assert isinstance(config, FitConfig)
+        assert config.initial == cell
+        loaded = [*config.charge, *config.discharge, *config.record]
+        names = ["chg_i", "chg_v", "dis_i", "dis_v", "exc_i", "exc_v"]
+        for series, name, dt in zip(loaded, names, [60.0] * 4 + [1.0] * 2):
+            expected = load_csv(fit_dir / f"{name}.csv", dt)
+            assert (series.t0, series.dt) == (expected.t0, expected.dt)
+            assert series.samples.tobytes() == expected.samples.tobytes()
+        assert (config.n_breakpoints, config.r0_guess) == (21, 0.01)
+        assert config.frozen == frozenset({"capacity_q", "r0"})
+        assert config.x0 == BatteryState(0.55, 0.01)
+
+    def test_an_absent_block_leaves_its_fields_at_their_defaults(self, fit_dir):
+        rc_only = load_fit_config(self.write(fit_dir, rc=self.RC))
+        assert (rc_only.charge, rc_only.discharge) == (None, None)
+        assert (rc_only.n_breakpoints, rc_only.r0_guess) == (21, None)
+        assert (rc_only.frozen, rc_only.x0) == (frozenset(), None)
+        ocv_only = load_fit_config(self.write(fit_dir, ocv={**self.OCV, "n_breakpoints": 7}))
+        assert ocv_only.record is None and ocv_only.n_breakpoints == 7
+
+    @pytest.mark.parametrize(
+        ("blocks", "message"),
+        [
+            ({}, "need an 'ocv' and/or 'rc' block"),
+            ({"ocv": {"n_breakpoints": 2002}}, "ocv: field 'n_breakpoints' must be 2 to 2001"),
+            ({"ocv": {"n_breakpoints": 1}}, "ocv: field 'n_breakpoints' must be 2 to 2001"),
+            ({"ocv": {"dt": 0.0}}, "ocv: field 'dt' must be positive"),
+            ({"rc": {"frozen": ["c1", "r2"]}}, "rc: field 'frozen' names ['r2'], not among"),
+            ({"rc": {"vc0": 0.0}}, "rc: field 'vc0' is given without 'soc0'"),
+            ({"rc": {"soc0": "0.5"}}, "rc: field 'soc0' must be a number"),
+        ],
+    )
+    def test_errors_name_the_file_block_and_field(self, fit_dir, blocks, message):
+        full = {"ocv": self.OCV, "rc": self.RC}
+        blocks = {name: {**full[name], **fields} for name, fields in blocks.items()}
+        path = self.write(fit_dir, **blocks)
+        with pytest.raises(ConfigError) as caught:
+            load_fit_config(path)
+        assert str(caught.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("block", ["ocv", "rc"])
+    def test_records_of_one_pair_must_share_a_grid(self, fit_dir, block):
+        # the voltage record of each pair starts one step late
+        for name, dt in (("chg_v", 60.0), ("exc_v", 1.0)):
+            series = load_csv(fit_dir / f"{name}.csv", dt)
+            save_csv(TimeSeries(dt, dt, series.samples), fit_dir / f"{name}.csv")
+        pair = {"ocv": ("charge_current_csv", "charge_voltage_csv"),
+                "rc": ("current_csv", "voltage_csv")}[block]
+        path = self.write(fit_dir, **{block: {"ocv": self.OCV, "rc": self.RC}[block]})
+        with pytest.raises(ConfigError) as caught:
+            load_fit_config(path)
+        assert str(caught.value).startswith(
+            f"{path}: {block}: fields {pair[0]!r} and {pair[1]!r} give different grids: "
+        )
+
+    def test_a_missing_record_raises_the_os_error_naming_it(self, fit_dir):
+        path = self.write(fit_dir, rc={**self.RC, "voltage_csv": "ghost.csv"})
+        with pytest.raises(FileNotFoundError, match="ghost.csv"):
+            load_fit_config(path)
