@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecm import BatteryState, EcmParams, SimulationResult, _terminal_voltages, state_matrices
+from .ecm import BatteryState, EcmParams, SimulationResult, state_matrices
+from .ecm import _terminal_voltages, _voltage_series
 from .profiles import TimeSeries
 
 __all__ = [
@@ -394,12 +395,15 @@ def _zoh_radius(s, b1, b2, rinv, gamma1, alpha, beta) -> float:
 class InputAttackResult:
     """Synthesized injection u_a plus the attacked model trajectory.
 
-    model is the adversary's model simulated under u_nom + u_a, the
-    states the feedback law was evaluated on.  i_max_violated reports
-    whether the total current ever exceeded the optional bound (never
-    clipped).
+    params and u_nom are the adversary's model and the profile the
+    injection was synthesized on.  model is that model simulated under
+    u_nom + u_a, the states the feedback law was evaluated on; its
+    first state is the start x0.  i_max_violated reports whether the
+    total current ever exceeded the optional bound (never clipped).
     """
 
+    params: EcmParams
+    u_nom: TimeSeries
     u_a: TimeSeries
     model: SimulationResult
     riccati: RiccatiSolution
@@ -491,8 +495,10 @@ def synthesize_input_attack(
     applied = unom + u_a
     volts = _terminal_voltages(params, soc_arr, vc_arr, applied)
     return InputAttackResult(
+        params=params,
+        u_nom=u_nom,
         u_a=u_nom.with_samples(u_a),
-        model=SimulationResult(soc_arr, vc_arr, u_nom.with_samples(volts)),
+        model=SimulationResult(soc_arr, vc_arr, _voltage_series(u_nom, volts)),
         riccati=riccati,
         i_max_violated=i_max is not None and bool(np.abs(applied).max() > i_max),
     )

@@ -90,6 +90,24 @@ def _cmd_simulate(prep: PreparedScenario, out_dir: Path) -> int:
 
 def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
     run = run_scenario(prep)
+    s = run.summary
+    # the summary goes first: _write_json checks it before writing, so a
+    # run that fails leaves nothing in out_dir
+    _write_json(
+        out_dir / "summary.json",
+        {
+            "final_soc_nominal": s.final_soc_nominal,
+            "final_soc_attacked": s.final_soc_attacked,
+            "residual_rms_V": s.residual_rms,
+            "residual_max_V": s.residual_max,
+            "attack_energy_A2s": s.attack_energy,
+            "i_max_violated": s.i_max_violated,
+            "soc_violation_nominal": s.soc_violation_nominal,
+            "soc_violation_attacked": s.soc_violation_attacked,
+            "ka_warning": s.ka_warning,
+            "k_a": prep.k_a,
+        },
+    )
     times = prep.u_nom.times()
     atk = run.input_attack
     st = run.stealth
@@ -134,22 +152,6 @@ def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
             ric.v[:, 1],
         ],
     )
-    s = run.summary
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "final_soc_nominal": s.final_soc_nominal,
-            "final_soc_attacked": s.final_soc_attacked,
-            "residual_rms_V": s.residual_rms,
-            "residual_max_V": s.residual_max,
-            "attack_energy_A2s": s.attack_energy,
-            "i_max_violated": s.i_max_violated,
-            "soc_violation_nominal": s.soc_violation_nominal,
-            "soc_violation_attacked": s.soc_violation_attacked,
-            "ka_warning": s.ka_warning,
-            "k_a": prep.k_a,
-        },
-    )
     print(
         f"final soc nominal {s.final_soc_nominal:.6f} attacked {s.final_soc_attacked:.6f} "
         f"residual_rms {s.residual_rms:.6e} V"
@@ -159,6 +161,12 @@ def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
 
 def _cmd_sweep(prep: PreparedScenario, out_dir: Path) -> int:
     result = sweep_scenario(prep, prep.ka_values)
+    # _write_json's rule: a non-finite residual is named, and nothing is written
+    for ka, rms in result.rows:
+        if not math.isfinite(rms):
+            raise FloatingPointError(
+                f"sweep.csv: residual_rms_V at k_a = {ka} is not finite ({rms})"
+            )
     _write_csv(
         out_dir / "sweep.csv",
         ["k_a", "residual_rms_V"],

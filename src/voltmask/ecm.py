@@ -271,7 +271,18 @@ def _terminal_voltages(
     params: EcmParams, soc: np.ndarray, vc: np.ndarray, current: np.ndarray
 ) -> np.ndarray:
     """v = ocv(soc) - vc - i*r0 at every sample of a trajectory."""
-    return _ocv_array(params.ocv, soc) - vc - current * params.r0
+    # a blown-up cell overflows to inf silently, as in _rc_trajectory
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ocv_array(params.ocv, soc) - vc - current * params.r0
+
+
+def _voltage_series(current: TimeSeries, volts: np.ndarray) -> TimeSeries:
+    """volts on the grid of current; a non-finite voltage is named with its first time."""
+    bad = np.flatnonzero(~np.isfinite(volts))
+    if bad.size:
+        t, v = current.times()[bad[0]], volts[bad[0]]
+        raise FloatingPointError(f"terminal voltage is not finite at t={t} ({v} V)")
+    return current.with_samples(volts)
 
 
 def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> SimulationResult:
@@ -284,7 +295,7 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
     if not isinstance(current, TimeSeries):
         raise TypeError("current must be a TimeSeries")
     soc, vc, volts = _simulate_arrays(params, x0.soc, x0.vc, current.samples, current.dt)
-    return SimulationResult(soc, vc, current.with_samples(volts))
+    return SimulationResult(soc, vc, _voltage_series(current, volts))
 
 
 class ConfigError(ValueError):

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import InputAttackResult
-from .ecm import BatteryState, EcmParams
 from .profiles import TimeSeries
-from .stealth import PlantConfig, _measurement_noise, _score, _simulate_trajectories
+from .stealth import PlantConfig, _score, _simulate_trajectories
 
 __all__ = [
     "ScenarioSummary",
@@ -63,34 +62,17 @@ def select_argmin(rows) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def _derived_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-k_a noise seed, independent of evaluation order."""
-    return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
-
-
-def sweep_ka(
-    adv_params: EcmParams,
-    plant: PlantConfig,
-    x0: BatteryState,
-    u_nom: TimeSeries,
-    attack: InputAttackResult,
-    ka_values,
-) -> KaSweepResult:
+def sweep_ka(attack: InputAttackResult, plant: PlantConfig, ka_values) -> KaSweepResult:
     """Score the masking residual over a set of feedback gains.
 
-    The injection is fixed, so the masking trajectories are simulated
-    once and only the per-sample correction is recomputed per gain.
-    Values are sorted first and each gets a noise seed derived from the
-    plant seed and its sorted rank, so every row equals
-    feedback_output_attack with that seed, whatever the input order.
+    The injection is fixed, so the masking trajectories and the noise
+    draw are made once and only the per-sample correction is recomputed
+    per gain: every row equals feedback_output_attack at that gain.
     """
     kas = sorted(float(k) for k in ka_values)
     if not kas:
         raise ValueError("ka_values must not be empty")
-    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, attack)
-    rows = []
-    for rank, ka in enumerate(kas):
-        noise = _measurement_noise(_derived_seed(plant.seed, rank), plant.noise_std, len(u_nom))
-        rows.append((ka, _score(traj, ka, noise).residual_rms))
+    traj = _simulate_trajectories(attack, plant)
+    rows = tuple((ka, _score(traj, ka).residual_rms) for ka in kas)
     argmin_ka, argmin_rms = select_argmin(rows)
-    return KaSweepResult(rows=tuple(rows), argmin_ka=argmin_ka, argmin_rms=argmin_rms)
+    return KaSweepResult(rows=rows, argmin_ka=argmin_ka, argmin_rms=argmin_rms)

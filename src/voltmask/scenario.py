@@ -234,7 +234,7 @@ def run_scenario(prep: PreparedScenario) -> ScenarioRun:
     atk = synthesize_input_attack(
         prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
     )
-    masked = feedback_output_attack(prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk, prep.k_a)
+    masked = feedback_output_attack(atk, prep.plant, prep.k_a)
     nominal = masked.plant_nominal
     attacked = masked.plant_attacked
     summary = ScenarioSummary(
@@ -256,4 +256,4 @@ def sweep_scenario(prep: PreparedScenario, ka_values) -> KaSweepResult:
     atk = synthesize_input_attack(
         prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
     )
-    return metrics.sweep_ka(prep.adv_params, prep.plant, prep.x0, prep.u_nom, atk, ka_values)
+    return metrics.sweep_ka(atk, prep.plant, ka_values)

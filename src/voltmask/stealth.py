@@ -23,7 +23,9 @@ a perfect model and no noise the masking is exact for any admissible k_a.
 
 The plant may differ from the adversary's model (parameter mismatch) and
 may add gaussian measurement noise drawn from a seeded generator, which
-is what makes the masking residual nonzero and k_a worth tuning.
+is what makes the masking residual nonzero and k_a worth tuning.  The
+noise is drawn once per plant and seed, so every gain is scored on the
+same draw.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .attack import InputAttackResult
 from .ecm import BatteryState, EcmParams, SimulationResult, simulate
-from .profiles import TimeSeries, add, check_same_grid
+from .profiles import TimeSeries, add
 
 __all__ = [
     "PlantConfig",
@@ -84,50 +86,43 @@ class StealthResult:
 
 @dataclass(frozen=True, eq=False)
 class _Trajectories:
-    """The masking trajectories; none of them depends on k_a."""
+    """The masking trajectories and the noisy plant voltage; none depends on k_a."""
 
     nom_model: SimulationResult
     att_model: SimulationResult
     plant_att: SimulationResult
     plant_nom: SimulationResult
+    y_plant: np.ndarray
 
 
-def _simulate_trajectories(
-    adv_params: EcmParams,
-    true_params: EcmParams,
-    x0: BatteryState,
-    u_nom: TimeSeries,
-    attack: InputAttackResult,
-) -> _Trajectories:
+def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Trajectories:
     """Run the model without and the plant without and with the injection.
 
-    The attacked model trajectory is the synthesis rollout's own.
+    Every run starts where the attack's model trajectory starts, and
+    the attacked model trajectory is the synthesis rollout's own.  The
+    measurement noise is drawn once, from the plant's seed.
     """
-    check_same_grid(u_nom, attack.u_a)
-    start = attack.model
-    if (start.soc[0], start.vc[0]) != (x0.soc, x0.vc):
-        raise ValueError(f"attack starts at soc={start.soc[0]}, vc={start.vc[0]}, not at {x0}")
-    u_total = add(u_nom, attack.u_a)
+    x0 = BatteryState(attack.model.soc[0], attack.model.vc[0])
+    u_nom = attack.u_nom
+    plant_att = simulate(plant.true_params, x0, add(u_nom, attack.u_a))
+    noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
     return _Trajectories(
-        nom_model=simulate(adv_params, x0, u_nom),
+        nom_model=simulate(attack.params, x0, u_nom),
         att_model=attack.model,
-        plant_att=simulate(true_params, x0, u_total),
-        plant_nom=simulate(true_params, x0, u_nom),
+        plant_att=plant_att,
+        plant_nom=simulate(plant.true_params, x0, u_nom),
+        y_plant=plant_att.voltage.samples + noise,
     )
 
 
-def _measurement_noise(seed: int, noise_std: float, n: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(n) * noise_std
-
-
-def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
-    """Close the masking loop for one gain and one noise draw."""
+def _score(traj: _Trajectories, k_a: float) -> StealthResult:
+    """Close the masking loop for one gain."""
     if not math.isfinite(k_a):
         raise ValueError(f"k_a must be finite, got {k_a}")
     if k_a == 1.0:
         raise ValueError("k_a = 1 makes the per-sample correction singular")
     y_nom = traj.nom_model.voltage.samples
-    y_plant = traj.plant_att.voltage.samples + noise
+    y_plant = traj.y_plant
     delta = y_nom - traj.att_model.voltage.samples
     y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
     y_measured = y_plant + y_a
@@ -153,21 +148,15 @@ def _score(traj: _Trajectories, k_a: float, noise: np.ndarray) -> StealthResult:
 
 
 def feedback_output_attack(
-    adv_params: EcmParams,
-    plant: PlantConfig,
-    x0: BatteryState,
-    u_nom: TimeSeries,
-    attack: InputAttackResult,
-    k_a: float,
+    attack: InputAttackResult, plant: PlantConfig, k_a: float
 ) -> StealthResult:
     """Run the masked attack against the plant and score the residual.
 
-    attack is the synthesized injection from x0 under u_nom; its model
-    trajectory is the attacked model output g(X, u_nom + u_a).  With
-    k_a = 0 the correction is the open-loop model difference
-    y_nom - g(X, u_nom + u_a).  The residual compares y_measured against
-    the plant's no-attack voltage, i.e. what the monitor would have seen
-    had nothing been injected.
+    The correction uses the model, start and profile the attack was
+    synthesized on; the attack's model trajectory is the attacked model
+    output g(X, u_nom + u_a).  With k_a = 0 the correction is the
+    open-loop model difference y_nom - g(X, u_nom + u_a).  The residual
+    compares y_measured against the plant's no-attack voltage, i.e.
+    what the monitor would have seen had nothing been injected.
     """
-    traj = _simulate_trajectories(adv_params, plant.true_params, x0, u_nom, attack)
-    return _score(traj, k_a, _measurement_noise(plant.seed, plant.noise_std, len(u_nom)))
+    return _score(_simulate_trajectories(attack, plant), k_a)

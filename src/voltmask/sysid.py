@@ -278,8 +278,7 @@ def _levenberg_marquardt(
         """(soc, vc, err, rmse) of params, or None if it does not simulate to a finite rmse."""
         # an overflow, here or in the rmse, rejects the candidate
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                soc, vc, volts = trajectory(params)
+            soc, vc, volts = trajectory(params)
         except ArithmeticError:  # exp or a division over- or underflowed
             return None
         if not np.isfinite(volts).all():

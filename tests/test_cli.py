@@ -190,6 +190,23 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_row_at_k_a_is_the_scenario_residual(self, tmp_path, scenario_dir, params_path):
+        # every gain is scored on the scenario's own noise draw
+        raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["plant_overrides"].update(noise_std=1e-3, seed=7)
+        config = tmp_path / "noisy.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scenario", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        _, rows = read_rows(out / "sweep.csv")
+        assert raw["k_a"] in rows[:, 0]
+        at_k_a = rows[rows[:, 0] == raw["k_a"], 1][0]
+        assert repr(float(at_k_a)) == repr(summary["residual_rms_V"])
+
     def test_no_gains_anywhere_is_a_config_error(self, tmp_path, params_path, capsys):
         config = small_scenario(tmp_path, params_path, ka_values=[])
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -484,6 +501,63 @@ class TestExitCodes:
         assert captured.err.startswith("runtime error: zero-order-hold closed loop is unstable")
         rho = float(re.search(r"spectral radius (\S+) > 1", captured.err).group(1))
         assert rho == pytest.approx(h_lambda - 1.0, rel=1e-12)
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @staticmethod
+    def tc1_with_capacity(tmp_path, scenario_dir, params_path, capacity):
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["plant_overrides"] = {"capacity_As": capacity}
+        path = tmp_path / "tc1_capacity.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    # A plant of 1e-300 A s moves its SoC by about 1e300 per step: the
+    # voltages stay finite and the residual's sum of squares overflows.
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sweep_residual_is_named_and_writes_nothing(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        config = self.tc1_with_capacity(tmp_path, scenario_dir, params_path, 1e-300)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "runtime error: sweep.csv: residual_rms_V at k_a = -0.1 is not finite (inf)\n"
+        )
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_scenario_residual_writes_nothing(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        config = self.tc1_with_capacity(tmp_path, scenario_dir, params_path, 1e-300)
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "runtime error: summary.json: field 'residual_rms_V' is not finite (inf)\n"
+        )
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    # At 1e-306 A s the SoC reaches about 1e307 and the OCV extrapolation
+    # overflows the terminal voltage.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "scenario", "sweep"])
+    def test_overflowing_terminal_voltage_is_named(
+        self, tmp_path, scenario_dir, params_path, capsys, command
+    ):
+        config = self.tc1_with_capacity(tmp_path, scenario_dir, params_path, 1e-306)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"runtime error: terminal voltage is not finite at t=\d+\.0 \(-inf V\)\n",
+            captured.err,
+        )
         assert captured.out == ""
         assert list(out.iterdir()) == []
 

@@ -14,7 +14,6 @@ from voltmask import (
     BatteryState,
     PlantConfig,
     ReferenceTrajectory,
-    TimeSeries,
     add,
     feedback_output_attack,
     simulate,
@@ -37,7 +36,7 @@ def injection(cell):
 def test_y_nom_is_plain_simulation(cell, injection):
     u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
-    res = feedback_output_attack(cell, PlantConfig(true_params=true), x0, u_nom, atk, -0.05)
+    res = feedback_output_attack(atk, PlantConfig(true_params=true), -0.05)
     np.testing.assert_array_equal(res.y_nom.samples, simulate(cell, x0, u_nom).voltage.samples)
 
 
@@ -47,7 +46,7 @@ def test_residual_figures_are_those_of_the_residual(cell, injection):
     u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true, noise_std=1e-3, seed=5)
-    res = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.05)
+    res = feedback_output_attack(atk, plant, -0.05)
     residual = (res.y_measured.samples - res.plant_nominal.voltage.samples).tolist()
     rms = math.sqrt(math.fsum(e * e for e in residual) / len(residual))
     assert math.isclose(res.residual_rms, rms, rel_tol=1e-12)
@@ -65,7 +64,7 @@ def test_zero_injection_gives_zero_correction(cell):
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true, noise_std=1e-3, seed=5)
-    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    res = feedback_output_attack(atk, plant, 0.0)
     assert (res.y_a.samples == 0.0).all()
 
 
@@ -73,7 +72,7 @@ def test_perfect_model_masks_exactly(cell, injection):
     u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
     for k_a in (-0.9, -0.05, 0.0, 0.3, 2.0):
-        res = feedback_output_attack(cell, plant, x0, u_nom, atk, k_a)
+        res = feedback_output_attack(atk, plant, k_a)
         assert res.residual_max <= 1e-12, f"k_a={k_a}"
         assert res.residual_rms <= 1e-12
 
@@ -88,7 +87,7 @@ _ADMISSIBLE_GAIN = st.floats(-3.0, 3.0).filter(lambda k: abs(1.0 - k) >= 1e-2)
 def test_perfect_model_masks_exactly_for_random_cells(setup, k_a):
     cell, weights, ref, u_nom, x0 = setup
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    res = feedback_output_attack(cell, PlantConfig(true_params=cell), x0, u_nom, atk, k_a)
+    res = feedback_output_attack(atk, PlantConfig(true_params=cell), k_a)
     assert res.residual_max <= 1e-12
 
 
@@ -97,7 +96,7 @@ def test_ka_zero_reduces_to_open_loop(cell, injection):
     plant = PlantConfig(true_params=cell)
     nominal = simulate(cell, x0, u_nom).voltage.samples
     ol = nominal - simulate(cell, x0, add(u_nom, atk.u_a)).voltage.samples
-    fb = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    fb = feedback_output_attack(atk, plant, 0.0)
     np.testing.assert_array_equal(fb.y_a.samples, ol)
     np.testing.assert_array_equal(fb.y_measured.samples, fb.y_plant.samples + ol)
 
@@ -105,7 +104,7 @@ def test_ka_zero_reduces_to_open_loop(cell, injection):
 def test_measured_is_plant_plus_correction(cell, injection):
     u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell, noise_std=2e-3, seed=5)
-    res = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.05)
+    res = feedback_output_attack(atk, plant, -0.05)
     np.testing.assert_array_equal(
         res.y_measured.samples, res.y_plant.samples + res.y_a.samples
     )
@@ -118,7 +117,7 @@ def test_r0_mismatch_residual_is_linear_in_injection(cell, injection):
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     delta_r0 = true.r0 - cell.r0
     plant = PlantConfig(true_params=true)
-    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    res = feedback_output_attack(atk, plant, 0.0)
     residual = res.y_measured.samples - res.plant_nominal.voltage.samples
     np.testing.assert_allclose(residual, -delta_r0 * atk.u_a.samples, atol=1e-12)
 
@@ -127,8 +126,8 @@ def test_negative_gain_shrinks_mismatch_residual(cell, injection):
     u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true)
-    at_zero = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
-    at_neg = feedback_output_attack(cell, plant, x0, u_nom, atk, -0.1)
+    at_zero = feedback_output_attack(atk, plant, 0.0)
+    at_neg = feedback_output_attack(atk, plant, -0.1)
     assert at_neg.residual_rms < at_zero.residual_rms
 
 
@@ -139,10 +138,10 @@ def test_noise_is_scaled_by_the_correction_loop(cell, injection):
     sigma = 1e-3
     plant = PlantConfig(true_params=cell, noise_std=sigma, seed=9)
     for k_a in (0.5, 0.0, -1.0):
-        res = feedback_output_attack(cell, plant, x0, u_nom, atk, k_a)
+        res = feedback_output_attack(atk, plant, k_a)
         expected = sigma / abs(1.0 - k_a)
         assert 0.9 * expected <= res.residual_rms <= 1.1 * expected, f"k_a={k_a}"
-    damped = feedback_output_attack(cell, plant, x0, u_nom, atk, -1.0)
+    damped = feedback_output_attack(atk, plant, -1.0)
     assert not damped.ka_warning  # noise gain 1/2
 
 
@@ -150,43 +149,37 @@ def test_gain_validation(cell, injection):
     u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
     with pytest.raises(ValueError, match="singular"):
-        feedback_output_attack(cell, plant, x0, u_nom, atk, 1.0)
+        feedback_output_attack(atk, plant, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        feedback_output_attack(cell, plant, x0, u_nom, atk, math.nan)
-    ok = feedback_output_attack(cell, plant, x0, u_nom, atk, 1.5)
+        feedback_output_attack(atk, plant, math.nan)
+    ok = feedback_output_attack(atk, plant, 1.5)
     assert ok.ka_warning
-    small = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.99)
+    small = feedback_output_attack(atk, plant, 0.99)
     assert small.ka_warning  # noise gain 100
 
 
 def test_noise_seed_determinism(cell, injection):
     u_nom, atk, x0 = injection
-    a = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, atk, -0.05
-    )
-    b = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), x0, u_nom, atk, -0.05
-    )
-    c = feedback_output_attack(
-        cell, PlantConfig(true_params=cell, noise_std=1e-3, seed=4), x0, u_nom, atk, -0.05
-    )
+    a = feedback_output_attack(atk, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), -0.05)
+    b = feedback_output_attack(atk, PlantConfig(true_params=cell, noise_std=1e-3, seed=3), -0.05)
+    c = feedback_output_attack(atk, PlantConfig(true_params=cell, noise_std=1e-3, seed=4), -0.05)
     np.testing.assert_array_equal(a.y_measured.samples, b.y_measured.samples)
     assert np.abs(a.y_measured.samples - c.y_measured.samples).max() > 0.0
 
 
-def test_grid_mismatch_rejected(cell, injection):
-    u_nom, atk, x0 = injection
-    plant = PlantConfig(true_params=cell)
-    off_grid = TimeSeries(u_nom.t0 + 0.5, u_nom.dt, u_nom.samples)
-    with pytest.raises(ValueError, match="mismatch"):
-        feedback_output_attack(cell, plant, x0, off_grid, atk, 0.0)
-
-
-def test_attack_from_another_start_rejected(cell, injection):
-    u_nom, atk, x0 = injection
-    plant = PlantConfig(true_params=cell)
-    with pytest.raises(ValueError, match="attack starts at"):
-        feedback_output_attack(cell, plant, BatteryState(0.6, 0.0), u_nom, atk, 0.0)
+def test_masking_uses_the_attack_s_model_start_and_profile(cell, injection):
+    # an attack synthesized on another cell carries that cell, its start
+    # and its profile, so a plant that is that cell is masked exactly
+    u_nom, _, x0 = injection
+    other = dataclasses.replace(cell, r0=cell.r0 * 1.5, c1=cell.c1 * 0.7)
+    start = BatteryState(0.65, 0.01)
+    weights = AttackWeights(q1=np.diag([1e7, 0.0]), q2=np.diag([2e5, 0.0]), r=1.0)
+    atk = synthesize_input_attack(other, weights, ReferenceTrajectory(0.65, 0.5), u_nom, start)
+    assert atk.params is other and atk.u_nom is u_nom
+    assert (atk.model.soc[0], atk.model.vc[0]) == (start.soc, start.vc)
+    res = feedback_output_attack(atk, PlantConfig(true_params=other), 0.0)
+    assert res.residual_max <= 1e-12
+    assert res.plant_nominal.soc[0] == start.soc
 
 
 def test_plant_config_validation(cell):
@@ -198,6 +191,6 @@ def test_final_soc_fields_track_the_plant(cell, injection):
     u_nom, atk, x0 = injection
     true = dataclasses.replace(cell, r0=cell.r0 * 1.2)
     plant = PlantConfig(true_params=true)
-    res = feedback_output_attack(cell, plant, x0, u_nom, atk, 0.0)
+    res = feedback_output_attack(atk, plant, 0.0)
     assert res.plant_nominal.soc[-1] == simulate(true, x0, u_nom).soc[-1]
     assert res.plant_attacked.soc[-1] == simulate(true, x0, add(u_nom, atk.u_a)).soc[-1]
