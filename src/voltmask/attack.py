@@ -19,11 +19,14 @@ where S (2x2, symmetric) and V (2-vector) solve, backward from tf,
     S' = -(S A + A' S - S B r^-1 B' S + Q2)          S(tf) = Q1
     V' = -(A' V - S B r^-1 B' V - S B u_nom + Q2 X_ref)   V(tf) = Q1 X_ref(tf)
 
-The sweep is integrated with classic 4th-order Runge-Kutta at the grid
-resolution; u_nom and X_ref are linearly interpolated at the half-step
-stage points.  The synthesized trajectory is then rolled out forward with
-the exact zero-order-hold cell model, closing the loop on the adversary's
-own simulated state.
+The sweep is integrated with classic 4th-order Runge-Kutta, stepping
+back by the profile's dt; u_nom and X_ref are linearly interpolated at
+the half-step stage points.  Step size and position come from the
+uniform grid (t0, dt, n) alone, never from differences of rounded grid
+times, so no output but a time column depends on the profile's t0.  The
+synthesized trajectory is then rolled out forward with the exact
+zero-order-hold cell model, closing the loop on the adversary's own
+simulated state.
 
 solve_riccati runs the sweep alone, rejects an S that left the positive
 semidefinite cone, and returns a RiccatiSolution on the profile grid.
@@ -32,7 +35,7 @@ that is unstable where S is stationary (h*lambda > 2 on the SoC
 channel, which the RK4 sweep itself survives up to about 2.785), and
 then runs the rollout, which evaluates the feedback law at the grid
 nodes only; S and V are never interpolated in time.  build_reference
-samples X_ref on a grid.
+samples X_ref at the n points of a uniform grid.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ class ReferenceTrajectory:
     """SoC reference over the grid it is sampled on; the vc component is zero.
 
     shape 'linear_ramp' moves soc_start -> soc_target linearly from the
-    grid's first time to its last; 'hold_target' sits at soc_target
+    grid's first sample to its last; 'hold_target' sits at soc_target
     throughout.
     """
 
@@ -128,16 +131,16 @@ class ReferenceTrajectory:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def build_reference(ref: ReferenceTrajectory, grid: np.ndarray) -> np.ndarray:
-    """Sample the reference on a time grid; returns an (n, 2) array."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError(f"grid needs at least 2 points, got {grid.size}")
-    out = np.zeros((grid.size, 2))
+def build_reference(ref: ReferenceTrajectory, n: int) -> np.ndarray:
+    """Sample the reference at the n points of a uniform grid; returns an
+    (n, 2) array.  The ramp goes by sample index, which is linear in time."""
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points, got {n}")
+    out = np.zeros((n, 2))
     if ref.shape == "hold_target":
         out[:, 0] = ref.soc_target
     else:
-        frac = (grid - grid[0]) / (grid[-1] - grid[0])
+        frac = np.arange(n) / (n - 1)
         out[:, 0] = ref.soc_start + (ref.soc_target - ref.soc_start) * frac
     return out
 
@@ -174,26 +177,28 @@ def _sweep_backward(
     q2: np.ndarray,
     r: float,
     xref: np.ndarray,
-    unom: np.ndarray,
-    grid: np.ndarray,
+    u_nom: TimeSeries,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 backward integration of the coupled S / V equations.
+    """RK4 backward integration of the coupled S / V equations on u_nom's grid.
 
-    Works on scalarized entries (S symmetric, so three S scalars plus two
-    for V), and splits each RK4 step in two parts.  The S part depends
-    only on (h, S), because the S equation never sees u_nom or x_ref; it
-    returns b'S at the four stage points and the stepped S.  It is kept
-    and reused while (h, S) stays the same bit for bit, which is every
-    step once S is stationary.  The V part is one unrolled update that
-    uses the four b'S pairs.  Both parts do the float operations of one
-    RK4 step of the five coupled scalars in the same order, so the
-    reuse changes no output bit.
+    Every step is -u_nom.dt.  Works on scalarized entries (S symmetric, so
+    three S scalars plus two for V), and splits each RK4 step in two
+    parts.  The S part depends only on S, because the S equation never
+    sees u_nom or x_ref; it returns b'S at the four stage points and the
+    stepped S.  It is kept and reused while S stays the same bit for bit,
+    which is every step once S is stationary.  The V part is one unrolled
+    update that uses the four b'S pairs.  Both parts do the float
+    operations of one RK4 step of the five coupled scalars in the same
+    order, so the reuse changes no output bit.
     """
     a11, a12 = float(a[0, 0]), float(a[0, 1])
     a21, a22 = float(a[1, 0]), float(a[1, 1])
     b1, b2 = float(b[0]), float(b[1])
     q2_11, q2_12, q2_22 = float(q2[0, 0]), float(q2[0, 1]), float(q2[1, 1])
     rinv = 1.0 / r
+    h = -u_nom.dt
+    hh = 0.5 * h
+    h6 = h / 6.0
 
     def s_rhs(s11, s12, s22):
         m11 = s11 * a11 + s12 * a21
@@ -207,13 +212,11 @@ def _sweep_backward(
         ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
         return p1, p2, ds11, ds12, ds22
 
-    def s_part(h, s11, s12, s22):
-        hh = 0.5 * h
+    def s_part(s11, s12, s22):
         pa1, pa2, ka11, ka12, ka22 = s_rhs(s11, s12, s22)
         pb1, pb2, kb11, kb12, kb22 = s_rhs(s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22)
         pc1, pc2, kc11, kc12, kc22 = s_rhs(s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22)
         pd1, pd2, kd11, kd12, kd22 = s_rhs(s11 + h * kc11, s12 + h * kc12, s22 + h * kc22)
-        h6 = h / 6.0
         return (
             pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2,
             s11 + h6 * (ka11 + 2.0 * kb11 + 2.0 * kc11 + kd11),
@@ -221,7 +224,7 @@ def _sweep_backward(
             s22 + h6 * (ka22 + 2.0 * kb22 + 2.0 * kc22 + kd22),
         )
 
-    n = grid.size
+    n = len(u_nom)
     s_out = np.empty((n, 2, 2))
     v_out = np.empty((n, 2))
     # terminal conditions assigned exactly, not integrated
@@ -235,32 +238,29 @@ def _sweep_backward(
     # caught by the finite check instead of spraying numpy warnings.
     s_mv = memoryview(s_out.reshape(-1))
     v_mv = memoryview(v_out.reshape(-1))
-    t_mv = memoryview(grid)
     x_mv = memoryview(xref.reshape(-1))
-    u_mv = memoryview(unom)
+    u_mv = memoryview(u_nom.samples)
     # the lower node of each step, from the last step back to the first
     lows = zip(
         range(n - 2, -1, -1),
-        t_mv[n - 2 :: -1],
         x_mv[2 * n - 4 :: -2],
         x_mv[2 * n - 3 :: -2],
         u_mv[n - 2 :: -1],
     )
     # e.._hi, e.._mid, e.._lo are the q2 x_ref products of dv1 (e11, e12)
     # and dv2 (e21, e22) at the upper node, the midpoint and the lower node
-    t_hi, un_hi = t_mv[n - 1], u_mv[n - 1]
+    un_hi = u_mv[n - 1]
     xr1_hi, xr2_hi = x_mv[2 * n - 2], x_mv[2 * n - 1]
     e11_hi, e12_hi, e21_hi, e22_hi = q2_11 * xr1_hi, q2_12 * xr2_hi, q2_12 * xr1_hi, q2_22 * xr2_hi
-    # (h, S) is compared by its bits, not by ==, so that 0.0 and -0.0 differ
-    pack = struct.Struct("4d").pack
+    # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
+    pack = struct.Struct("3d").pack
     isfinite = math.isfinite
     s_key = None
-    for i, t_lo, xr1_lo, xr2_lo, un_lo in lows:
-        h = t_lo - t_hi  # negative
-        key = pack(h, s11, s12, s22)
+    for i, xr1_lo, xr2_lo, un_lo in lows:
+        key = pack(s11, s12, s22)
         if key != s_key:
             s_key = key
-            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(h, s11, s12, s22)
+            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(s11, s12, s22)
             if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
                 break
         # otherwise the last S part, stepped S included, holds bit for bit
@@ -272,7 +272,6 @@ def _sweep_backward(
         e21_mid, e22_mid = q2_12 * xr1_mid, q2_22 * xr2_mid
         e11_lo, e12_lo = q2_11 * xr1_lo, q2_12 * xr2_lo
         e21_lo, e22_lo = q2_12 * xr1_lo, q2_22 * xr2_lo
-        hh = 0.5 * h
         btv = b1 * v1 + b2 * v2
         ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e11_hi + e12_hi)
         ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e21_hi + e22_hi)
@@ -291,7 +290,6 @@ def _sweep_backward(
         btv = b1 * w1 + b2 * w2
         kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e11_lo + e12_lo)
         kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e21_lo + e22_lo)
-        h6 = h / 6.0
         v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
         v2 = v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2)
         if not (isfinite(v1) and isfinite(v2)):
@@ -304,12 +302,12 @@ def _sweep_backward(
         s_mv[j + 3] = s22
         v_mv[2 * i] = v1
         v_mv[2 * i + 1] = v2
-        t_hi, xr1_hi, xr2_hi, un_hi = t_lo, xr1_lo, xr2_lo, un_lo
+        xr1_hi, xr2_hi, un_hi = xr1_lo, xr2_lo, un_lo
         e11_hi, e12_hi, e21_hi, e22_hi = e11_lo, e12_lo, e21_lo, e22_lo
     else:  # no break: every value stayed finite
         return s_out, v_out
     raise DivergenceError(
-        f"riccati sweep diverged at t={grid[i]} (weights too stiff for this grid step)"
+        f"riccati sweep diverged at t={u_nom.times()[i]} (weights too stiff for this grid step)"
     )
 
 
@@ -320,11 +318,10 @@ def solve_riccati(
     u_nom: TimeSeries,
 ) -> RiccatiSolution:
     """Backward sweep on the u_nom sample grid."""
-    grid = u_nom.times()
-    xref = build_reference(ref, grid)
+    xref = build_reference(ref, len(u_nom))
     a, b = state_matrices(params)
-    s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, xref, u_nom.samples, grid)
-    solution = RiccatiSolution(grid=grid, s=s, v=v)
+    s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, xref, u_nom)
+    solution = RiccatiSolution(grid=u_nom.times(), s=s, v=v)
     _check_psd(solution)
     return solution
 

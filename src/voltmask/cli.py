@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +50,17 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _soc_text(soc: float) -> str:
+    """A SoC as printed on stdout: fixed point below 1e6 in magnitude and
+    exponent form above, so that a runaway value stays a short line."""
+    return f"{soc:.6f}" if abs(soc) < 1e6 else f"{soc:.6e}"
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one line on stderr, without its path and source line."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 # a gain in --ka: a decimal number, optionally signed and with an exponent
@@ -84,7 +96,7 @@ def _cmd_simulate(prep: PreparedScenario, out_dir: Path) -> int:
         ["t", "i", "soc", "vc", "v"],
         [times, prep.u_nom.samples, result.soc, result.vc, result.voltage.samples],
     )
-    print(f"final soc {result.soc[-1]:.6f} (soc_violation={result.soc_violation})")
+    print(f"final soc {_soc_text(result.soc[-1])} (soc_violation={result.soc_violation})")
     return 0
 
 
@@ -153,7 +165,8 @@ def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
         ],
     )
     print(
-        f"final soc nominal {s.final_soc_nominal:.6f} attacked {s.final_soc_attacked:.6f} "
+        f"final soc nominal {_soc_text(s.final_soc_nominal)} "
+        f"attacked {_soc_text(s.final_soc_attacked)} "
         f"residual_rms {s.residual_rms:.6e} V"
     )
     return 0
@@ -256,12 +269,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: a bad path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # running on the loaded inputs: anything raised here is the run's
-    try:
-        return args.run(loaded, args.out)
-    except (ValueError, OSError, ArithmeticError, DivergenceError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    # running on the loaded inputs: anything raised here is the run's, and
+    # a warning is shown by _show_warning until the run returns
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.run(loaded, args.out)
+        except (ValueError, OSError, ArithmeticError, DivergenceError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 3
 
 
 def run() -> None:

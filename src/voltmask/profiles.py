@@ -66,10 +66,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.samples.size)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.samples.size - 1)
-
     def with_samples(self, samples: np.ndarray) -> "TimeSeries":
         """Same grid, new values."""
         return TimeSeries(self.t0, self.dt, samples)

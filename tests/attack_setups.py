@@ -26,7 +26,7 @@ def attack_setups(draw):
     zero-order-hold limit of 2 and the RK4 limit of about 2.785.  Profiles
     with a large bias drive the SoC out of [0, 1] on some draws.
     """
-    dt = draw(st.sampled_from([0.1, 0.3, 1.0]) | st.floats(0.05, 1.0))
+    dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0))
     n = draw(st.integers(2, 600))
     duration = dt * (n - 1)
     capacity = draw(st.floats(1.0, 20.0)) * duration

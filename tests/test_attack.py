@@ -25,7 +25,7 @@ from voltmask import (
     synthesize_input_attack,
     synthetic_profile,
 )
-from voltmask.attack import _sweep_backward
+from voltmask.attack import _PSD_TOL, _ZOH_RADIUS_TOL, _sweep_backward, _zoh_radius
 from voltmask.scenario import load_scenario, prepare
 
 
@@ -76,8 +76,7 @@ class TestWeights:
 class TestReference:
     def test_linear_ramp_endpoints(self):
         ref = ReferenceTrajectory(0.8, 0.2)
-        grid = np.linspace(0.0, 100.0, 11)
-        xref = build_reference(ref, grid)
+        xref = build_reference(ref, 11)
         assert xref.shape == (11, 2)
         assert xref[0, 0] == 0.8 and math.isclose(xref[-1, 0], 0.2)
         assert math.isclose(xref[5, 0], 0.5)
@@ -85,12 +84,12 @@ class TestReference:
 
     def test_hold_target(self):
         ref = ReferenceTrajectory(0.8, 0.2, shape="hold_target")
-        xref = build_reference(ref, np.linspace(0.0, 100.0, 5))
+        xref = build_reference(ref, 5)
         np.testing.assert_array_equal(xref[:, 0], np.full(5, 0.2))
 
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2 points, got 1"):
-            build_reference(ReferenceTrajectory(0.8, 0.2), np.array([0.0]))
+            build_reference(ReferenceTrajectory(0.8, 0.2), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown reference shape"):
@@ -100,40 +99,38 @@ class TestReference:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        t0=st.sampled_from([0.0, 13.7, 1e3]),
-        dt=st.sampled_from([0.1, 0.3, 0.7, 1.0]),
+        dt=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
         n=st.integers(2, 500),
         soc_start=st.floats(0.0, 1.0),
         soc_target=st.floats(0.0, 1.0),
         shape=st.sampled_from(["linear_ramp", "hold_target"]),
     )
-    def test_span_is_the_profile_span(self, t0, dt, n, soc_start, soc_target, shape):
-        # the ramp over the grid's own span equals the ramp over the
-        # profile's [t0, t_end] bit for bit, whatever the grid's start
-        u = TimeSeries(t0, dt, np.zeros(n))
-        xref = build_reference(ReferenceTrajectory(soc_start, soc_target, shape), u.times())
+    def test_ramp_depends_only_on_the_sample_index(self, dt, n, soc_start, soc_target, shape):
+        # sample k of the ramp is k / (n - 1) of the way, the time ramp
+        # t_k / t_last on a grid from 0 whose times are exact, bit for bit
+        ref = ReferenceTrajectory(soc_start, soc_target, shape)
+        xref = build_reference(ref, n)
         want = np.zeros((n, 2))
         if shape == "hold_target":
             want[:, 0] = soc_target
         else:
-            frac = (u.times() - u.t0) / (u.t_end - u.t0)
-            want[:, 0] = soc_start + (soc_target - soc_start) * frac
+            times = TimeSeries(0.0, dt, np.zeros(n)).times()
+            want[:, 0] = soc_start + (soc_target - soc_start) * (times / times[-1])
         assert xref.tobytes() == want.tobytes()
 
 
 def test_sweep_matches_scalar_euler_oracle():
     # A = 0 and b = (1, 0) reduce the matrix equations to one scalar
     # Riccati equation; constants frozen after tuning the oracle step
-    grid = np.arange(0.0, 2.0 + 1e-12, 0.002)
+    u_nom = TimeSeries(0.0, 0.002, np.zeros(1001))
     a = np.zeros((2, 2))
     b = np.array([1.0, 0.0])
     q1 = np.diag([0.4, 0.0])
     q2 = np.diag([0.25, 0.0])
-    xref = np.zeros((grid.size, 2))
-    unom = np.zeros(grid.size)
-    s, v = _sweep_backward(a, b, q1, q2, 1.0, xref, unom, grid)
+    xref = np.zeros((len(u_nom), 2))
+    s, v = _sweep_backward(a, b, q1, q2, 1.0, xref, u_nom)
 
-    oracle = scalar_riccati_euler(1.0, 1.0, 0.25, 0.4, grid, refine=100)
+    oracle = scalar_riccati_euler(1.0, 1.0, 0.25, 0.4, u_nom.times(), refine=100)
     dev = np.abs(s[:, 0, 0] - oracle).max() / np.abs(oracle).max()
     assert dev <= 1e-6
 
@@ -149,7 +146,7 @@ def test_terminal_conditions_are_assigned_exactly(cell):
     q1 = np.array([[5.0, 1.0], [1.0, 2.0]])
     weights = AttackWeights(q1=q1, q2=np.array([[2.0, 0.3], [0.3, 0.5]]), r=0.5)
     sol = solve_riccati(cell, weights, ref, u_nom)
-    xref = build_reference(ref, u_nom.times())
+    xref = build_reference(ref, len(u_nom))
     np.testing.assert_array_equal(sol.s[-1], q1)
     np.testing.assert_array_equal(sol.v[-1], q1 @ xref[-1])
 
@@ -277,8 +274,8 @@ def test_feedback_law_consistency(cell):
 # ----------------------------------------------------- bit-exactness oracle
 
 
-def generic_rk4_sweep(a, b, q1, q2, r, xref, unom, grid):
-    """Plain RK4 on the five coupled scalars, one full step at a time.
+def generic_rk4_sweep(a, b, q1, q2, r, xref, u_nom):
+    """Plain RK4 on the five coupled scalars, one full step of -dt at a time.
 
     This is the sweep as first written, before the S part was split off
     and reused; _sweep_backward must reproduce it bit for bit.
@@ -305,7 +302,7 @@ def generic_rk4_sweep(a, b, q1, q2, r, xref, unom, grid):
         dv2 = -(a12 * v1 + a22 * v2 - p2 * btv * rinv - p2 * un + q2_12 * xr1 + q2_22 * xr2)
         return (ds11, ds12, ds22, dv1, dv2)
 
-    n = grid.size
+    n = len(u_nom)
     s_out = np.empty((n, 2, 2))
     v_out = np.empty((n, 2))
     s_out[-1] = q1
@@ -317,12 +314,11 @@ def generic_rk4_sweep(a, b, q1, q2, r, xref, unom, grid):
         float(v_out[-1, 0]),
         float(v_out[-1, 1]),
     )
-    times = grid.tolist()
+    h = -u_nom.dt
     xr1s = xref[:, 0].tolist()
     xr2s = xref[:, 1].tolist()
-    uns = unom.tolist()
+    uns = u_nom.samples.tolist()
     for k in range(n - 1, 0, -1):
-        h = times[k - 1] - times[k]
         xr1_hi, xr2_hi = xr1s[k], xr2s[k]
         xr1_lo, xr2_lo = xr1s[k - 1], xr2s[k - 1]
         xr1_mid = 0.5 * (xr1_hi + xr1_lo)
@@ -343,7 +339,7 @@ def generic_rk4_sweep(a, b, q1, q2, r, xref, unom, grid):
         )
         if not all(math.isfinite(yi) for yi in y):
             raise DivergenceError(
-                f"riccati sweep diverged at t={grid[k - 1]} "
+                f"riccati sweep diverged at t={u_nom.times()[k - 1]} "
                 "(weights too stiff for this grid step)"
             )
         s11, s12, s22, v1, v2 = y
@@ -380,8 +376,8 @@ def sweep_cases(draw, stiffness=1.0):
     """Random cells, weights, references, inputs and grids for the sweep.
 
     Weights are drawn relative to the cell (capacity and c1), so that S
-    settles within the horizon on many draws; dt values such as 0.1 and
-    0.3 make h vary in its last bit along the grid.
+    settles within the horizon on many draws.  Grids start at t0 = 0 and
+    elsewhere, and most of their steps dt are not dyadic.
     """
     capacity = draw(st.floats(500.0, 2e4))
     r1 = draw(st.floats(1e-3, 5e-2))
@@ -396,7 +392,6 @@ def sweep_cases(draw, stiffness=1.0):
     dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 2.0))
     t0 = draw(st.sampled_from([0.0, 13.7, 1e3]))
     n = draw(st.integers(2, 1200))
-    grid = t0 + dt * np.arange(n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a vc reference of the size that makes both q2 terms of the V equation
     # comparable, so that their rounding shows
@@ -404,7 +399,7 @@ def sweep_cases(draw, stiffness=1.0):
     if draw(st.integers(0, 3)) == 0:
         xref[:, 1] = 0.0
     unom = rng.normal(0.0, 2.0, n) if draw(st.integers(0, 3)) else np.zeros(n)
-    return a, b, q1, q2, r, xref, unom, grid
+    return a, b, q1, q2, r, xref, TimeSeries(t0, dt, unom)
 
 
 # a cell-scaled case with off-diagonal weights and signed zeros whose S
@@ -416,14 +411,13 @@ _SETTLING = (
     np.array([[1e6, 2e5], [2e5, 1e6]]),
     1.0,
     np.column_stack([np.linspace(0.8, 0.2, 2000), 0.5 * np.cos(np.arange(2000) * 0.003)]),
-    np.sin(np.arange(2000) * 0.01),
-    0.3 * np.arange(2000),
+    TimeSeries(0.0, 0.3, np.sin(np.arange(2000) * 0.01)),
 )
 
 
 def test_settling_case_settles():
     s, v = _sweep_backward(*_SETTLING)
-    assert RiccatiSolution(_SETTLING[-1], s, v).stationary_from is not None
+    assert RiccatiSolution(_SETTLING[-1].times(), s, v).stationary_from is not None
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,8 +457,8 @@ def signed_zero_cases(draw):
     n = draw(st.integers(2, 12))
     xref = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
     unom = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
-    grid = draw(st.sampled_from([0.0, 2.5])) + draw(st.sampled_from([0.1, 0.3, 1.0])) * np.arange(n)
-    return a, b, q1, q2, 1.0, xref, unom, grid
+    t0 = draw(st.sampled_from([0.0, 2.5]))
+    return a, b, q1, q2, 1.0, xref, TimeSeries(t0, draw(st.sampled_from([0.1, 0.3, 1.0])), unom)
 
 
 @settings(max_examples=300, deadline=None)
@@ -477,8 +471,7 @@ def signed_zero_cases(draw):
         np.array([[0.0, 0.0], [0.0, -0.0]]),
         1.0,
         np.zeros((3, 2)),
-        np.zeros(3),
-        np.array([0.0, 0.1, 0.2]),
+        TimeSeries(0.0, 0.1, np.zeros(3)),
     )
 )
 def test_sweep_keeps_signed_zeros_of_generic_rk4(case):
@@ -566,3 +559,61 @@ def test_rollout_model_equals_simulation_bit_for_bit(setup):
     assert model.voltage.samples.tobytes() == sim.voltage.samples.tobytes()
     assert (model.voltage.t0, model.voltage.dt) == (sim.voltage.t0, sim.voltage.dt)
     assert model.soc_violation == sim.soc_violation
+
+
+# profile starts where t0 + k*dt is inexact, and one drawn anywhere
+_STARTS = st.sampled_from([13.7, 1.7e9]) | st.floats(-1e10, 1e10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=attack_setups(), t0=_STARTS)
+def test_synthesis_does_not_depend_on_the_profile_start(setup, t0):
+    # the same samples from t0 = 0 and from t0: the sweep steps by dt and
+    # the reference goes by sample index, so no bit of the synthesis moves
+    cell, weights, ref, u_nom, x0 = setup
+    shifted = TimeSeries(t0, u_nom.dt, u_nom.samples)
+    want = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    got = synthesize_input_attack(cell, weights, ref, shifted, x0)
+    for name in ("s", "v"):
+        assert getattr(got.riccati, name).tobytes() == getattr(want.riccati, name).tobytes()
+    assert got.u_a.samples.tobytes() == want.u_a.samples.tobytes()
+    assert got.model.soc.tobytes() == want.model.soc.tobytes()
+    assert got.model.vc.tobytes() == want.model.vc.tobytes()
+    assert got.model.voltage.samples.tobytes() == want.model.voltage.samples.tobytes()
+    assert got.riccati.grid.tobytes() == shifted.times().tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=attack_setups(), stiffness=st.floats(1.0, 16.0), t0=_STARTS)
+def test_a_returned_synthesis_is_stable_and_psd(setup, stiffness, t0):
+    # the drawn weights scaled by up to 16, which takes the stationary
+    # h*lambda of the closed loop to about 4, past the zero-order-hold limit
+    # of 2 and the RK4 limit of about 2.785: every synthesis that returns
+    # has a stable closed loop where S is stationary and a PSD S on every
+    # row it computed
+    cell, weights, ref, u_nom, x0 = setup
+    weights = AttackWeights(q1=weights.q1 * stiffness, q2=weights.q2 * stiffness, r=weights.r)
+    u_nom = TimeSeries(t0, u_nom.dt, u_nom.samples)
+    try:
+        atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    except DivergenceError:
+        return
+    sol = atk.riccati
+    j = sol.stationary_from
+    if j is not None:
+        _, b = state_matrices(cell)
+        alpha = math.exp(-u_nom.dt / cell.tau1)
+        rho = _zoh_radius(
+            sol.s[j],
+            float(b[0]),
+            float(b[1]),
+            1.0 / weights.r,
+            -u_nom.dt / cell.capacity_q,
+            alpha,
+            cell.r1 * (1.0 - alpha),
+        )
+        assert rho <= 1.0 + _ZOH_RADIUS_TOL
+    s = sol.s[j or 0 :]
+    scale = np.abs(s).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    assert np.linalg.eigvalsh(s / scale[:, None, None]).min() >= -_PSD_TOL

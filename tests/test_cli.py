@@ -147,6 +147,28 @@ class TestScenarioCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+    def test_outputs_do_not_depend_on_the_profile_start(self, tmp_path, params_path, capsys):
+        # one profile at dt = 0.1 s written from t0 = 0 and from a Unix time,
+        # where t0 + k*dt is inexact: only the t columns may differ
+        config = small_scenario(tmp_path, params_path, dt=0.1)
+        samples = prepare(load_scenario(config)).u_nom.samples
+        outs = []
+        for t0 in (0.0, 1.7e9):
+            save_csv(TimeSeries(t0, 0.1, samples), tmp_path / f"u_{t0}.csv")
+            config = small_scenario(tmp_path, params_path, dt=0.1, profile={"csv": f"u_{t0}.csv"})
+            outs.append(tmp_path / f"out_{t0}")
+            assert main(["scenario", "--config", str(config), "--out", str(outs[-1])]) == 0
+        assert len(set(capsys.readouterr().out.splitlines())) == 1
+        start, shifted = outs
+        assert (start / "summary.json").read_bytes() == (shifted / "summary.json").read_bytes()
+        for name in ("attack.csv", "riccati.csv"):
+            header, want = read_rows(start / name)
+            _, got = read_rows(shifted / name)
+            assert header[0] == "t" and got.shape == want.shape
+            assert got[:, 1:].tobytes() == want[:, 1:].tobytes(), name
+            np.testing.assert_array_equal(got[:, 0], 1.7e9 + 0.1 * np.arange(len(got)))
+
+
 class TestSimulateCommand:
     def test_writes_nominal_trace(self, tmp_path, params_path, capsys):
         config = small_scenario(tmp_path, params_path)
@@ -157,6 +179,17 @@ class TestSimulateCommand:
         assert data.shape == (301, 5)
         assert data[0, 2] == 0.7
         assert "final soc" in capsys.readouterr().out
+
+    def test_runaway_soc_prints_a_short_line(self, tmp_path, scenario_dir, params_path, capsys):
+        # a capacity of 1e-300 A*s takes the SoC to about -4.3e303, which
+        # fixed point would print with more than 300 digits
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["plant_overrides"] = {"capacity_As": 1e-300}
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "final soc -4.296600e+303 (soc_violation=True)\n"
 
 
 class TestSweepCommand:
@@ -826,34 +859,53 @@ class TestFitCommand:
         assert err.startswith("config error") and "dir.csv" in err
 
     @staticmethod
-    def run_fit_catching_warnings(records, params_path, blocks):
+    def run_fit_showing_warnings(records, params_path, blocks, capsys):
+        """The fit's exit code and stderr, with every warning shown."""
         config = records / "fit.json"
         config.write_text(json.dumps({"initial_params_file": str(params_path), **blocks}))
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             status = main(["fit", "--config", str(config), "--out", str(records / "o")])
-        return status, [w.category for w in caught]
+        return status, capsys.readouterr().err
 
-    def test_huge_r0_guess_warns_without_overflow_noise(self, records, params_path, cell):
-        # at 4 A, |i| * r0 overflows to an infinite ohmic drop
-        amp, dt = 4.0, 30.0
+    @staticmethod
+    def ocv_sweeps(records, cell, amp, dt, r0_guess):
+        """An ocv block of generated charge and discharge sweeps at +-amp."""
         n = int(cell.capacity_q / amp / dt) + 1
         for name, sign, soc0 in (("chg", -1.0, 0.0), ("dis", 1.0, 1.0)):
             current = TimeSeries(0.0, dt, np.full(n, sign * amp))
             save_csv(current, records / f"{name}_i.csv")
             voltage = simulate(cell, BatteryState(soc0, 0.0), current).voltage
             save_csv(voltage, records / f"{name}_v.csv")
-        ocv = {
+        return {
             "charge_current_csv": "chg_i.csv",
             "charge_voltage_csv": "chg_v.csv",
             "discharge_current_csv": "dis_i.csv",
             "discharge_voltage_csv": "dis_v.csv",
             "dt": dt,
-            "r0_guess": 1e308,
+            "r0_guess": r0_guess,
         }
-        status, categories = self.run_fit_catching_warnings(records, params_path, {"ocv": ocv})
+
+    def test_huge_r0_guess_warns_without_overflow_noise(self, records, params_path, cell, capsys):
+        # at 4 A, |i| * r0 overflows to an infinite ohmic drop
+        ocv = self.ocv_sweeps(records, cell, 4.0, 30.0, r0_guess=1e308)
+        status, err = self.run_fit_showing_warnings(records, params_path, {"ocv": ocv}, capsys)
         assert status == 0
-        assert categories == [UserWarning]
+        assert err.startswith("warning: sweep current is not small: max |i|*r0 = inf V")
+        assert err.count("\n") == 1
+
+    def test_warning_is_one_line_on_stderr(self, records, params_path, cell, capsys):
+        # 2 A through an r0_guess of 1 ohm: 2 V of ohmic drop
+        ocv = self.ocv_sweeps(records, cell, 2.0, 10.0, r0_guess=1.0)
+        config = records / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), "ocv": ocv}))
+        shown = warnings.showwarning
+        assert main(["fit", "--config", str(config), "--out", str(records / "o")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: sweep current is not small: max |i|*r0 = 2.0000 V "
+            "of ohmic drop will bias the recovered curve\n"
+        )
+        assert warnings.showwarning is shown
 
     @pytest.mark.parametrize("field", ["soc0", "vc0"])
     def test_huge_start_state_fails_without_overflow_noise(
@@ -862,10 +914,10 @@ class TestFitCommand:
         rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0,
               "soc0": 0.55, "vc0": 0.0}
         rc[field] = 1e300
-        status, categories = self.run_fit_catching_warnings(records, params_path, {"rc": rc})
+        status, err = self.run_fit_showing_warnings(records, params_path, {"rc": rc}, capsys)
         assert status == 3
-        assert "runtime error" in capsys.readouterr().err
-        assert not any(issubclass(c, RuntimeWarning) for c in categories)
+        assert err.startswith("runtime error")
+        assert "warning" not in err
         # the report is rejected before fitted_params.json is written
         assert not any((records / "o").iterdir())
 

@@ -13,11 +13,10 @@ from voltmask import TimeSeries, add, load_csv, save_csv, synthetic_profile
 from voltmask.profiles import MAX_SAMPLES, _sample_count, check_same_grid
 
 
-def test_times_and_t_end():
+def test_times():
     ts = TimeSeries(2.0, 0.5, np.array([1.0, 2.0, 3.0]))
     assert len(ts) == 3
     np.testing.assert_array_equal(ts.times(), [2.0, 2.5, 3.0])
-    assert ts.t_end == 3.0
 
 
 def test_samples_are_read_only():
@@ -78,9 +77,9 @@ def test_load_csv_never_extends_past_last_row(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("time_s,value\n0,1\n5,1\n")
     ts = load_csv(path, target_dt=2.0)
-    # floor(5 / 2) + 1 points; t_end = 4 < 5
+    # floor(5 / 2) + 1 points; the last at 4 < 5
     assert len(ts) == 3
-    assert ts.t_end == 4.0
+    assert ts.times()[-1] == 4.0
 
 
 def test_load_csv_errors_name_the_line(tmp_path):
