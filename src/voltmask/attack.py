@@ -23,10 +23,11 @@ The sweep is integrated with classic 4th-order Runge-Kutta, stepping
 back by the profile's dt; u_nom and X_ref are linearly interpolated at
 the half-step stage points.  Step size and position come from the
 uniform grid (t0, dt, n) alone, never from differences of rounded grid
-times, so no output but a time column depends on the profile's t0.  The
-synthesized trajectory is then rolled out forward with the exact
-zero-order-hold cell model, closing the loop on the adversary's own
-simulated state.
+times, so no output but a time column depends on the profile's t0.  Once
+S is stationary bit for bit, every remaining V step is one fixed affine
+map, stepped as such (_stationary_step).  The synthesized trajectory is
+then rolled out forward with the exact zero-order-hold cell model,
+closing the loop on the adversary's own simulated state.
 
 solve_riccati runs the sweep alone, rejects an S that left the positive
 semidefinite cone, and returns a RiccatiSolution on the profile grid.
@@ -170,6 +171,49 @@ class RiccatiSolution:
         object.__setattr__(self, "stationary_from", settled if settled > 0 else None)
 
 
+def _stationary_step(
+    a: np.ndarray,
+    b: np.ndarray,
+    q2: np.ndarray,
+    rinv: float,
+    h: float,
+    stages: tuple[tuple[float, float], ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step of the V equation at a fixed S, as an affine map.
+
+    stages holds b'S at the four RK4 stage points (S symmetric, so S b).
+    With S fixed, dV/dt = M V + p u_nom - q2 x_ref with M = -a' + p b'/r
+    at each stage, so the step is linear in V and in the inputs at both
+    ends of the step; the midpoint inputs are the averages of the end
+    ones.  Returns R (2x2), G_hi and G_lo (2x3) such that
+
+        v_k = R v_{k+1} + G_hi f_{k+1} + G_lo f_k,   f = (u_nom, x_ref1, x_ref2).
+
+    Each stage of the step is carried as a 2x8 matrix acting on
+    (v_{k+1}, f_{k+1}, f_k).
+    """
+    hh = 0.5 * h
+    h6 = h / 6.0
+    v = np.eye(2, 8)  # v_{k+1} itself
+
+    def rhs(p, w, hi, lo):
+        p = np.array(p)
+        m = np.outer(p, b) * rinv - a.T
+        force = np.column_stack([p, -q2])  # acting on f
+        # m @ w with its two terms written out: the first matrix product
+        # in a process runs BLAS and costs about 0.3 MB of resident memory
+        mw = m[:, :1] * w[:1] + m[:, 1:] * w[1:]
+        return mw + np.hstack([np.zeros((2, 2)), hi * force, lo * force])
+
+    pa, pb, pc, pd = stages
+    ka = rhs(pa, v, 1.0, 0.0)
+    kb = rhs(pb, v + hh * ka, 0.5, 0.5)
+    kc = rhs(pc, v + hh * kb, 0.5, 0.5)
+    kd = rhs(pd, v + h * kc, 0.0, 1.0)
+    step = v + h6 * (ka + 2.0 * kb + 2.0 * kc + kd)
+    return step[:, :2], step[:, 2:5], step[:, 5:]
+
+
 def _sweep_backward(
     a: np.ndarray,
     b: np.ndarray,
@@ -185,11 +229,15 @@ def _sweep_backward(
     three S scalars plus two for V), and splits each RK4 step in two
     parts.  The S part depends only on S, because the S equation never
     sees u_nom or x_ref; it returns b'S at the four stage points and the
-    stepped S.  It is kept and reused while S stays the same bit for bit,
-    which is every step once S is stationary.  The V part is one unrolled
-    update that uses the four b'S pairs.  Both parts do the float
-    operations of one RK4 step of the five coupled scalars in the same
-    order, so the reuse changes no output bit.
+    stepped S.  The V part is one unrolled update that uses the four b'S
+    pairs.  Until S repeats, both parts do the float operations of one
+    RK4 step of the five coupled scalars in the same order.
+
+    Once S is the same bit for bit as on the step before, the S part
+    returns the same values on every remaining step, so S is stationary
+    and the V step is a fixed affine map (_stationary_step).  The rest
+    of the sweep runs that map: S rows are the stationary S, and V rows
+    differ from the stepwise RK4 at rounding level only.
     """
     a11, a12 = float(a[0, 0]), float(a[0, 1])
     a21, a22 = float(a[1, 0]), float(a[1, 1])
@@ -232,10 +280,10 @@ def _sweep_backward(
     v_out[-1] = q1 @ xref[-1]
     s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
     v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
-    # The loop reads and writes plain floats through memoryviews, so it
-    # neither does numpy scalar arithmetic nor keeps per-row Python
-    # objects alive; a diverging sweep overflows to inf silently and is
-    # caught by the finite check instead of spraying numpy warnings.
+    # The loops read and write plain floats through memoryviews, so they
+    # neither do numpy scalar arithmetic nor keep per-row Python objects
+    # alive; a diverging sweep overflows to inf silently and is caught
+    # by the finite checks instead of spraying numpy warnings.
     s_mv = memoryview(s_out.reshape(-1))
     v_mv = memoryview(v_out.reshape(-1))
     x_mv = memoryview(xref.reshape(-1))
@@ -258,12 +306,12 @@ def _sweep_backward(
     s_key = None
     for i, xr1_lo, xr2_lo, un_lo in lows:
         key = pack(s11, s12, s22)
-        if key != s_key:
-            s_key = key
-            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(s11, s12, s22)
-            if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
-                break
-        # otherwise the last S part, stepped S included, holds bit for bit
+        if key == s_key:
+            break  # S is stationary from here back to the start
+        s_key = key
+        pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(s11, s12, s22)
+        if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
+            raise _diverged(u_nom, i)
 
         xr1_mid = 0.5 * (xr1_hi + xr1_lo)
         xr2_mid = 0.5 * (xr2_hi + xr2_lo)
@@ -293,7 +341,7 @@ def _sweep_backward(
         v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
         v2 = v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2)
         if not (isfinite(v1) and isfinite(v2)):
-            break
+            raise _diverged(u_nom, i)
 
         j = 4 * i
         s_mv[j] = s11
@@ -304,10 +352,44 @@ def _sweep_backward(
         v_mv[2 * i + 1] = v2
         xr1_hi, xr2_hi, un_hi = xr1_lo, xr2_lo, un_lo
         e11_hi, e12_hi, e21_hi, e22_hi = e11_lo, e12_lo, e21_lo, e22_lo
-    else:  # no break: every value stayed finite
+    else:  # S never repeated
         return s_out, v_out
-    raise DivergenceError(
-        f"riccati sweep diverged at t={u_nom.times()[i]} (weights too stiff for this grid step)"
+
+    # Rows i, ..., 0 remain.  Their forcing G_hi f_{k+1} + G_lo f_k is
+    # written into their V rows, which the recurrence then overwrites
+    # in place, each row read just before it is written.  It is summed
+    # one input column at a time, each term computed in the S rows
+    # before they are filled, so no (m, 2) array is allocated.
+    q2_sym = np.array([[q2_11, q2_12], [q2_12, q2_22]])
+    stages = ((pa1, pa2), (pb1, pb2), (pc1, pc2), (pd1, pd2))
+    rmat, g_hi, g_lo = _stationary_step(a, b, q2_sym, rinv, h, stages)
+    (r11, r12), (r21, r22) = rmat.tolist()
+    m = i + 1
+    tail = v_out[:m]
+    term = s_out[:m].reshape(m, 4)[:, :2]
+    f_lo = (u_nom.samples[:m, None], xref[:m, :1], xref[:m, 1:])
+    f_hi = (u_nom.samples[1 : m + 1, None], xref[1 : m + 1, :1], xref[1 : m + 1, 1:])
+    tail[:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, g in zip(f_lo + f_hi, np.hstack([g_lo, g_hi]).T):
+            np.multiply(f, g, out=term)
+            tail += term
+    s_out[:m] = ((s11, s12), (s12, s22))
+    for k, f1, f2 in zip(range(i, -1, -1), v_mv[2 * i :: -2], v_mv[2 * i + 1 :: -2]):
+        v1, v2 = r11 * v1 + r12 * v2 + f1, r21 * v1 + r22 * v2 + f2
+        v_mv[2 * k] = v1
+        v_mv[2 * k + 1] = v2
+    # x * inf and x * nan are never finite, so a non-finite row makes
+    # every later one non-finite too, and the last row tells
+    if not (isfinite(v1) and isfinite(v2)):
+        finite = np.isfinite(tail).all(axis=1)
+        raise _diverged(u_nom, int(np.flatnonzero(~finite)[-1]))
+    return s_out, v_out
+
+
+def _diverged(u_nom: TimeSeries, k: int) -> DivergenceError:
+    return DivergenceError(
+        f"riccati sweep diverged at t={u_nom.times()[k]} (weights too stiff for this grid step)"
     )
 
 
@@ -337,7 +419,7 @@ def _check_psd(solution: RiccatiSolution) -> None:
     An RK4 step past its stability limit can stay finite and still give
     an indefinite S, whose feedback then drives the state away from the
     reference.  The check runs on the finished sweep, so that
-    _sweep_backward stays the plain RK4 integration.  Rows before
+    _sweep_backward stays the RK4 integration.  Rows before
     stationary_from repeat its S, so only the rows from there on are
     checked; the first bad row in sweep order, the last in time, is named.
     """

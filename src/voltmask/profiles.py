@@ -80,9 +80,13 @@ def check_same_grid(a: TimeSeries, b: TimeSeries) -> None:
         )
 
 
-def _sample_count(span: float, dt: float) -> int:
-    """Samples on a grid of step dt over span, limited to MAX_SAMPLES."""
-    steps = np.floor(span / dt + 1e-9)
+def _sample_count(span: float, dt: float, slack: float = 0.0) -> int:
+    """Samples on a grid of step dt over span, limited to MAX_SAMPLES.
+
+    slack is how far span may fall short of its true value by rounding,
+    in seconds; on top of it, 1e-9 steps are forgiven.
+    """
+    steps = np.floor((span + slack) / dt + 1e-9)
     if not steps < MAX_SAMPLES:
         raise ValueError(
             f"dt {dt} over {span} s gives {steps + 1:.6g} samples, "
@@ -102,8 +106,10 @@ def load_csv(path, target_dt: float) -> TimeSeries:
 
     Rows may be non-uniformly spaced; values are linearly interpolated
     onto the uniform grid starting at the first timestamp with step
-    target_dt.  The grid never extends past the last timestamp, and the
-    rows must span at least one step, so that it has 2 points or more.
+    target_dt.  The grid never extends past the last timestamp by more
+    than one float spacing of the timestamps (a last point that far out
+    takes the last row's value), and the rows must span at least one
+    step, so that it has 2 points or more.
     """
     if not (target_dt > 0.0 and np.isfinite(target_dt)):
         raise ValueError(f"target_dt must be positive and finite, got {target_dt}")
@@ -148,7 +154,10 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
-    n = _sample_count(times[-1] - t0, target_dt)
+    # The span is a difference of two rounded times, off by up to one
+    # float spacing at their size: 2.4e-7 s at Unix times, far above
+    # 1e-9 steps of a short dt.
+    n = _sample_count(times[-1] - t0, target_dt, math.ulp(max(abs(t0), abs(times[-1]))))
     if n < 2:
         raise ValueError(
             f"{path}: rows span {times[-1] - t0} s, less than one step of {target_dt} s; "

@@ -82,6 +82,18 @@ def test_load_csv_never_extends_past_last_row(tmp_path):
     assert ts.times()[-1] == 4.0
 
 
+def test_load_csv_keeps_the_last_sample_at_unix_times(tmp_path):
+    # the span of rows logged from t0 = 1.7e9 s is a difference of rounded
+    # times, off by up to 2.4e-7 s: far more than 1e-9 steps of 0.1 s
+    path = tmp_path / "unix.csv"
+    for n in range(2, 300):
+        ts = TimeSeries(1.7e9, 0.1, np.arange(float(n)))
+        save_csv(ts, path)
+        back = load_csv(path, target_dt=0.1)
+        assert (back.t0, back.dt, len(back)) == (ts.t0, ts.dt, n)
+        assert back.samples.tobytes() == ts.samples.tobytes()
+
+
 def test_load_csv_errors_name_the_line(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("time,current\n0,1\n1,1\n")
@@ -150,7 +162,7 @@ def reference_load_csv(path, target_dt):
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
-    n = _sample_count(times[-1] - t0, target_dt)
+    n = _sample_count(times[-1] - t0, target_dt, math.ulp(max(abs(t0), abs(times[-1]))))
     if n < 2:
         raise ValueError(
             f"{path}: rows span {times[-1] - t0} s, less than one step of {target_dt} s; "
