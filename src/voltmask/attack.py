@@ -341,7 +341,7 @@ def _sweep_backward(
         v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
         v2 = v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2)
         if not (isfinite(v1) and isfinite(v2)):
-            raise _diverged(u_nom, i)
+            raise _overflowed(u_nom, i)  # S is still finite here
 
         j = 4 * i
         s_mv[j] = s11
@@ -380,16 +380,26 @@ def _sweep_backward(
         v_mv[2 * k] = v1
         v_mv[2 * k + 1] = v2
     # x * inf and x * nan are never finite, so a non-finite row makes
-    # every later one non-finite too, and the last row tells
+    # every later one non-finite too, and the last row tells; S is the
+    # stationary S, finite, on all of them
     if not (isfinite(v1) and isfinite(v2)):
         finite = np.isfinite(tail).all(axis=1)
-        raise _diverged(u_nom, int(np.flatnonzero(~finite)[-1]))
+        raise _overflowed(u_nom, int(np.flatnonzero(~finite)[-1]))
     return s_out, v_out
 
 
 def _diverged(u_nom: TimeSeries, k: int) -> DivergenceError:
+    """S left the finite numbers on row k."""
     return DivergenceError(
         f"riccati sweep diverged at t={u_nom.times()[k]} (weights too stiff for this grid step)"
+    )
+
+
+def _overflowed(u_nom: TimeSeries, k: int) -> DivergenceError:
+    """V left the finite numbers on row k, where S is still finite."""
+    return DivergenceError(
+        f"riccati sweep: the forcing overflowed at t={u_nom.times()[k]} "
+        "(profile or reference too large)"
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,16 +111,15 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     than one float spacing of the timestamps (a last point that far out
     takes the last row's value), and the rows must span at least one
     step, so that it has 2 points or more.
+
+    The data rows are parsed in one call to numpy's reader and checked
+    as a whole.  A file that reader refuses, or whose rows fail a check,
+    is read again row by row (_read_rows), which names the first bad
+    line or reads what csv and float() accept beyond numpy's reader.
     """
     if not (target_dt > 0.0 and np.isfinite(target_dt)):
         raise ValueError(f"target_dt must be positive and finite, got {target_dt}")
     path = Path(path)
-    # raw doubles: 8 bytes a cell, not a 24-byte float object and a pointer
-    times = array("d")
-    values = array("d")
-    # math.isfinite on plain floats: np.isfinite would be a ufunc call per cell
-    isfinite = math.isfinite
-    last = -math.inf  # the previous row's time; every finite time follows it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -129,43 +129,86 @@ def load_csv(path, target_dt: float) -> TimeSeries:
             raise ValueError(
                 f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                v = float(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric cell in row {row!r}"
-                ) from None
-            if not (isfinite(t) and isfinite(v)):
-                raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
-            if t <= last:
-                raise ValueError(
-                    f"{path}: line {lineno}: time must be strictly increasing "
-                    f"({t} after {last})"
-                )
-            times.append(t)
-            values.append(v)
-            last = t
+        rows = _read_table(fh)
+        if rows is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            rows = _read_rows(path, reader)
+    times, values = rows
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
-    t0 = times[0]
+    t0, t_end = float(times[0]), float(times[-1])
     # The span is a difference of two rounded times, off by up to one
     # float spacing at their size: 2.4e-7 s at Unix times, far above
     # 1e-9 steps of a short dt.
-    n = _sample_count(times[-1] - t0, target_dt, math.ulp(max(abs(t0), abs(times[-1]))))
+    n = _sample_count(t_end - t0, target_dt, math.ulp(max(abs(t0), abs(t_end))))
     if n < 2:
         raise ValueError(
-            f"{path}: rows span {times[-1] - t0} s, less than one step of {target_dt} s; "
+            f"{path}: rows span {t_end - t0} s, less than one step of {target_dt} s; "
             "need at least 2 grid points"
         )
     grid = t0 + target_dt * np.arange(n)
     samples = np.interp(grid, times, values)
     return TimeSeries(t0, target_dt, samples)
+
+
+def _read_table(fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and values of the rows left in fh, or None for the row reader.
+
+    numpy's reader parses a subset of what csv.reader and float() accept,
+    with the same correctly rounded conversion: no quotes, underscores or
+    non-ASCII digits, and a blank line is skipped where csv skips it.  (It
+    also reads cells longer than csv's field size limit, where csv.reader
+    raises csv.Error.)  None means it refused a row or a row failed a
+    check, and _read_rows must read the file to tell which.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows is the row reader's count to report
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 2 or not np.isfinite(table).all():
+        return None
+    times, values = table.T
+    if not (times[1:] > times[:-1]).all():
+        return None
+    return times, values
+
+
+def _read_rows(path: Path, reader) -> tuple[array, array]:
+    """Times and values of the rows reader has left, checked one row at a time.
+
+    Raises a ValueError naming the first bad row by its line number.
+    """
+    # raw doubles: 8 bytes a cell, not a 24-byte float object and a pointer
+    times = array("d")
+    values = array("d")
+    # math.isfinite on plain floats: np.isfinite would be a ufunc call per cell
+    isfinite = math.isfinite
+    last = -math.inf  # the previous row's time; every finite time follows it
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+        try:
+            t = float(row[0])
+            v = float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric cell in row {row!r}") from None
+        if not (isfinite(t) and isfinite(v)):
+            raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
+        if t <= last:
+            raise ValueError(
+                f"{path}: line {lineno}: time must be strictly increasing ({t} after {last})"
+            )
+        times.append(t)
+        values.append(v)
+        last = t
+    return times, values
 
 
 # rows converted to Python floats at a time; bounds the extra memory

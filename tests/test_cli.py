@@ -286,6 +286,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "dt 1e-09" in err and "samples" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_profile_names_the_forcing(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        # the shipped weights with one profile sample of 1e308 A: S stays
+        # finite and V overflows, so the forcing is named, not the weights
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        u_nom = prepare(load_scenario(scenario_dir / "tc1.json")).u_nom
+        samples = u_nom.samples.copy()
+        samples[100] = 1e308
+        save_csv(u_nom.with_samples(samples), tmp_path / "huge.csv")
+        config = tmp_path / "tc1_huge.json"
+        config.write_text(json.dumps({**raw, "profile": {"csv": "huge.csv"}}))
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "runtime error: riccati sweep: the forcing overflowed at t=100.0 "
+            "(profile or reference too large)\n"
+        )
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def tc1_with_weights(tmp_path, scenario_dir, params_path, q1, q2):
         raw = json.loads((scenario_dir / "tc1.json").read_text())

@@ -1,7 +1,9 @@
 """Time-series grid handling, CSV round trips, and synthetic profiles."""
 
 import csv
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voltmask import TimeSeries, add, load_csv, save_csv, synthetic_profile
+import voltmask.profiles
+from voltmask import BatteryState, TimeSeries, add, load_csv, save_csv, simulate, synthetic_profile
 from voltmask.profiles import MAX_SAMPLES, _sample_count, check_same_grid
+from voltmask.sysid import load_fit_config
 
 
 def test_times():
@@ -172,17 +176,27 @@ def reference_load_csv(path, target_dt):
     return TimeSeries(t0, target_dt, np.interp(grid, times, values))
 
 
-# cells that float() reads, with spaces, underscores and signed zeros,
-# and cells it rejects or reads as non-finite
+# cells that float() reads, with spaces, underscores, signed zeros, NBSP
+# and non-ASCII digits, and cells it rejects or reads as non-finite; numpy's
+# reader refuses the quotes, underscores and non-ASCII digits
 _VALUE_CELLS = st.sampled_from(
-    ["0", "-0.0", "0.0", "1_0", " 2.5", "3.25 ", "-1e-3", "1E2", '"4.5"']
-    + ["nan", "inf", "-inf", "abc", ""]
+    ["0", "-0.0", "0.0", "1_0", " 2.5", "3.25 ", "-1e-3", "1E2", '"4.5"', ".5", "5."]
+    + ["\xa02.5", "2.5\xa0", "\u0661\u0662", "\u0663.\u0665", "2\x0b", "\x0c3"]
+    + ["nan", "inf", "-inf", "infinity", "+nan", "-Infinity", "1e500"]
+    + ["abc", "", "0x1p3", "2\x003", "1 2", "#1"]
 ) | st.floats(-1e3, 1e3).map(repr)
 
 
 @st.composite
 def csv_files(draw):
-    """Text of a CSV profile: mostly valid rows, some of them hostile."""
+    """Text of a CSV profile: mostly valid rows, some of them hostile.
+
+    Hostile lines are blank, whitespace-only or start with '#', have
+    quoted cells, a leading or trailing comma, a wrong column count or a
+    time that does not increase, or a cell from _VALUE_CELLS.  Lines end
+    in LF, CRLF or a lone CR, and about one file in eight has no data
+    rows at all.
+    """
     header = draw(
         st.sampled_from(
             ["time_s,value"] * 6 + [" time_s , value", '"time_s","value"', "time,value"]
@@ -190,14 +204,20 @@ def csv_files(draw):
     )
     lines = [header]
     t = draw(st.floats(-50.0, 50.0))
-    for _ in range(draw(st.integers(0, 30))):
+    n_rows = draw(st.integers(0, 30)) if draw(st.integers(0, 7)) else 0
+    for _ in range(n_rows):
         kind = draw(
             st.sampled_from(
-                ["row"] * 40 + ["blank", "quoted"] * 3 + ["cells", "columns", "backwards"]
+                ["row"] * 40
+                + ["blank", "quoted"] * 3
+                + ["spaces", "comment", "commas", "cells", "columns", "backwards"]
             )
         )
         if kind == "blank":
             lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t", "\xa0", " \x0b"])))
             continue
         if kind == "backwards":
             t -= draw(st.sampled_from([0.0, -0.0, 0.5]))
@@ -211,9 +231,13 @@ def csv_files(draw):
             lines.append(",".join([t_cell, v_cell, v_cell][: draw(st.sampled_from([1, 3]))]))
         elif kind == "quoted":  # a space before a quote keeps the quote in the cell
             lines.append(f'"{t_cell}",{draw(st.sampled_from(["", " "]))}"{v_cell}"')
+        elif kind == "comment":
+            lines.append(f"#{t_cell},{v_cell}")
+        elif kind == "commas":
+            lines.append(draw(st.sampled_from([f",{t_cell},{v_cell}", f"{t_cell},{v_cell},"])))
         else:
             lines.append(f"{t_cell},{v_cell}")
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
@@ -221,6 +245,8 @@ def csv_files(draw):
 @given(text=csv_files(), target_dt=st.sampled_from([0.1, 0.7, 1.0, 2.5]))
 @example(text="time_s,value\n-0.0,1_0\n0.0,2\n", target_dt=1.0)
 @example(text="time_s,value\n0,1\n1,-inf\n", target_dt=1.0)
+@example(text="time_s,value\n\n \n", target_dt=1.0)
+@example(text="time_s,value\r0,1\r\r1,\xa02\r2,\u0663\r", target_dt=1.0)
 def test_load_csv_matches_reference_parser(tmp_path_factory, text, target_dt):
     path = tmp_path_factory.mktemp("csv") / "profile.csv"
     path.write_text(text, newline="")
@@ -234,6 +260,104 @@ def test_load_csv_matches_reference_parser(tmp_path_factory, text, target_dt):
     got = load_csv(path, target_dt)
     assert (got.t0, got.dt) == (want.t0, want.dt)
     assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_header_only_file_raises_no_warning(tmp_path):
+    # numpy's reader warns on a file without data rows; load_csv must not
+    for text in ("time_s,value\n", "time_s,value", "time_s,value\n\n\r\n"):
+        path = tmp_path / "header.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError) as want:
+            reference_load_csv(path, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                load_csv(path, 1.0)
+        assert str(got.value) == str(want.value) == f"{path}: need at least 2 data rows, got 0"
+
+
+def test_row_reader_runs_only_where_the_bulk_read_fails(tmp_path, monkeypatch):
+    calls = []
+    read_rows = voltmask.profiles._read_rows
+
+    def spy(*args):
+        calls.append(args[0])
+        return read_rows(*args)
+
+    monkeypatch.setattr(voltmask.profiles, "_read_rows", spy)
+    path = tmp_path / "profile.csv"
+    save_csv(synthetic_profile("sin_mix", 2.0, 0.5, 300.0, 1.0, seed=3), path)
+    load_csv(path, 1.0)
+    assert calls == []
+    # underscores are float()'s and not numpy's: the row reader reads them
+    path.write_text("time_s,value\n0,1_0\n1,2\n")
+    assert load_csv(path, 1.0).samples.tolist() == [10.0, 2.0]
+    assert calls == [path]
+
+
+OCV_DT = 4.0
+
+
+@pytest.fixture(scope="module")
+def fit_rc_dir(tmp_path_factory, params_path, cell):
+    """A fit file like the benchmark's fit-rc workload and its six records:
+    OCV sweeps at 0.2 A and dt 4 s (17 903 rows each) and a 1500 s
+    excitation record at dt 1 s with 1 mV noise."""
+    base = tmp_path_factory.mktemp("fit_rc")
+    (base / "cell.json").write_text(params_path.read_text())
+    n = int(cell.capacity_q / 0.2 / OCV_DT) + 1
+    for name, amp, soc0 in (("chg", -0.2, 0.0), ("dis", 0.2, 1.0)):
+        current = TimeSeries(0.0, OCV_DT, np.full(n, amp))
+        save_csv(current, base / f"{name}_i.csv")
+        save_csv(simulate(cell, BatteryState(soc0, 0.0), current).voltage, base / f"{name}_v.csv")
+    current = synthetic_profile("sin_mix", 4.0, 0.5, 1500.0, 1.0, seed=9)
+    voltage = simulate(cell, BatteryState(0.55, 0.0), current).voltage
+    noise = 1e-3 * np.random.default_rng(9).standard_normal(len(voltage))
+    save_csv(current, base / "exc_i.csv")
+    save_csv(voltage.with_samples(voltage.samples + noise), base / "exc_v.csv")
+    ocv = {
+        "charge_current_csv": "chg_i.csv",
+        "charge_voltage_csv": "chg_v.csv",
+        "discharge_current_csv": "dis_i.csv",
+        "discharge_voltage_csv": "dis_v.csv",
+        "dt": OCV_DT,
+    }
+    rc = {
+        "current_csv": "exc_i.csv",
+        "voltage_csv": "exc_v.csv",
+        "dt": 1.0,
+        "frozen": ["capacity_q"],
+        "soc0": 0.55,
+        "vc0": 0.0,
+    }
+    config = {"initial_params_file": "cell.json", "ocv": ocv, "rc": rc}
+    (base / "fit.json").write_text(json.dumps(config))
+    return base
+
+
+def test_fit_records_load_as_the_reference_parser_reads_them(fit_rc_dir):
+    config = load_fit_config(fit_rc_dir / "fit.json")
+    loaded = [*config.charge, *config.discharge, *config.record]
+    names = ["chg_i", "chg_v", "dis_i", "dis_v", "exc_i", "exc_v"]
+    for series, name, dt in zip(loaded, names, [OCV_DT] * 4 + [1.0] * 2):
+        want = reference_load_csv(fit_rc_dir / f"{name}.csv", dt)
+        assert (series.t0, series.dt, len(series)) == (want.t0, want.dt, len(want))
+        assert series.samples.tobytes() == want.samples.tobytes()
+    assert len(config.charge[1]) == 17_903
+
+
+def test_bad_cell_deep_in_a_record_is_named_by_its_line(fit_rc_dir, tmp_path):
+    lines = (fit_rc_dir / "chg_v.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 17_904  # the header and 17 903 rows
+    lines[16_999] = lines[16_999].replace(",", ",4.1x", 1)  # line 17 000
+    path = tmp_path / "chg_v.csv"
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(ValueError) as want:
+        reference_load_csv(path, OCV_DT)
+    with pytest.raises(ValueError) as got:
+        load_csv(path, OCV_DT)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{path}: line 17000: non-numeric cell in row ")
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
