@@ -122,19 +122,22 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected header 'time_s,value'")
-        if [c.strip() for c in header] != list(CSV_HEADER):
-            raise ValueError(
-                f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
-            )
-        rows = _read_table(fh)
-        if rows is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            rows = _read_rows(path, reader)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header 'time_s,value'")
+            if [c.strip() for c in header] != list(CSV_HEADER):
+                raise ValueError(
+                    f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
+                )
+            rows = _read_table(fh)
+            if rows is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                rows = _read_rows(path, reader)
+        except csv.Error as exc:  # a cell over csv's field size limit, in the header or a row
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     times, values = rows
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")

@@ -100,18 +100,27 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
 
     Every run starts where the attack's model trajectory starts, and
     the attacked model trajectory is the synthesis rollout's own.  The
-    measurement noise is drawn once, from the plant's seed.
+    measurement noise is drawn once, from the plant's seed; a noisy
+    voltage that overflows is named with its first time.
     """
     x0 = BatteryState(attack.model.soc[0], attack.model.vc[0])
     u_nom = attack.u_nom
     plant_att = simulate(plant.true_params, x0, add(u_nom, attack.u_a))
-    noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
+    with np.errstate(over="ignore"):
+        noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
+        y_plant = plant_att.voltage.samples + noise
+    bad = np.flatnonzero(~np.isfinite(y_plant))
+    if bad.size:
+        t, v = u_nom.times()[bad[0]], y_plant[bad[0]]
+        raise FloatingPointError(
+            f"noisy plant voltage is not finite at t={t} ({v} V, noise_std = {plant.noise_std})"
+        )
     return _Trajectories(
         nom_model=simulate(attack.params, x0, u_nom),
         att_model=attack.model,
         plant_att=plant_att,
         plant_nom=simulate(plant.true_params, x0, u_nom),
-        y_plant=plant_att.voltage.samples + noise,
+        y_plant=y_plant,
     )
 
 

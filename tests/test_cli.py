@@ -149,9 +149,10 @@ class TestScenarioCommand:
 
     def test_outputs_do_not_depend_on_the_profile_start(self, tmp_path, params_path, capsys):
         # one profile at dt = 0.1 s written from t0 = 0 and from a Unix time,
-        # where t0 + k*dt is inexact: only the t columns may differ
+        # where t0 + k*dt is inexact: only the t columns may differ; from
+        # t0 = 1.7e9 s, the span of 2999 samples rounds to just under 2998 steps
         config = small_scenario(tmp_path, params_path, dt=0.1)
-        samples = prepare(load_scenario(config)).u_nom.samples
+        samples = prepare(load_scenario(config)).u_nom.samples[:2999]
         outs = []
         for t0 in (0.0, 1.7e9):
             save_csv(TimeSeries(t0, 0.1, samples), tmp_path / f"u_{t0}.csv")
@@ -164,7 +165,8 @@ class TestScenarioCommand:
         for name in ("attack.csv", "riccati.csv"):
             header, want = read_rows(start / name)
             _, got = read_rows(shifted / name)
-            assert header[0] == "t" and got.shape == want.shape
+            # every sample of the profile loads back from either start
+            assert header[0] == "t" and got.shape == want.shape == (samples.size, len(header))
             assert got[:, 1:].tobytes() == want[:, 1:].tobytes(), name
             np.testing.assert_array_equal(got[:, 0], 1.7e9 + 0.1 * np.arange(len(got)))
 
@@ -615,6 +617,47 @@ class TestExitCodes:
             captured.err,
         )
         assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    # A noise_std of 1e308 overflows the draw itself; at 1e300 the draw and
+    # the voltages stay finite and the residual's sum of squares overflows.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("command", "noise_std", "message"),
+        [
+            ("scenario", 1e308, "noisy plant voltage is not finite at t=12.0 "
+                                "(-inf V, noise_std = 1e+308)"),
+            ("sweep", 1e308, "noisy plant voltage is not finite at t=12.0 "
+                             "(-inf V, noise_std = 1e+308)"),
+            ("scenario", 1e300, "summary.json: field 'residual_rms_V' is not finite (inf)"),
+            ("sweep", 1e300, "sweep.csv: residual_rms_V at k_a = -0.1 is not finite (inf)"),
+        ],
+        ids=["scenario-1e308", "sweep-1e308", "scenario-1e300", "sweep-1e300"],
+    )
+    def test_overflowing_noise_is_named(
+        self, tmp_path, scenario_dir, params_path, capsys, command, noise_std, message
+    ):
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["plant_overrides"] = {"noise_std": noise_std}
+        config = tmp_path / "tc1_noisy.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"runtime error: {message}\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_csv_cell_over_the_field_limit_is_named(self, tmp_path, params_path, capsys):
+        (tmp_path / "drive.csv").write_text(f"time_s,value\n0,1\n300,{'9' * 140_000}\n")
+        config = small_scenario(tmp_path, params_path, profile={"csv": "drive.csv"})
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'drive.csv'}: line 3: "
+            "field larger than field limit (131072)\n"
+        )
         assert list(out.iterdir()) == []
 
     @settings(max_examples=25, deadline=None)

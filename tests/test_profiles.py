@@ -129,40 +129,44 @@ def test_load_csv_errors_name_the_line(tmp_path):
 
 
 def reference_load_csv(path, target_dt):
-    """load_csv as first written: np.isfinite on every row's two floats."""
+    """load_csv as first written: np.isfinite on every row's two floats,
+    and csv's own errors named by their line."""
     path = Path(path)
     times = []
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected header 'time_s,value'")
-        if [c.strip() for c in header] != ["time_s", "value"]:
-            raise ValueError(
-                f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t = float(row[0])
-                v = float(row[1])
-            except ValueError:
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header 'time_s,value'")
+            if [c.strip() for c in header] != ["time_s", "value"]:
                 raise ValueError(
-                    f"{path}: line {lineno}: non-numeric cell in row {row!r}"
-                ) from None
-            if not (np.isfinite(t) and np.isfinite(v)):
-                raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
-            if times and t <= times[-1]:
-                raise ValueError(
-                    f"{path}: line {lineno}: time must be strictly increasing "
-                    f"({t} after {times[-1]})"
+                    f"{path}: line 1: expected header 'time_s,value', got {','.join(header)!r}"
                 )
-            times.append(t)
-            values.append(v)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    t = float(row[0])
+                    v = float(row[1])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-numeric cell in row {row!r}"
+                    ) from None
+                if not (np.isfinite(t) and np.isfinite(v)):
+                    raise ValueError(f"{path}: line {lineno}: non-finite cell in row {row!r}")
+                if times and t <= times[-1]:
+                    raise ValueError(
+                        f"{path}: line {lineno}: time must be strictly increasing "
+                        f"({t} after {times[-1]})"
+                    )
+                times.append(t)
+                values.append(v)
+        except csv.Error as exc:  # a cell over csv's field size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(times) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(times)}")
     t0 = times[0]
@@ -178,12 +182,13 @@ def reference_load_csv(path, target_dt):
 
 # cells that float() reads, with spaces, underscores, signed zeros, NBSP
 # and non-ASCII digits, and cells it rejects or reads as non-finite; numpy's
-# reader refuses the quotes, underscores and non-ASCII digits
+# reader refuses the quotes, underscores and non-ASCII digits, and reads the
+# 140 000 nines, longer than csv's field size limit, as inf
 _VALUE_CELLS = st.sampled_from(
     ["0", "-0.0", "0.0", "1_0", " 2.5", "3.25 ", "-1e-3", "1E2", '"4.5"', ".5", "5."]
     + ["\xa02.5", "2.5\xa0", "\u0661\u0662", "\u0663.\u0665", "2\x0b", "\x0c3"]
     + ["nan", "inf", "-inf", "infinity", "+nan", "-Infinity", "1e500"]
-    + ["abc", "", "0x1p3", "2\x003", "1 2", "#1"]
+    + ["abc", "", "0x1p3", "2\x003", "1 2", "#1", "9" * 140_000]
 ) | st.floats(-1e3, 1e3).map(repr)
 
 
@@ -247,6 +252,7 @@ def csv_files(draw):
 @example(text="time_s,value\n0,1\n1,-inf\n", target_dt=1.0)
 @example(text="time_s,value\n\n \n", target_dt=1.0)
 @example(text="time_s,value\r0,1\r\r1,\xa02\r2,\u0663\r", target_dt=1.0)
+@example(text="time_s,value\n0,1\n1," + "9" * 140_000 + "\n", target_dt=1.0)
 def test_load_csv_matches_reference_parser(tmp_path_factory, text, target_dt):
     path = tmp_path_factory.mktemp("csv") / "profile.csv"
     path.write_text(text, newline="")
