@@ -33,7 +33,7 @@ from .ecm import (
     load_params,
 )
 from .metrics import KaSweepResult, ScenarioSummary
-from .profiles import TimeSeries, load_csv, synthetic_profile
+from .profiles import TimeSeries, _synthetic_length, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
 
 __all__ = [
@@ -109,6 +109,10 @@ def load_scenario(path) -> ScenarioConfig:
             key: _read_field(profile_raw, key, kind, pctx, _REQUIRED)
             for key, kind in _PROFILE_SYNTH_KINDS.items()
         }
+        try:
+            _synthetic_length(profile["kind"], profile["duration"], dt)
+        except ValueError as exc:
+            raise ConfigError(f"{pctx}: {exc}") from None
 
     ref_raw = _read_field(raw, "reference", dict, ctx, _REQUIRED)
     rctx = f"{ctx}: reference"

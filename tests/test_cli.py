@@ -6,12 +6,13 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voltmask.attack
@@ -286,7 +287,52 @@ class TestExitCodes:
         config = small_scenario(tmp_path, params_path, dt=1e-9)
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "dt 1e-09" in err and "samples" in err
+        assert err.startswith(f"config error: {config}: profile: dt 1e-09 over 300.0 s gives ")
+        assert "samples" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration", -5.0, "duration -5.0 is shorter than dt 1.0"),
+            (
+                "kind",
+                "foo",
+                "unknown profile kind 'foo'; expected constant, sin_mix, or pulse_train",
+            ),
+        ],
+    )
+    def test_bad_synthetic_profile_names_the_config(
+        self, tmp_path, params_path, capsys, field, value, message
+    ):
+        profile = {"kind": "sin_mix", "amplitude": 2.0, "bias": 1.0, "duration": 300.0, "seed": 11}
+        config = small_scenario(tmp_path, params_path, profile={**profile, field: value})
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {config}: profile: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_synthetic_profile_is_named(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["profile"] = {
+            "kind": "sin_mix",
+            "amplitude": 1e308,
+            "bias": 1e308,
+            "duration": 2000.0,
+            "seed": 3,
+        }
+        config = tmp_path / "tc1_overflow.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sin_mix profile is not finite: "
+            "amplitude 1e+308 and bias 1e+308 overflow\n"
+        )
+        assert list(out.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_profile_names_the_forcing(
@@ -682,26 +728,99 @@ class TestExitCodes:
             assert list(out.iterdir()) == []
 
 
+def csv_module_bytes(path, header, columns):
+    """What csv.writer writes for these columns, every cell the repr of a float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(columns[0])):
+            writer.writerow([repr(float(col[k])) for col in columns])
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700])
 def test_csv_writer_matches_csv_module_bytes(tmp_path, n):
     # values around chunk boundaries, with signed zeros, non-finite values,
-    # tiny and huge magnitudes, and an integer column (written as floats)
+    # tiny and huge magnitudes, and an integer column (written as floats);
+    # the last five columns repeat values, so they are written by runs
     rng = np.random.default_rng(n)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1])
+    crossing = np.full(n, 2.5)
+    crossing[250:301] = -1.25  # one run across the first chunk boundary
+    crossing[::120] = rng.normal(0.0, 1.0, crossing[::120].size)
+    nan_run = np.full(n, 0.3)
+    nan_run[n // 3 : n // 2] = np.nan
+    s = np.zeros((n, 2, 2))
+    s[:, 0, 0] = np.repeat(rng.normal(0.0, 1.0, n // 20 + 1), 20)[:n]
     columns = [
         rng.normal(0.0, 1e3, n),
         np.resize(special, n),
         rng.normal(0.0, 1.0, (n, 3))[:, 1],
         np.arange(n),
+        np.full(n, 0.1),
+        crossing,
+        np.resize([0.0, 0.0, -0.0, -0.0, 0.0], n),  # 0.0 next to -0.0, in runs
+        nan_run,
+        s[:, 0, 0],
     ]
-    header = ["a", "b", "c", "d"]
+    header = list("abcdefghi")
     _write_csv(tmp_path / "fast.csv", header, columns)
-    with open(tmp_path / "slow.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(n):
-            writer.writerow([repr(float(col[k])) for col in columns])
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+    expected = csv_module_bytes(tmp_path / "slow.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == expected
+
+
+# few distinct values, among them the ones == confuses: 0.0 and -0.0 compare
+# equal, and NaN compares unequal to itself
+_RUN_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -2.5]
+
+
+@st.composite
+def run_columns(draw):
+    """Columns of runs of pool values, n near 0 and the chunk boundaries."""
+    n = draw(st.sampled_from([0, 1, 2, 254, 255, 256, 257, 258]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        runs = draw(
+            st.lists(
+                st.tuples(st.sampled_from(_RUN_VALUES), st.integers(1, 60)),
+                min_size=1,
+                max_size=30,
+            )
+        )
+        columns.append(np.resize(np.repeat([v for v, _ in runs], [k for _, k in runs]), n))
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=run_columns())
+@example(columns=[np.resize([0.0, 0.0, -0.0, -0.0, np.nan, np.nan], 257)])
+def test_csv_writer_of_runs_matches_csv_module_bytes(tmp_path_factory, columns):
+    tmp_path = tmp_path_factory.mktemp("runs")
+    header = [f"c{k}" for k in range(len(columns))]
+    _write_csv(tmp_path / "fast.csv", header, columns)
+    expected = csv_module_bytes(tmp_path / "slow.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == expected
+
+
+def test_csv_writer_holds_under_half_a_megabyte(tmp_path):
+    # a scenario-long-sized attack.csv and riccati.csv: what the writer
+    # holds is one chunk's texts, not a column's.  It peaks near 0.2 MB;
+    # 1024-row chunks peak near 0.77 MB, and texts of whole run columns
+    # near 1.7 MB.
+    n = 50_001
+    rng = np.random.default_rng(5)
+    distinct = [rng.normal(0.0, 1.0, n) for _ in range(10)]
+    s = np.zeros((n, 2, 2))
+    s[:, 0, 0] = np.repeat(rng.normal(0.0, 1.0, n // 100 + 1), 100)[:n]
+    runs = [np.arange(n, dtype=float), s[:, 0, 0], s[:, 0, 1], s[:, 1, 1], distinct[0], s[:, 1, 0]]
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "attack.csv", list("abcdefghij"), distinct)
+        _write_csv(tmp_path / "riccati.csv", list("abcdef"), runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 class TestFitCommand:
