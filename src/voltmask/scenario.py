@@ -54,11 +54,13 @@ _PROFILE_SYNTH_KINDS = {"kind": str, "amplitude": float, "bias": float, "duratio
 class ScenarioConfig:
     """Parsed scenario file: every value checked and typed, paths absolute.
 
-    profile is the CSV path or the synthetic_profile keyword arguments
-    other than dt; reference spans the profile grid, its soc_start
-    defaulted to x0.soc.
+    path is the scenario file, which prepare's errors name; profile is
+    the CSV path or the synthetic_profile keyword arguments other than
+    dt; reference spans the profile grid, its soc_start defaulted to
+    x0.soc.
     """
 
+    path: Path
     params_file: Path
     dt: float
     x0: BatteryState
@@ -166,6 +168,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{ctx}: field 'i_max' must be a positive number, got {i_max!r}")
 
     return ScenarioConfig(
+        path=path,
         params_file=params_file,
         dt=dt,
         x0=x0,
@@ -210,7 +213,10 @@ def prepare(config: ScenarioConfig) -> PreparedScenario:
     if isinstance(config.profile, Path):
         u_nom = load_csv(config.profile, config.dt)
     else:
-        u_nom = synthetic_profile(dt=config.dt, **config.profile)
+        try:
+            u_nom = synthetic_profile(dt=config.dt, **config.profile)
+        except ValueError as exc:
+            raise ConfigError(f"{config.path}: profile: {exc}") from None
     return PreparedScenario(
         adv_params=adv_params,
         plant=plant,

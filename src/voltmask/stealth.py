@@ -37,6 +37,7 @@ import numpy as np
 
 from .attack import InputAttackResult
 from .ecm import BatteryState, EcmParams, SimulationResult, simulate
+from .ecm import _terminal_voltages, _voltage_series
 from .profiles import TimeSeries, add
 
 __all__ = [
@@ -86,7 +87,13 @@ class StealthResult:
 
 @dataclass(frozen=True, eq=False)
 class _Trajectories:
-    """The masking trajectories and the noisy plant voltage; none depends on k_a."""
+    """The masking trajectories and the noisy plant voltage; none depends on k_a.
+
+    When the plant's capacity_q, r1 and c1 equal the model's, plant_att
+    holds att_model's states and plant_nom nom_model's, each with the
+    plant's own voltage readout; the states move through those three
+    parameters alone, so sharing them is exact.
+    """
 
     nom_model: SimulationResult
     att_model: SimulationResult
@@ -95,17 +102,32 @@ class _Trajectories:
     y_plant: np.ndarray
 
 
+def _readout(params: EcmParams, states: SimulationResult, current: TimeSeries) -> SimulationResult:
+    """states with the terminal voltage of params under current."""
+    volts = _terminal_voltages(params, states.soc, states.vc, current.samples)
+    return SimulationResult(states.soc, states.vc, _voltage_series(current, volts))
+
+
 def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Trajectories:
     """Run the model without and the plant without and with the injection.
 
     Every run starts where the attack's model trajectory starts, and
     the attacked model trajectory is the synthesis rollout's own.  The
-    measurement noise is drawn once, from the plant's seed; a noisy
-    voltage that overflows is named with its first time.
+    state moves only through capacity_q, r1 and c1, while r0 and the OCV
+    curve enter only the voltage readout.  So when the plant's capacity_q,
+    r1 and c1 equal the model's, its states under a current are the
+    model's bit for bit (test_rollout_model_equals_simulation_bit_for_bit
+    pins the rollout to simulate), and only the plant's readout is
+    computed; otherwise each plant run is simulated.  The measurement
+    noise is drawn once, from the plant's seed; a noisy voltage that
+    overflows is named with its first time.
     """
     x0 = BatteryState(attack.model.soc[0], attack.model.vc[0])
     u_nom = attack.u_nom
-    plant_att = simulate(plant.true_params, x0, add(u_nom, attack.u_a))
+    u_att = add(u_nom, attack.u_a)
+    true, model = plant.true_params, attack.params
+    same = (true.capacity_q, true.r1, true.c1) == (model.capacity_q, model.r1, model.c1)
+    plant_att = _readout(true, attack.model, u_att) if same else simulate(true, x0, u_att)
     with np.errstate(over="ignore"):
         noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
         y_plant = plant_att.voltage.samples + noise
@@ -115,11 +137,12 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
         raise FloatingPointError(
             f"noisy plant voltage is not finite at t={t} ({v} V, noise_std = {plant.noise_std})"
         )
+    nom_model = simulate(model, x0, u_nom)
     return _Trajectories(
-        nom_model=simulate(attack.params, x0, u_nom),
+        nom_model=nom_model,
         att_model=attack.model,
         plant_att=plant_att,
-        plant_nom=simulate(plant.true_params, x0, u_nom),
+        plant_nom=_readout(true, nom_model, u_nom) if same else simulate(true, x0, u_nom),
         y_plant=y_plant,
     )
 

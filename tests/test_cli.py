@@ -329,7 +329,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "config error: sin_mix profile is not finite: "
+            f"config error: {config}: profile: sin_mix profile is not finite: "
             "amplitude 1e+308 and bias 1e+308 overflow\n"
         )
         assert list(out.iterdir()) == []

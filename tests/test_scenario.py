@@ -180,13 +180,9 @@ def test_sweep_scenario_matches_selection(scenario_dir):
     assert (result.argmin_ka, result.argmin_rms) == select_argmin(result.rows)
 
 
-@pytest.mark.parametrize("n_gains", [1, 3, 12])
-def test_masking_runs_each_simulation_once(scenario_dir, monkeypatch, n_gains):
-    """A scenario or a sweep of any length costs three stepping-kernel runs.
-
-    The attacked model trajectory is the synthesis rollout's own, so only
-    the nominal model and the nominal and attacked plant are simulated.
-    """
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The argument tuples of every stepping-kernel run, in order."""
     calls = []
     kernel = ecm._simulate_arrays
 
@@ -195,9 +191,40 @@ def test_masking_runs_each_simulation_once(scenario_dir, monkeypatch, n_gains):
         return kernel(*args)
 
     monkeypatch.setattr(ecm, "_simulate_arrays", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_gains", [1, 3, 12])
+def test_masking_runs_each_simulation_once(scenario_dir, kernel_calls, n_gains):
+    """A scenario or a sweep of any length costs one stepping-kernel run
+    when the plant's capacity, r1 and c1 are the model's.
+
+    The attacked model trajectory is the synthesis rollout's own and the
+    r0-only plant shares the model's states, so only the nominal model
+    is simulated.
+    """
     prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
     run_scenario(prep)
-    assert len(calls) == 3
-    calls.clear()
+    assert len(kernel_calls) == 1
+    kernel_calls.clear()
     sweep_scenario(prep, [-0.5 + 0.1 * i for i in range(n_gains)])
-    assert len(calls) == 3
+    assert len(kernel_calls) == 1
+
+
+def test_masking_without_mismatch_runs_the_kernel_once(scenario_dir, kernel_calls):
+    run_scenario(prepare(load_scenario(scenario_dir / "tc1.json")))
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("name", ["r1", "capacity_q"])
+def test_state_mismatch_simulates_each_plant_run(scenario_dir, kernel_calls, name):
+    """A plant whose states move apart from the model's is simulated under
+    u_nom + u_a and under u_nom, besides the nominal model."""
+    prep = prepare(load_scenario(scenario_dir / "tc1_mismatch.json"))
+    true = replace(prep.plant.true_params, **{name: 1.1 * getattr(prep.adv_params, name)})
+    prep = replace(prep, plant=replace(prep.plant, true_params=true))
+    run_scenario(prep)
+    assert len(kernel_calls) == 3
+    kernel_calls.clear()
+    sweep_scenario(prep, [-0.5, 0.0, 0.5])
+    assert len(kernel_calls) == 3

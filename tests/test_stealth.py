@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from voltmask import (
     AttackWeights,
     BatteryState,
+    OcvCurve,
     PlantConfig,
     ReferenceTrajectory,
     add,
@@ -20,6 +21,7 @@ from voltmask import (
     synthesize_input_attack,
     synthetic_profile,
 )
+from voltmask.stealth import _simulate_trajectories
 
 
 @pytest.fixture()
@@ -194,3 +196,52 @@ def test_final_soc_fields_track_the_plant(cell, injection):
     res = feedback_output_attack(atk, plant, 0.0)
     assert res.plant_nominal.soc[-1] == simulate(true, x0, u_nom).soc[-1]
     assert res.plant_attacked.soc[-1] == simulate(true, x0, add(u_nom, atk.u_a)).soc[-1]
+
+
+@st.composite
+def _plants(draw, cell, share_states):
+    """A plant that differs from cell in r0, the OCV curve or noise only
+    (share_states), or also in at least one of capacity_q, r1 and c1."""
+    factor = st.floats(0.5, 2.0)
+    changes = {"r0": cell.r0 * draw(factor)}
+    if draw(st.booleans()):
+        rises = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=6))
+        changes["ocv"] = OcvCurve(
+            tuple(np.linspace(0.0, 1.0, len(rises) + 1)), tuple(3.1 + np.cumsum([0.0, *rises]))
+        )
+    if not share_states:
+        names = draw(st.sets(st.sampled_from(["capacity_q", "r1", "c1"]), min_size=1))
+        changes.update({name: getattr(cell, name) * draw(factor) for name in sorted(names)})
+    return PlantConfig(
+        true_params=dataclasses.replace(cell, **changes),
+        noise_std=draw(st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 1e-2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _assert_same_run(got, want):
+    assert got.soc.tobytes() == want.soc.tobytes()
+    assert got.vc.tobytes() == want.vc.tobytes()
+    assert got.voltage.samples.tobytes() == want.voltage.samples.tobytes()
+    assert (got.voltage.t0, got.voltage.dt) == (want.voltage.t0, want.voltage.dt)
+    assert got.soc_violation == want.soc_violation
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=attack_setups(), share_states=st.booleans(), data=st.data())
+def test_masking_trajectories_equal_plain_simulations_bit_for_bit(setup, share_states, data):
+    # whether the plant runs share the model's states or are simulated,
+    # every trajectory is what simulating it from the start gives
+    cell, weights, ref, u_nom, x0 = setup
+    atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    plant = data.draw(_plants(cell, share_states))
+    true = plant.true_params
+    traj = _simulate_trajectories(atk, plant)
+    u_att = add(u_nom, atk.u_a)
+    plant_att = simulate(true, x0, u_att)
+    _assert_same_run(traj.nom_model, simulate(cell, x0, u_nom))
+    assert traj.att_model is atk.model
+    _assert_same_run(traj.plant_att, plant_att)
+    _assert_same_run(traj.plant_nom, simulate(true, x0, u_nom))
+    noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
+    assert traj.y_plant.tobytes() == (plant_att.voltage.samples + noise).tobytes()
