@@ -25,9 +25,10 @@ the half-step stage points.  Step size and position come from the
 uniform grid (t0, dt, n) alone, never from differences of rounded grid
 times, so no output but a time column depends on the profile's t0.  Once
 S is stationary bit for bit, every remaining V step is one fixed affine
-map, stepped as such (_stationary_step).  The synthesized trajectory is
-then rolled out forward with the exact zero-order-hold cell model,
-closing the loop on the adversary's own simulated state.
+map, whose coefficients are that same RK4 step applied to unit inputs.
+The synthesized trajectory is then rolled out forward with the exact
+zero-order-hold cell model, closing the loop on the adversary's own
+simulated state.
 
 solve_riccati runs the sweep alone, rejects an S that left the positive
 semidefinite cone, and returns a RiccatiSolution on the profile grid.
@@ -171,49 +172,6 @@ class RiccatiSolution:
         object.__setattr__(self, "stationary_from", settled if settled > 0 else None)
 
 
-def _stationary_step(
-    a: np.ndarray,
-    b: np.ndarray,
-    q2: np.ndarray,
-    rinv: float,
-    h: float,
-    stages: tuple[tuple[float, float], ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step of the V equation at a fixed S, as an affine map.
-
-    stages holds b'S at the four RK4 stage points (S symmetric, so S b).
-    With S fixed, dV/dt = M V + p u_nom - q2 x_ref with M = -a' + p b'/r
-    at each stage, so the step is linear in V and in the inputs at both
-    ends of the step; the midpoint inputs are the averages of the end
-    ones.  Returns R (2x2), G_hi and G_lo (2x3) such that
-
-        v_k = R v_{k+1} + G_hi f_{k+1} + G_lo f_k,   f = (u_nom, x_ref1, x_ref2).
-
-    Each stage of the step is carried as a 2x8 matrix acting on
-    (v_{k+1}, f_{k+1}, f_k).
-    """
-    hh = 0.5 * h
-    h6 = h / 6.0
-    v = np.eye(2, 8)  # v_{k+1} itself
-
-    def rhs(p, w, hi, lo):
-        p = np.array(p)
-        m = np.outer(p, b) * rinv - a.T
-        force = np.column_stack([p, -q2])  # acting on f
-        # m @ w with its two terms written out: the first matrix product
-        # in a process runs BLAS and costs about 0.3 MB of resident memory
-        mw = m[:, :1] * w[:1] + m[:, 1:] * w[1:]
-        return mw + np.hstack([np.zeros((2, 2)), hi * force, lo * force])
-
-    pa, pb, pc, pd = stages
-    ka = rhs(pa, v, 1.0, 0.0)
-    kb = rhs(pb, v + hh * ka, 0.5, 0.5)
-    kc = rhs(pc, v + hh * kb, 0.5, 0.5)
-    kd = rhs(pd, v + h * kc, 0.0, 1.0)
-    step = v + h6 * (ka + 2.0 * kb + 2.0 * kc + kd)
-    return step[:, :2], step[:, 2:5], step[:, 5:]
-
-
 def _sweep_backward(
     a: np.ndarray,
     b: np.ndarray,
@@ -226,18 +184,19 @@ def _sweep_backward(
     """RK4 backward integration of the coupled S / V equations on u_nom's grid.
 
     Every step is -u_nom.dt.  Works on scalarized entries (S symmetric, so
-    three S scalars plus two for V), and splits each RK4 step in two
-    parts.  The S part depends only on S, because the S equation never
-    sees u_nom or x_ref; it returns b'S at the four stage points and the
-    stepped S.  The V part is one unrolled update that uses the four b'S
-    pairs.  Until S repeats, both parts do the float operations of one
-    RK4 step of the five coupled scalars in the same order.
+    three S scalars plus two for V); rk4_step takes one RK4 step of the
+    five coupled scalars from the inputs (u_nom, x_ref) at both ends of
+    the step.
 
-    Once S is the same bit for bit as on the step before, the S part
-    returns the same values on every remaining step, so S is stationary
-    and the V step is a fixed affine map (_stationary_step).  The rest
-    of the sweep runs that map: S rows are the stationary S, and V rows
-    differ from the stepwise RK4 at rounding level only.
+    Once S is the same bit for bit as on the step before, the S equation
+    (which never sees u_nom or x_ref) returns the same S on every
+    remaining step, so S is stationary.  At a fixed S the V step is
+    linear in V and in the inputs at both ends of the step, so it is the
+    affine map v_k = R v_{k+1} + G_hi f_{k+1} + G_lo f_k with
+    f = (u_nom, x_ref1, x_ref2), whose columns are the V outputs of
+    rk4_step on unit inputs.  The rest of the sweep runs that map: S rows
+    are the stationary S, and V rows differ from the stepwise RK4 at
+    rounding level only.
     """
     a11, a12 = float(a[0, 0]), float(a[0, 1])
     a21, a22 = float(a[1, 0]), float(a[1, 1])
@@ -260,16 +219,47 @@ def _sweep_backward(
         ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
         return p1, p2, ds11, ds12, ds22
 
-    def s_part(s11, s12, s22):
+    def rk4_step(s11, s12, s22, v1, v2, un_hi, xr1_hi, xr2_hi, un_lo, xr1_lo, xr2_lo):
+        # the V equation sees S only through p = b'S (S symmetric, so S b)
         pa1, pa2, ka11, ka12, ka22 = s_rhs(s11, s12, s22)
         pb1, pb2, kb11, kb12, kb22 = s_rhs(s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22)
         pc1, pc2, kc11, kc12, kc22 = s_rhs(s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22)
         pd1, pd2, kd11, kd12, kd22 = s_rhs(s11 + h * kc11, s12 + h * kc12, s22 + h * kc22)
+        # e.._hi, e.._mid, e.._lo are the q2 x_ref products of dv1 (e11, e12)
+        # and dv2 (e21, e22) at the upper node, the midpoint and the lower node
+        xr1_mid = 0.5 * (xr1_hi + xr1_lo)
+        xr2_mid = 0.5 * (xr2_hi + xr2_lo)
+        un_mid = 0.5 * (un_hi + un_lo)
+        e11_hi, e12_hi = q2_11 * xr1_hi, q2_12 * xr2_hi
+        e21_hi, e22_hi = q2_12 * xr1_hi, q2_22 * xr2_hi
+        e11_mid, e12_mid = q2_11 * xr1_mid, q2_12 * xr2_mid
+        e21_mid, e22_mid = q2_12 * xr1_mid, q2_22 * xr2_mid
+        e11_lo, e12_lo = q2_11 * xr1_lo, q2_12 * xr2_lo
+        e21_lo, e22_lo = q2_12 * xr1_lo, q2_22 * xr2_lo
+        btv = b1 * v1 + b2 * v2
+        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e11_hi + e12_hi)
+        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e21_hi + e22_hi)
+        w1 = v1 + hh * ka1
+        w2 = v2 + hh * ka2
+        btv = b1 * w1 + b2 * w2
+        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e11_mid + e12_mid)
+        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e21_mid + e22_mid)
+        w1 = v1 + hh * kb1
+        w2 = v2 + hh * kb2
+        btv = b1 * w1 + b2 * w2
+        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e11_mid + e12_mid)
+        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e21_mid + e22_mid)
+        w1 = v1 + h * kc1
+        w2 = v2 + h * kc2
+        btv = b1 * w1 + b2 * w2
+        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e11_lo + e12_lo)
+        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e21_lo + e22_lo)
         return (
-            pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2,
             s11 + h6 * (ka11 + 2.0 * kb11 + 2.0 * kc11 + kd11),
             s12 + h6 * (ka12 + 2.0 * kb12 + 2.0 * kc12 + kd12),
             s22 + h6 * (ka22 + 2.0 * kb22 + 2.0 * kc22 + kd22),
+            v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1),
+            v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
         )
 
     n = len(u_nom)
@@ -295,11 +285,8 @@ def _sweep_backward(
         x_mv[2 * n - 3 :: -2],
         u_mv[n - 2 :: -1],
     )
-    # e.._hi, e.._mid, e.._lo are the q2 x_ref products of dv1 (e11, e12)
-    # and dv2 (e21, e22) at the upper node, the midpoint and the lower node
     un_hi = u_mv[n - 1]
     xr1_hi, xr2_hi = x_mv[2 * n - 2], x_mv[2 * n - 1]
-    e11_hi, e12_hi, e21_hi, e22_hi = q2_11 * xr1_hi, q2_12 * xr2_hi, q2_12 * xr1_hi, q2_22 * xr2_hi
     # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
     pack = struct.Struct("3d").pack
     isfinite = math.isfinite
@@ -309,40 +296,13 @@ def _sweep_backward(
         if key == s_key:
             break  # S is stationary from here back to the start
         s_key = key
-        pa1, pa2, pb1, pb2, pc1, pc2, pd1, pd2, s11, s12, s22 = s_part(s11, s12, s22)
+        s11, s12, s22, v1, v2 = rk4_step(
+            s11, s12, s22, v1, v2, un_hi, xr1_hi, xr2_hi, un_lo, xr1_lo, xr2_lo
+        )
         if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
             raise _diverged(u_nom, i)
-
-        xr1_mid = 0.5 * (xr1_hi + xr1_lo)
-        xr2_mid = 0.5 * (xr2_hi + xr2_lo)
-        un_mid = 0.5 * (un_hi + un_lo)
-        e11_mid, e12_mid = q2_11 * xr1_mid, q2_12 * xr2_mid
-        e21_mid, e22_mid = q2_12 * xr1_mid, q2_22 * xr2_mid
-        e11_lo, e12_lo = q2_11 * xr1_lo, q2_12 * xr2_lo
-        e21_lo, e22_lo = q2_12 * xr1_lo, q2_22 * xr2_lo
-        btv = b1 * v1 + b2 * v2
-        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e11_hi + e12_hi)
-        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e21_hi + e22_hi)
-        w1 = v1 + hh * ka1
-        w2 = v2 + hh * ka2
-        btv = b1 * w1 + b2 * w2
-        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e11_mid + e12_mid)
-        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e21_mid + e22_mid)
-        w1 = v1 + hh * kb1
-        w2 = v2 + hh * kb2
-        btv = b1 * w1 + b2 * w2
-        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e11_mid + e12_mid)
-        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e21_mid + e22_mid)
-        w1 = v1 + h * kc1
-        w2 = v2 + h * kc2
-        btv = b1 * w1 + b2 * w2
-        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e11_lo + e12_lo)
-        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e21_lo + e22_lo)
-        v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
-        v2 = v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2)
         if not (isfinite(v1) and isfinite(v2)):
             raise _overflowed(u_nom, i)  # S is still finite here
-
         j = 4 * i
         s_mv[j] = s11
         s_mv[j + 1] = s12
@@ -351,19 +311,18 @@ def _sweep_backward(
         v_mv[2 * i] = v1
         v_mv[2 * i + 1] = v2
         xr1_hi, xr2_hi, un_hi = xr1_lo, xr2_lo, un_lo
-        e11_hi, e12_hi, e21_hi, e22_hi = e11_lo, e12_lo, e21_lo, e22_lo
     else:  # S never repeated
         return s_out, v_out
 
+    # the columns of R, G_hi and G_lo, in rk4_step's argument order
+    cols = [rk4_step(s11, s12, s22, *unit)[3:] for unit in np.eye(8).tolist()]
+    (r11, r21), (r12, r22) = cols[:2]
+    g_hi, g_lo = cols[2:5], cols[5:]
     # Rows i, ..., 0 remain.  Their forcing G_hi f_{k+1} + G_lo f_k is
     # written into their V rows, which the recurrence then overwrites
     # in place, each row read just before it is written.  It is summed
     # one input column at a time, each term computed in the S rows
     # before they are filled, so no (m, 2) array is allocated.
-    q2_sym = np.array([[q2_11, q2_12], [q2_12, q2_22]])
-    stages = ((pa1, pa2), (pb1, pb2), (pc1, pc2), (pd1, pd2))
-    rmat, g_hi, g_lo = _stationary_step(a, b, q2_sym, rinv, h, stages)
-    (r11, r12), (r21, r22) = rmat.tolist()
     m = i + 1
     tail = v_out[:m]
     term = s_out[:m].reshape(m, 4)[:, :2]
@@ -371,7 +330,7 @@ def _sweep_backward(
     f_hi = (u_nom.samples[1 : m + 1, None], xref[1 : m + 1, :1], xref[1 : m + 1, 1:])
     tail[:] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, g in zip(f_lo + f_hi, np.hstack([g_lo, g_hi]).T):
+        for f, g in zip(f_lo + f_hi, g_lo + g_hi):
             np.multiply(f, g, out=term)
             tail += term
     s_out[:m] = ((s11, s12), (s12, s22))

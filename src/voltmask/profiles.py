@@ -281,23 +281,6 @@ def save_csv(series: TimeSeries, path) -> None:
     _write_csv(path, list(CSV_HEADER), [series.times(), series.samples])
 
 
-def _synthetic_length(kind: str, duration: float, dt: float) -> int:
-    """Samples of a synthetic profile of this kind, duration and dt.
-
-    Raises a ValueError for an unknown kind, a bad dt, a duration under
-    one step or a grid over MAX_SAMPLES, before anything is allocated.
-    """
-    if kind not in _SYNTHETIC_KINDS:
-        raise ValueError(
-            f"unknown profile kind {kind!r}; expected constant, sin_mix, or pulse_train"
-        )
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if duration < dt:
-        raise ValueError(f"duration {duration} is shorter than dt {dt}")
-    return _sample_count(duration, dt)
-
-
 def synthetic_profile(
     kind: str,
     amplitude: float,
@@ -315,10 +298,19 @@ def synthetic_profile(
                    span so the tones contribute zero net charge
       pulse_train  square wave of 8 periods, bias +- amplitude (seed unused)
 
-    A profile whose samples overflow is a ValueError naming its
-    amplitude and bias.
+    An unknown kind, a bad dt, a duration under one step or a grid over
+    MAX_SAMPLES is a ValueError raised before anything is allocated; a
+    profile whose samples overflow is one naming its amplitude and bias.
     """
-    n = _synthetic_length(kind, duration, dt)
+    if kind not in _SYNTHETIC_KINDS:
+        raise ValueError(
+            f"unknown profile kind {kind!r}; expected constant, sin_mix, or pulse_train"
+        )
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if duration < dt:
+        raise ValueError(f"duration {duration} is shorter than dt {dt}")
+    n = _sample_count(duration, dt)
     t = dt * np.arange(n)
     span = dt * (n - 1)
     # an overflowing sum is reported below, by the parameters that caused it

@@ -33,7 +33,7 @@ from .ecm import (
     load_params,
 )
 from .metrics import KaSweepResult, ScenarioSummary
-from .profiles import TimeSeries, _synthetic_length, load_csv, synthetic_profile
+from .profiles import TimeSeries, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
 
 __all__ = [
@@ -54,17 +54,14 @@ _PROFILE_SYNTH_KINDS = {"kind": str, "amplitude": float, "bias": float, "duratio
 class ScenarioConfig:
     """Parsed scenario file: every value checked and typed, paths absolute.
 
-    path is the scenario file, which prepare's errors name; profile is
-    the CSV path or the synthetic_profile keyword arguments other than
-    dt; reference spans the profile grid, its soc_start defaulted to
-    x0.soc.
+    u_nom is the profile, read from its CSV or built by synthetic_profile
+    on the config's dt; reference spans its grid, its soc_start defaulted
+    to x0.soc.
     """
 
-    path: Path
     params_file: Path
-    dt: float
     x0: BatteryState
-    profile: Path | dict
+    u_nom: TimeSeries
     reference: ReferenceTrajectory
     weights: AttackWeights
     k_a: float
@@ -97,9 +94,10 @@ def load_scenario(path) -> ScenarioConfig:
     profile_raw = _read_field(raw, "profile", dict, ctx, _REQUIRED)
     pctx = f"{ctx}: profile"
     if "csv" in profile_raw:
-        profile = base / _read_field(profile_raw, "csv", str, pctx, _REQUIRED)
-        if not profile.exists():
-            raise ConfigError(f"{ctx}: profile csv not found: {profile}")
+        csv_path = base / _read_field(profile_raw, "csv", str, pctx, _REQUIRED)
+        if not csv_path.exists():
+            raise ConfigError(f"{ctx}: profile csv not found: {csv_path}")
+        u_nom = load_csv(csv_path, dt)
     else:
         missing = _PROFILE_SYNTH_KINDS.keys() - profile_raw.keys()
         if missing:
@@ -112,7 +110,7 @@ def load_scenario(path) -> ScenarioConfig:
             for key, kind in _PROFILE_SYNTH_KINDS.items()
         }
         try:
-            _synthetic_length(profile["kind"], profile["duration"], dt)
+            u_nom = synthetic_profile(dt=dt, **profile)
         except ValueError as exc:
             raise ConfigError(f"{pctx}: {exc}") from None
 
@@ -168,11 +166,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{ctx}: field 'i_max' must be a positive number, got {i_max!r}")
 
     return ScenarioConfig(
-        path=path,
         params_file=params_file,
-        dt=dt,
         x0=x0,
-        profile=profile,
+        u_nom=u_nom,
         reference=reference,
         weights=weights,
         k_a=k_a,
@@ -186,7 +182,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class PreparedScenario:
-    """Everything the pipeline needs, with files loaded and profile built."""
+    """Everything the pipeline needs, with the cell file loaded."""
 
     adv_params: EcmParams
     plant: PlantConfig
@@ -200,7 +196,7 @@ class PreparedScenario:
 
 
 def prepare(config: ScenarioConfig) -> PreparedScenario:
-    """Load parameters, build the profile, apply the plant overrides."""
+    """Load parameters and apply the plant overrides."""
     adv_params = load_params(config.params_file)
     true_params = adv_params
     if config.plant_overrides:
@@ -209,19 +205,11 @@ def prepare(config: ScenarioConfig) -> PreparedScenario:
         }
         true_params = replace(adv_params, **fields)
     plant = PlantConfig(true_params=true_params, noise_std=config.noise_std, seed=config.seed)
-
-    if isinstance(config.profile, Path):
-        u_nom = load_csv(config.profile, config.dt)
-    else:
-        try:
-            u_nom = synthetic_profile(dt=config.dt, **config.profile)
-        except ValueError as exc:
-            raise ConfigError(f"{config.path}: profile: {exc}") from None
     return PreparedScenario(
         adv_params=adv_params,
         plant=plant,
         x0=config.x0,
-        u_nom=u_nom,
+        u_nom=config.u_nom,
         reference=config.reference,
         weights=config.weights,
         k_a=config.k_a,

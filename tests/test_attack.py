@@ -26,11 +26,9 @@ from voltmask import (
     synthesize_input_attack,
     synthetic_profile,
 )
-from voltmask import attack
 from voltmask.attack import (
     _PSD_TOL,
     _ZOH_RADIUS_TOL,
-    _stationary_step,
     _sweep_backward,
     _zoh_radius,
 )
@@ -331,8 +329,9 @@ def generic_rk4_step(a, b, q2, r, h):
 def generic_rk4_sweep(a, b, q1, q2, r, xref, u_nom):
     """Plain RK4 on the five coupled scalars, one full step of -dt at a time.
 
-    This is the sweep as first written, before the S part was split off
-    and the stationary tail became an affine map.
+    This is the sweep as first written: it steps every row, where
+    _sweep_backward runs the stationary tail as an affine map built from
+    its own RK4 step.
     """
     n = len(u_nom)
     s_out = np.empty((n, 2, 2))
@@ -466,38 +465,6 @@ def test_sweep_matches_generic_rk4_up_to_rounding_in_the_tail(case):
 def test_sweep_diverges_where_generic_rk4_does(case):
     # stiff terminal weights: the divergence message, with its time, must match
     assert_sweep_matches_generic_rk4(case)
-
-
-def test_stationary_map_is_one_rk4_step(monkeypatch):
-    # the sweep's own R, G_hi and G_lo against unit vectors pushed through
-    # one plain RK4 step at the stationary S
-    maps = []
-
-    def spy(*args):
-        maps.append(_stationary_step(*args))
-        return maps[-1]
-
-    monkeypatch.setattr(attack, "_stationary_step", spy)
-    a, b, _, q2, r, _, u_nom = _SETTLING
-    s, v = _sweep_backward(*_SETTLING)
-    assert len(maps) == 1
-    j = RiccatiSolution(u_nom.times(), s, v).stationary_from
-    s_j = (s[j, 0, 0], s[j, 0, 1], s[j, 1, 1])
-    step = generic_rk4_step(a, b, q2, r, -u_nom.dt)
-    zero, unit = (0.0, 0.0, 0.0), np.eye(3).tolist()
-    assert step((*s_j, 0.0, 0.0), zero, zero)[:3] == s_j
-
-    def push(v, hi, lo):
-        return step((*s_j, *v), hi, lo)[3:]
-
-    pushed = (
-        np.column_stack([push(e, zero, zero) for e in np.eye(2).tolist()]),
-        np.column_stack([push((0.0, 0.0), e, zero) for e in unit]),
-        np.column_stack([push((0.0, 0.0), zero, e) for e in unit]),
-    )
-    for ours, want in zip(maps[0], pushed):
-        assert ours.shape == want.shape
-        assert np.abs(ours - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

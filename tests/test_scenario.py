@@ -46,7 +46,7 @@ def write_config(tmp_path, params_path, **overrides):
 class TestLoadScenario:
     def test_shipped_config_parses(self, scenario_dir):
         config = load_scenario(scenario_dir / "tc1.json")
-        assert config.dt == 1.0
+        assert config.u_nom.dt == 1.0
         assert config.x0.soc == 0.8
         assert config.k_a == -0.05
         assert config.i_max == 30.0
@@ -91,6 +91,22 @@ class TestLoadScenario:
         path = write_config(tmp_path, params_path, profile={"kind": "sin_mix"})
         with pytest.raises(ConfigError, match="missing \\['amplitude'"):
             load_scenario(path)
+
+    def test_profile_faults_are_named_by_load_scenario(self, tmp_path, params_path):
+        big = {"kind": "sin_mix", "amplitude": 1e308, "bias": 1e308, "duration": 400.0, "seed": 11}
+        path = write_config(tmp_path, params_path, profile=big)
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == (
+            f"{path}: profile: sin_mix profile is not finite: "
+            "amplitude 1e+308 and bias 1e+308 overflow"
+        )
+        csv_path = tmp_path / "u_nom.csv"
+        csv_path.write_text("time_s,value\n0.0,1.0\n1.0,abc\n2.0,1.0\n")
+        path = write_config(tmp_path, params_path, profile={"csv": "u_nom.csv"})
+        with pytest.raises(ValueError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{csv_path}: line 3: non-numeric cell in row ['1.0', 'abc']"
 
     def test_nonpositive_dt_rejected(self, tmp_path, params_path):
         path = write_config(tmp_path, params_path, dt=-1.0)
