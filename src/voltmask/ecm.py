@@ -380,7 +380,7 @@ _SCALAR_FIELDS = {"capacity_As": "capacity_q", "r0_ohm": "r0", "r1_ohm": "r1", "
 
 
 def _read_scalars(block: dict, keys, ctx: str) -> dict:
-    """{key: value} for each cell-file scalar key of keys, each a positive number."""
+    """{key: block[key]} for each key of keys, each read as a positive number."""
     scalars = {key: _read_field(block, key, float, ctx, _REQUIRED) for key in keys}
     for key, value in scalars.items():
         if value <= 0:

@@ -81,9 +81,7 @@ def load_scenario(path) -> ScenarioConfig:
     params_file = base / _read_field(raw, "params_file", str, ctx, _REQUIRED)
     if not params_file.exists():
         raise ConfigError(f"{ctx}: params_file not found: {params_file}")
-    dt = _read_field(raw, "dt", float, ctx, _REQUIRED)
-    if dt <= 0:
-        raise ConfigError(f"{ctx}: field 'dt' must be positive, got {dt}")
+    dt = _read_scalars(raw, ["dt"], ctx)["dt"]
 
     x0_raw = _read_field(raw, "x0", dict, ctx, _REQUIRED)
     x0 = BatteryState(

@@ -28,6 +28,7 @@ from .ecm import (
     _rc_trajectory,
     _read_field,
     _read_json_object,
+    _read_scalars,
     _zoh_recurrence,
     invert_ocv,
     load_params,
@@ -58,29 +59,21 @@ class FitReport:
 
 
 def _pava_increasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nondecreasing sequences."""
-    n = y.size
-    values = np.empty(n)
-    weights = np.empty(n)
-    starts = np.empty(n, dtype=int)
-    m = 0
-    for i in range(n):
-        values[m] = y[i]
-        weights[m] = 1.0
-        starts[m] = i
-        m += 1
-        while m > 1 and values[m - 2] >= values[m - 1]:
-            pooled = (
-                values[m - 2] * weights[m - 2] + values[m - 1] * weights[m - 1]
-            ) / (weights[m - 2] + weights[m - 1])
-            values[m - 2] = pooled
-            weights[m - 2] += weights[m - 1]
-            m -= 1
-    out = np.empty(n)
-    for j in range(m):
-        end = starts[j + 1] if j + 1 < m else n
-        out[starts[j] : end] = values[j]
-    return out
+    """Pool-adjacent-violators projection onto nondecreasing sequences.
+
+    A stack of pooled (mean, size) blocks on plain floats, the active-set
+    form of Best & Chakravarti (1990).
+    """
+    means, sizes = [], []
+    for value in y.tolist():
+        size = 1
+        while means and means[-1] >= value:
+            mean, count = means.pop(), sizes.pop()
+            value = (mean * count + value * size) / (count + size)
+            size += count
+        means.append(value)
+        sizes.append(size)
+    return np.repeat(means, sizes)
 
 
 def extract_ocv(
@@ -98,10 +91,12 @@ def extract_ocv(
     coulomb-counted from those anchors by the stepping kernel's
     compensated count.  Charge and discharge voltages are averaged at
     matched SoC, which cancels ohmic drop and hysteresis to first order
-    when both sweeps use the same current magnitude.  The averaged curve
-    is projected onto increasing sequences and resampled at n_breakpoints
-    uniform SoC points with the endpoints pinned to 0 and 1; at most
-    OCV_GRID_POINTS, the size of the grid the averaged curve is resampled on.
+    when both sweeps use the same current magnitude.  The averaged curve,
+    on OCV_GRID_POINTS uniform SoC points, is projected onto nondecreasing
+    sequences by pool-adjacent-violators and resampled at n_breakpoints (at
+    most OCV_GRID_POINTS) uniform points pinned to 0 and 1, each at least
+    _MIN_OCV_STEP above the one before.  Voltages so large that the
+    curve overflows on the way are a ValueError naming the largest.
     """
     if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
         raise ValueError(
@@ -127,13 +122,13 @@ def extract_ocv(
 
     soc_chg = 0.0 - (i_chg.dt / capacity_q) * _coulomb_counts(i_chg.samples)
     soc_dis = 1.0 - (i_dis.dt / capacity_q) * _coulomb_counts(i_dis.samples)
-    d_chg = np.diff(soc_chg)
-    if (d_chg <= 0).any():
-        k = int(np.argmax(d_chg <= 0))
+    bad = ~(np.diff(soc_chg) > 0)  # a NaN step, from an overflowed count, too
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValueError(f"charge sweep SoC not strictly increasing at sample {k + 1}")
-    d_dis = np.diff(soc_dis)
-    if (d_dis >= 0).any():
-        k = int(np.argmax(d_dis >= 0))
+    bad = ~(np.diff(soc_dis) < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValueError(f"discharge sweep SoC not strictly decreasing at sample {k + 1}")
 
     lo = max(soc_chg[0], soc_dis[-1])
@@ -145,17 +140,17 @@ def extract_ocv(
         )
 
     s_fine = np.linspace(lo, hi, OCV_GRID_POINTS)
-    v_chg_f = np.interp(s_fine, soc_chg, v_chg.samples)
-    v_dis_f = np.interp(s_fine, soc_dis[::-1], v_dis.samples[::-1])
-    avg = 0.5 * (v_chg_f + v_dis_f)
-    iso = _pava_increasing(avg)
-
     breakpoints = np.linspace(0.0, 1.0, n_breakpoints)
-    values = _interp_extrapolated(breakpoints, s_fine, iso)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        v_chg_f = np.interp(s_fine, soc_chg, v_chg.samples)
+        v_dis_f = np.interp(s_fine, soc_dis[::-1], v_dis.samples[::-1])
+        iso = _pava_increasing(0.5 * (v_chg_f + v_dis_f))
+        values = _interp_extrapolated(breakpoints, s_fine, iso).tolist()
+    if not all(map(math.isfinite, values)):
+        peak = max(np.abs(v_chg.samples).max(), np.abs(v_dis.samples).max())
+        raise ValueError(f"the ocv curve overflows: sweep voltages reach {peak} V")
     for j in range(1, n_breakpoints):
-        floor = values[j - 1] + _MIN_OCV_STEP
-        if values[j] < floor:
-            values[j] = floor
+        values[j] = max(values[j], values[j - 1] + _MIN_OCV_STEP)
     return OcvCurve(tuple(breakpoints), tuple(values))
 
 
@@ -424,13 +419,18 @@ class FitConfig:
 
 def _read_records(block: dict, ctx: str, base: Path, *prefixes: str) -> list:
     """Per prefix, the files of <prefix>current_csv and <prefix>voltage_csv on the dt grid."""
-    dt = _read_field(block, "dt", float, ctx, _REQUIRED)
-    if dt <= 0:
-        raise ConfigError(f"{ctx}: field 'dt' must be positive, got {dt}")
+    dt = _read_scalars(block, ["dt"], ctx)["dt"]
+
+    def load(field):
+        path = base / _read_field(block, field, str, ctx, _REQUIRED)
+        if not path.exists():
+            raise ConfigError(f"{ctx}: {field} not found: {path}")
+        return load_csv(path, dt)
+
     records = []
     for prefix in prefixes:
         fields = (f"{prefix}current_csv", f"{prefix}voltage_csv")
-        i, v = (load_csv(base / _read_field(block, f, str, ctx, _REQUIRED), dt) for f in fields)
+        i, v = (load(f) for f in fields)
         if (i.t0, len(i)) != (v.t0, len(v)):
             raise ConfigError(
                 f"{ctx}: fields {fields[0]!r} and {fields[1]!r} give different grids: "

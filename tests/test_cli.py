@@ -706,6 +706,62 @@ class TestExitCodes:
         )
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("amp", "volts", "message"),
+        [
+            # the charge voltage falls as the SoC rises and the discharge
+            # voltage rises, so the projection pools the whole curve and
+            # the pool's sum overflows
+            (0.2, (8e307, 4e307), "the ocv curve overflows: sweep voltages reach 8e+307 V"),
+            # the average of the two sweeps overflows
+            (0.2, (1.7e308, 1.7e308), "the ocv curve overflows: sweep voltages reach 1.7e+308 V"),
+            # the coulomb count overflows, and its NaN step is named
+            (1e308, None, "charge sweep SoC not strictly increasing at sample 3"),
+        ],
+        ids=["pool", "average", "count"],
+    )
+    def test_overflowing_ocv_extraction_is_named(
+        self, tmp_path, params_path, cell, capsys, amp, volts, message
+    ):
+        # sweeps at +-amp A whose voltages are the cell's at +-0.2 A, or, when
+        # volts is given, run from its first to its last value on charge
+        # and back on discharge
+        dt = 30.0
+        n = int(cell.capacity_q / 0.2 / dt) + 1
+        ocv = {"dt": dt}
+        for name, sign, soc0 in (("charge", -1.0, 0.0), ("discharge", 1.0, 1.0)):
+            current = TimeSeries(0.0, dt, np.full(n, sign * 0.2))
+            voltage = simulate(cell, BatteryState(soc0, 0.0), current).voltage
+            if volts is not None:
+                ends = volts if name == "charge" else volts[::-1]
+                voltage = voltage.with_samples(np.linspace(*ends, n))
+            save_csv(current.with_samples(np.full(n, sign * amp)), tmp_path / f"{name}_i.csv")
+            save_csv(voltage, tmp_path / f"{name}_v.csv")
+            ocv |= {f"{name}_current_csv": f"{name}_i.csv", f"{name}_voltage_csv": f"{name}_v.csv"}
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), "ocv": ocv}))
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"runtime error: {message}\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_missing_fit_record_is_named_by_its_field(self, tmp_path, params_path, capsys):
+        rc = {"current_csv": "missing_i.csv", "voltage_csv": "missing_v.csv", "dt": 1.0}
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"initial_params_file": str(params_path), "rc": rc}))
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {config}: rc: current_csv not found: {tmp_path / 'missing_i.csv'}\n"
+        )
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     @settings(max_examples=25, deadline=None)
     @given(
         h_lambda=st.floats(0.5, 2.7).filter(lambda x: abs(x - 2.0) >= 1e-6),

@@ -8,7 +8,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ecm import reference_kernel
 
@@ -44,7 +44,77 @@ def sweep_pair(cell, soc0, amp, dt):
     return current, sim.voltage
 
 
+def reference_pava(y):
+    """The projection as an index loop on numpy work arrays, the stack's reference."""
+    n = y.size
+    values = np.empty(n)
+    weights = np.empty(n)
+    starts = np.empty(n, dtype=int)
+    m = 0
+    for i in range(n):
+        values[m] = y[i]
+        weights[m] = 1.0
+        starts[m] = i
+        m += 1
+        while m > 1 and values[m - 2] >= values[m - 1]:
+            pooled = (
+                values[m - 2] * weights[m - 2] + values[m - 1] * weights[m - 1]
+            ) / (weights[m - 2] + weights[m - 1])
+            values[m - 2] = pooled
+            weights[m - 2] += weights[m - 1]
+            m -= 1
+    out = np.empty(n)
+    for j in range(m):
+        end = starts[j + 1] if j + 1 < m else n
+        out[starts[j] : end] = values[j]
+    return out
+
+
+PAVA_POOL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308]
+
+
 class TestPava:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(PAVA_POOL), max_size=40),
+            st.lists(st.floats(-1e3, 1e3), max_size=40).map(lambda steps: list(np.cumsum(steps))),
+        )
+    )
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, -0.0, 1.0])
+    @example([1.0, math.nan, 0.5, -1.0])
+    def test_matches_the_reference_byte_for_byte(self, values):
+        y = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):  # the reference's numpy scalars warn on inf and NaN pools
+            expected = reference_pava(y)
+        assert _pava_increasing(y).tobytes() == expected.tobytes()
+
+    # values under 1e-300 are left out: a subnormal mean rounds by more
+    # than 1e-12 of the block's largest value
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) >= 1e-300),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_blocks_are_the_projection(self, values):
+        # the optimality conditions, independent of how the blocks are found:
+        # levels increase strictly from block to block, each level is the
+        # mean of its block, and no prefix of a block has a lower mean
+        y = np.array(values)
+        out = _pava_increasing(y)
+        cuts = [0, *(np.flatnonzero(np.diff(out) != 0.0) + 1).tolist(), y.size]
+        assert (np.diff(out) >= 0.0).all()
+        for start, end in zip(cuts, cuts[1:]):
+            block = y[start:end]
+            tol = 1e-12 * np.abs(block).max()
+            assert abs(out[start] - block.mean()) <= tol
+            prefix_means = np.cumsum(block) / np.arange(1, block.size + 1)
+            assert (prefix_means >= out[start] - tol).all()
+
     def test_output_is_nondecreasing(self):
         rng = np.random.default_rng(1)
         y = np.cumsum(rng.standard_normal(200))
@@ -89,6 +159,14 @@ class TestExtractOcv:
         assert curve.soc_breakpoints[0] == 0.0 and curve.soc_breakpoints[-1] == 1.0
         assert len(curve.soc_breakpoints) == 11
         assert (np.diff(curve.ocv_volts) > 0.0).all()
+
+    def test_flat_curve_rises_by_the_floor_step(self, cell):
+        # constant sweep voltages project onto one flat block, and each
+        # breakpoint is raised to 1e-6 V above the one before
+        sweeps = (sweep_pair(cell, 0.0, -0.2, 60.0), sweep_pair(cell, 1.0, 0.2, 60.0))
+        flat = [(i, v.with_samples(np.full(len(v), 4.0))) for i, v in sweeps]
+        curve = extract_ocv(*flat, cell.capacity_q, n_breakpoints=4)
+        assert curve.ocv_volts == (4.0, 4.0 + 1e-6, 4.0 + 1e-6 + 1e-6, 4.0 + 1e-6 + 1e-6 + 1e-6)
 
     def test_warns_on_fast_sweep(self, cell):
         charge = sweep_pair(cell, 0.0, -2.0, 4.0)
@@ -460,7 +538,8 @@ class TestLoadFitConfig:
             f"{path}: {block}: fields {pair[0]!r} and {pair[1]!r} give different grids: "
         )
 
-    def test_a_missing_record_raises_the_os_error_naming_it(self, fit_dir):
+    def test_a_missing_record_is_named_by_its_field(self, fit_dir):
         path = self.write(fit_dir, rc={**self.RC, "voltage_csv": "ghost.csv"})
-        with pytest.raises(FileNotFoundError, match="ghost.csv"):
+        with pytest.raises(ConfigError) as caught:
             load_fit_config(path)
+        assert str(caught.value) == f"{path}: rc: voltage_csv not found: {fit_dir / 'ghost.csv'}"
