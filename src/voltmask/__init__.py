@@ -15,9 +15,9 @@ from .attack import (
     solve_riccati,
     synthesize_input_attack,
 )
+from .config import ConfigError
 from .ecm import (
     BatteryState,
-    ConfigError,
     EcmParams,
     OcvCurve,
     SimulationResult,
@@ -36,7 +36,6 @@ from .metrics import (
 )
 from .profiles import TimeSeries, add, load_csv, save_csv, synthetic_profile
 from .scenario import (
-    PreparedScenario,
     ScenarioConfig,
     ScenarioRun,
     load_scenario,

@@ -28,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .attack import DivergenceError
-from .ecm import ConfigError, _checked, dump_params, simulate
-from .profiles import _write_csv
-from .scenario import PreparedScenario, load_scenario, prepare, run_scenario, sweep_scenario
+from .config import ConfigError, checked
+from .ecm import dump_params, simulate
+from .profiles import write_csv as _write_csv  # bench/tracing.py times the writer by this name
+from .scenario import ScenarioConfig, load_scenario, prepare, run_scenario, sweep_scenario
 from .sysid import FitConfig, extract_ocv, fit_rc, load_fit_config
 
 __all__ = ["main", "run"]
@@ -67,7 +68,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 _GAIN = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
 
-def _prepare(config_path: Path, seed: int | None, ka: str | None) -> PreparedScenario:
+def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioConfig:
     """The scenario at config_path, prepared with --seed as its noise seed
     and --ka as its ka_values if given.
 
@@ -75,20 +76,18 @@ def _prepare(config_path: Path, seed: int | None, ka: str | None) -> PreparedSce
     number, and --ka a comma-separated list of finite gains other than 1.
     """
     config = load_scenario(config_path)
-    if seed is not None:
-        if _checked(seed, int) is None:
-            raise ConfigError(f"--seed must be a whole number, got {seed}")
-        config = replace(config, seed=seed)
+    if seed is not None and checked(seed, int) is None:
+        raise ConfigError(f"--seed must be a whole number, got {seed}")
+    gains = None
     if ka is not None:
         tokens = [tok for tok in ka.split(",") if tok.strip() != ""]
         gains = tuple(float(tok) if _GAIN.fullmatch(tok) else math.nan for tok in tokens)
         if not all(map(math.isfinite, gains)) or 1.0 in gains:
             raise ConfigError(f"--ka must be comma-separated finite gains other than 1, got {ka!r}")
-        config = replace(config, ka_values=gains)
-    return prepare(config)
+    return prepare(config, seed, gains)
 
 
-def _cmd_simulate(prep: PreparedScenario, out_dir: Path) -> int:
+def _cmd_simulate(prep: ScenarioConfig, out_dir: Path) -> int:
     result = simulate(prep.plant.true_params, prep.x0, prep.u_nom)
     times = prep.u_nom.times()
     _write_csv(
@@ -100,7 +99,7 @@ def _cmd_simulate(prep: PreparedScenario, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
+def _cmd_scenario(prep: ScenarioConfig, out_dir: Path) -> int:
     run = run_scenario(prep)
     s = run.summary
     # the summary goes first: _write_json checks it before writing, so a
@@ -172,7 +171,7 @@ def _cmd_scenario(prep: PreparedScenario, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_sweep(prep: PreparedScenario, out_dir: Path) -> int:
+def _cmd_sweep(prep: ScenarioConfig, out_dir: Path) -> int:
     result = sweep_scenario(prep, prep.ka_values)
     # _write_json's rule: a non-finite residual is named, and nothing is written
     for ka, rms in result.rows:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attack import InputAttackResult
 from .profiles import TimeSeries
-from .stealth import PlantConfig, _score, _simulate_trajectories
+from .stealth import PlantConfig, _residual, _simulate_trajectories
 
 __all__ = [
     "ScenarioSummary",
@@ -73,6 +73,6 @@ def sweep_ka(attack: InputAttackResult, plant: PlantConfig, ka_values) -> KaSwee
     if not kas:
         raise ValueError("ka_values must not be empty")
     traj = _simulate_trajectories(attack, plant)
-    rows = tuple((ka, _score(traj, ka).residual_rms) for ka in kas)
+    rows = tuple((ka, _residual(traj, ka)[3]) for ka in kas)
     argmin_ka, argmin_rms = select_argmin(rows)
     return KaSweepResult(rows=rows, argmin_ka=argmin_ka, argmin_rms=argmin_rms)

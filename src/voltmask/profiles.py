@@ -23,6 +23,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "synthetic_profile",
+    "write_csv",
 ]
 
 CSV_HEADER = ("time_s", "value")
@@ -221,7 +222,7 @@ def _read_rows(path: Path, reader) -> tuple[array, array]:
 _CSV_CHUNK = 256
 
 
-def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns as CSV, every cell as the repr of a float.
 
     The bytes are those of csv.writer's default dialect, which never
@@ -278,7 +279,7 @@ def _run_texts(values: np.ndarray, bits: np.ndarray) -> list[str]:
 
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series as a two-column CSV with header ``time_s,value``."""
-    _write_csv(path, list(CSV_HEADER), [series.times(), series.samples])
+    write_csv(path, list(CSV_HEADER), [series.times(), series.samples])
 
 
 def synthetic_profile(

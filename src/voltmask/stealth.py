@@ -147,36 +147,20 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
     )
 
 
-def _score(traj: _Trajectories, k_a: float) -> StealthResult:
-    """Close the masking loop for one gain."""
+def _residual(traj: _Trajectories, k_a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(y_a, y_measured, residual, residual rms) of the masking loop closed at one gain."""
     if not math.isfinite(k_a):
         raise ValueError(f"k_a must be finite, got {k_a}")
     if k_a == 1.0:
         raise ValueError("k_a = 1 makes the per-sample correction singular")
     y_nom = traj.nom_model.voltage.samples
-    y_plant = traj.y_plant
     delta = y_nom - traj.att_model.voltage.samples
-    y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
-    y_measured = y_plant + y_a
-
+    y_a = (delta + k_a * (traj.y_plant - y_nom)) / (1.0 - k_a)
+    y_measured = traj.y_plant + y_a
     residual = y_measured - traj.plant_nom.voltage.samples
     # a runaway attack overflows to inf, which the caller reports
     with np.errstate(over="ignore"):
-        residual_rms = float(np.sqrt(np.mean(residual * residual)))
-    residual_max = float(np.abs(residual).max())
-
-    voltage = traj.nom_model.voltage
-    return StealthResult(
-        y_nom=voltage,
-        y_plant=voltage.with_samples(y_plant),
-        y_a=voltage.with_samples(y_a),
-        y_measured=voltage.with_samples(y_measured),
-        residual_rms=residual_rms,
-        residual_max=residual_max,
-        ka_warning=bool(abs(1.0 - k_a) < 1.0),  # the noise gain 1 / |1 - k_a| exceeds 1
-        plant_nominal=traj.plant_nom,
-        plant_attacked=traj.plant_att,
-    )
+        return y_a, y_measured, residual, float(np.sqrt(np.mean(residual * residual)))
 
 
 def feedback_output_attack(
@@ -191,4 +175,17 @@ def feedback_output_attack(
     compares y_measured against the plant's no-attack voltage, i.e.
     what the monitor would have seen had nothing been injected.
     """
-    return _score(_simulate_trajectories(attack, plant), k_a)
+    traj = _simulate_trajectories(attack, plant)
+    y_a, y_measured, residual, residual_rms = _residual(traj, k_a)
+    voltage = traj.nom_model.voltage
+    return StealthResult(
+        y_nom=voltage,
+        y_plant=voltage.with_samples(traj.y_plant),
+        y_a=voltage.with_samples(y_a),
+        y_measured=voltage.with_samples(y_measured),
+        residual_rms=residual_rms,
+        residual_max=float(np.abs(residual).max()),
+        ka_warning=bool(abs(1.0 - k_a) < 1.0),  # the noise gain 1 / |1 - k_a| exceeds 1
+        plant_nominal=traj.plant_nom,
+        plant_attacked=traj.plant_att,
+    )

@@ -17,18 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import REQUIRED, ConfigError, read_field, read_json_object, read_path, read_scalars
 from .ecm import (
-    _REQUIRED,
     BatteryState,
-    ConfigError,
     EcmParams,
     OcvCurve,
     _coulomb_counts,
     _interp_extrapolated,
     _rc_trajectory,
-    _read_field,
-    _read_json_object,
-    _read_scalars,
     _zoh_recurrence,
     invert_ocv,
     load_params,
@@ -419,18 +415,11 @@ class FitConfig:
 
 def _read_records(block: dict, ctx: str, base: Path, *prefixes: str) -> list:
     """Per prefix, the files of <prefix>current_csv and <prefix>voltage_csv on the dt grid."""
-    dt = _read_scalars(block, ["dt"], ctx)["dt"]
-
-    def load(field):
-        path = base / _read_field(block, field, str, ctx, _REQUIRED)
-        if not path.exists():
-            raise ConfigError(f"{ctx}: {field} not found: {path}")
-        return load_csv(path, dt)
-
+    dt = read_scalars(block, ["dt"], ctx)["dt"]
     records = []
     for prefix in prefixes:
         fields = (f"{prefix}current_csv", f"{prefix}voltage_csv")
-        i, v = (load(f) for f in fields)
+        i, v = (load_csv(read_path(block, f, ctx, base), dt) for f in fields)
         if (i.t0, len(i)) != (v.t0, len(v)):
             raise ConfigError(
                 f"{ctx}: fields {fields[0]!r} and {fields[1]!r} give different grids: "
@@ -448,28 +437,28 @@ def load_fit_config(path) -> FitConfig:
     unknown frozen name, records of one pair on different grids, vc0 without soc0.
     """
     path = Path(path)
-    raw = _read_json_object(path)
+    raw = read_json_object(path)
     ctx, base = str(path), path.parent
-    initial = load_params(base / _read_field(raw, "initial_params_file", str, ctx, _REQUIRED))
+    initial = load_params(read_path(raw, "initial_params_file", ctx, base))
     if "ocv" not in raw and "rc" not in raw:
         raise ConfigError(f"{ctx}: need an 'ocv' and/or 'rc' block, found neither")
     charge = discharge = record = x0 = None
     n_breakpoints, r0_guess, frozen = 21, None, frozenset()
     if "ocv" in raw:
         octx = f"{ctx}: ocv"
-        block = _read_field(raw, "ocv", dict, ctx, _REQUIRED)
-        n_breakpoints = _read_field(block, "n_breakpoints", int, octx, 21)
+        block = read_field(raw, "ocv", dict, ctx, REQUIRED)
+        n_breakpoints = read_field(block, "n_breakpoints", int, octx, 21)
         if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
             raise ConfigError(
                 f"{octx}: field 'n_breakpoints' must be 2 to {OCV_GRID_POINTS}, got {n_breakpoints}"
             )
-        r0_guess = _read_field(block, "r0_guess", float, octx, None)
+        r0_guess = read_field(block, "r0_guess", float, octx, None)
         charge, discharge = _read_records(block, octx, base, "charge_", "discharge_")
     if "rc" in raw:
         rctx = f"{ctx}: rc"
-        block = _read_field(raw, "rc", dict, ctx, _REQUIRED)
+        block = read_field(raw, "rc", dict, ctx, REQUIRED)
         (record,) = _read_records(block, rctx, base, "")
-        frozen = frozenset(_read_field(block, "frozen", [str], rctx, []))
+        frozen = frozenset(read_field(block, "frozen", [str], rctx, []))
         if not frozen <= set(_FIT_NAMES):
             raise ConfigError(
                 f"{rctx}: field 'frozen' names {sorted(frozen - set(_FIT_NAMES))}, "
@@ -478,6 +467,6 @@ def load_fit_config(path) -> FitConfig:
         if "vc0" in block and "soc0" not in block:
             raise ConfigError(f"{rctx}: field 'vc0' is given without 'soc0'; give both or neither")
         if "soc0" in block:
-            soc0 = _read_field(block, "soc0", float, rctx, _REQUIRED)
-            x0 = BatteryState(soc0, _read_field(block, "vc0", float, rctx, 0.0))
+            soc0 = read_field(block, "soc0", float, rctx, REQUIRED)
+            x0 = BatteryState(soc0, read_field(block, "vc0", float, rctx, 0.0))
     return FitConfig(initial, charge, discharge, n_breakpoints, r0_guess, record, frozen, x0)

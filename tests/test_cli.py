@@ -504,7 +504,7 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     def test_load_stage_os_error_is_a_config_error(self, tmp_path, params_path, capsys):
-        # the profile path exists but is a directory: open() raises IsADirectoryError
+        # the profile path exists but is a directory
         (tmp_path / "drive.csv").mkdir()
         config = small_scenario(tmp_path, params_path, profile={"csv": "drive.csv"})
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -760,6 +760,67 @@ class TestExitCodes:
             f"config error: {config}: rc: current_csv not found: {tmp_path / 'missing_i.csv'}\n"
         )
         assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    # a path field that names a directory, or a start cell that is missing
+    @pytest.mark.parametrize(
+        ("command", "fields", "label", "target"),
+        [
+            ("scenario", None, "--config", "folder"),
+            ("scenario", {"params_file": "folder"}, "params_file", "folder"),
+            ("scenario", {"profile": {"csv": "folder"}}, "profile csv", "folder"),
+            ("fit", {"initial_params_file": "folder"}, "initial_params_file", "folder"),
+            ("fit", {"initial_params_file": "absent.json"}, "initial_params_file", "absent.json"),
+            ("fit", {}, "rc: current_csv", "folder"),
+        ],
+        ids=["config", "params_file", "profile-csv", "initial_params_file", "missing-start-cell",
+             "fit-record"],
+    )
+    def test_path_that_is_no_file_is_named_by_its_field(
+        self, tmp_path, params_path, capsys, command, fields, label, target
+    ):
+        (tmp_path / "folder").mkdir()
+        path = tmp_path / target
+        kind = "is a directory" if path.exists() else "not found"
+        if command == "scenario":
+            config = small_scenario(tmp_path, params_path, **fields) if fields else path
+        else:
+            config = tmp_path / "fit.json"
+            rc = {"current_csv": "folder", "voltage_csv": "v.csv", "dt": 1.0}
+            raw = {"initial_params_file": str(params_path), "rc": rc, **fields}
+            config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        if fields is None:
+            assert captured.err == f"config error: {path}: is a directory\n"
+        else:
+            assert captured.err == f"config error: {config}: {label} {kind}: {path}\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    # load_scenario reads every field before it loads the cell file, and
+    # --seed is checked after load_scenario returns
+    @pytest.mark.parametrize(
+        ("fields", "argv", "message"),
+        [
+            ({"dt": -1.0}, [], "{config}: field 'dt' must be positive, got -1.0"),
+            ({}, ["--seed", "-1"], "{cell}: missing key 'r1_ohm'"),
+        ],
+        ids=["field-before-cell", "cell-before-seed"],
+    )
+    def test_error_order_of_field_cell_file_and_seed(
+        self, tmp_path, params_path, capsys, fields, argv, message
+    ):
+        cell = json.loads(params_path.read_text())
+        del cell["r1_ohm"]
+        bad_cell = tmp_path / "badcell.json"
+        bad_cell.write_text(json.dumps(cell))
+        config = small_scenario(tmp_path, bad_cell, **fields)
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out), *argv]) == 2
+        expected = message.format(config=config, cell=bad_cell)
+        assert capsys.readouterr().err == f"config error: {expected}\n"
         assert list(out.iterdir()) == []
 
     @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 
 from voltmask import (
     ConfigError,
+    PlantConfig,
     attack_energy,
     load_scenario,
     prepare,
@@ -44,7 +45,7 @@ def write_config(tmp_path, params_path, **overrides):
 
 
 class TestLoadScenario:
-    def test_shipped_config_parses(self, scenario_dir):
+    def test_shipped_config_parses(self, scenario_dir, cell):
         config = load_scenario(scenario_dir / "tc1.json")
         assert config.u_nom.dt == 1.0
         assert config.x0.soc == 0.8
@@ -52,12 +53,14 @@ class TestLoadScenario:
         assert config.i_max == 30.0
         assert config.weights.q1[0, 0] == 1e7
         assert config.ka_values == (-0.1, -0.05, 0.0, 0.05, 0.1)
-        assert config.params_file.exists()
+        assert config.adv_params == cell
+        assert config.plant == PlantConfig(true_params=cell, noise_std=0.0, seed=0)
 
     def test_mismatch_config_carries_overrides(self, scenario_dir):
         config = load_scenario(scenario_dir / "tc1_mismatch.json")
-        assert "r0_ohm" in config.plant_overrides
-        assert math.isclose(config.plant_overrides["r0_ohm"], 1.3513e-2 * 1.2, rel_tol=1e-6)
+        assert config.plant.true_params.r0 == 0.0162156
+        assert math.isclose(config.plant.true_params.r0, 1.3513e-2 * 1.2, rel_tol=1e-6)
+        assert config.adv_params.r0 == 1.3513e-2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -124,9 +127,8 @@ class TestLoadScenario:
         rel = write_config(sub, "../cell.json")
         (tmp_path / "cell.json").write_text(params_path.read_text())
         config = load_scenario(rel)
-        assert config.params_file.exists()
-        prep = prepare(config)
-        assert prep.adv_params.capacity_q == 1.4322e4
+        assert config.adv_params.capacity_q == 1.4322e4
+        assert config.plant.true_params == config.adv_params
 
 
 class TestPrepare:
@@ -145,8 +147,12 @@ class TestPrepare:
 
     def test_seed_override(self, scenario_dir):
         config = load_scenario(scenario_dir / "tc1.json")
-        assert prepare(config).plant.seed == 0
-        assert prepare(replace(config, seed=7)).plant.seed == 7
+        assert prepare(config) is config
+        seeded = prepare(config, seed=7)
+        assert seeded.plant.seed == 7
+        assert seeded.plant.true_params == config.plant.true_params
+        assert replace(seeded, plant=config.plant) == config
+        assert prepare(config, ka_values=[0.5]).ka_values == (0.5,)
 
     def test_csv_profile(self, tmp_path, params_path):
         csv_path = tmp_path / "drive.csv"
