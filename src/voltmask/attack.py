@@ -166,8 +166,10 @@ class RiccatiSolution:
     def __post_init__(self):
         for name in ("grid", "s", "v"):
             getattr(self, name).setflags(write=False)
-        rows = np.ascontiguousarray(self.s, dtype=float).reshape(len(self.s), -1).view(np.uint64)
-        same = (rows == rows[0]).all(axis=1)
+        rows = np.ascontiguousarray(self.s, dtype=float).reshape(len(self.s), 4).view(np.uint64)
+        # a row's four one-byte flags, read as one uint32, are all set
+        # exactly when the row has s[0]'s bits
+        same = (rows == rows[0]).view(np.uint32)[:, 0] == 0x01010101
         settled = int(same.argmin()) - 1 if not same.all() else same.size - 1
         object.__setattr__(self, "stationary_from", settled if settled > 0 else None)
 
@@ -196,7 +198,9 @@ def _sweep_backward(
     f = (u_nom, x_ref1, x_ref2), whose columns are the V outputs of
     rk4_step on unit inputs.  The rest of the sweep runs that map: S rows
     are the stationary S, and V rows differ from the stepwise RK4 at
-    rounding level only.
+    rounding level only.  The map's forcing is computed for all remaining
+    rows at once, one contiguous array per V component, and the
+    recurrence in R is a generator that np.fromiter drains.
     """
     a11, a12 = float(a[0, 0]), float(a[0, 1])
     a21, a22 = float(a[1, 0]), float(a[1, 1])
@@ -270,9 +274,9 @@ def _sweep_backward(
     v_out[-1] = q1 @ xref[-1]
     s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
     v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
-    # The loops read and write plain floats through memoryviews, so they
-    # neither do numpy scalar arithmetic nor keep per-row Python objects
-    # alive; a diverging sweep overflows to inf silently and is caught
+    # The stepping loop and the tail's recurrence read plain floats
+    # through memoryviews, so they neither do numpy scalar arithmetic nor
+    # keep per-row Python objects alive; a diverging sweep overflows to inf silently and is caught
     # by the finite checks instead of spraying numpy warnings.
     s_mv = memoryview(s_out.reshape(-1))
     v_mv = memoryview(v_out.reshape(-1))
@@ -318,33 +322,45 @@ def _sweep_backward(
     cols = [rk4_step(s11, s12, s22, *unit)[3:] for unit in np.eye(8).tolist()]
     (r11, r21), (r12, r22) = cols[:2]
     g_hi, g_lo = cols[2:5], cols[5:]
-    # Rows i, ..., 0 remain.  Their forcing G_hi f_{k+1} + G_lo f_k is
-    # written into their V rows, which the recurrence then overwrites
-    # in place, each row read just before it is written.  It is summed
-    # one input column at a time, each term computed in the S rows
-    # before they are filled, so no (m, 2) array is allocated.
+    # Rows i, ..., 0 remain.  Each V component's forcing, the c-th entry
+    # of G_hi f_{k+1} + G_lo f_k, is summed into its own length-m array
+    # from 0.0, one input column at a time (f_k, then f_{k+1}), so every
+    # ufunc runs along the grid, never along a length-2 axis.
     m = i + 1
-    tail = v_out[:m]
-    term = s_out[:m].reshape(m, 4)[:, :2]
-    f_lo = (u_nom.samples[:m, None], xref[:m, :1], xref[:m, 1:])
-    f_hi = (u_nom.samples[1 : m + 1, None], xref[1 : m + 1, :1], xref[1 : m + 1, 1:])
-    tail[:] = 0.0
+    f_lo = (u_nom.samples[:m], xref[:m, 0], xref[:m, 1])
+    f_hi = (u_nom.samples[1 : m + 1], xref[1 : m + 1, 0], xref[1 : m + 1, 1])
+    term = np.empty(m)
+    forcing = (np.zeros(m), np.zeros(m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, g in zip(f_lo + f_hi, g_lo + g_hi):
-            np.multiply(f, g, out=term)
-            tail += term
+        for c, total in enumerate(forcing):
+            for f, g in zip(f_lo + f_hi, g_lo + g_hi):
+                np.multiply(f, g[c], out=term)
+                total += term
+    del term  # freed before the drain allocates its 2 m floats
+    # the recurrence runs from row i back to row 0
+    f1s, f2s = (memoryview(total)[::-1] for total in forcing)
+    steps = _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s)
+    tail = v_out[:m]
+    tail[:] = np.fromiter(steps, float, count=2 * m).reshape(m, 2)[::-1]
     s_out[:m] = ((s11, s12), (s12, s22))
-    for k, f1, f2 in zip(range(i, -1, -1), v_mv[2 * i :: -2], v_mv[2 * i + 1 :: -2]):
-        v1, v2 = r11 * v1 + r12 * v2 + f1, r21 * v1 + r22 * v2 + f2
-        v_mv[2 * k] = v1
-        v_mv[2 * k + 1] = v2
     # x * inf and x * nan are never finite, so a non-finite row makes
-    # every later one non-finite too, and the last row tells; S is the
+    # every earlier one non-finite too, and row 0 tells; S is the
     # stationary S, finite, on all of them
-    if not (isfinite(v1) and isfinite(v2)):
+    if not np.isfinite(tail[0]).all():
         finite = np.isfinite(tail).all(axis=1)
         raise _overflowed(u_nom, int(np.flatnonzero(~finite)[-1]))
     return s_out, v_out
+
+
+def _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s):
+    """v1, v2 after each step v = R v + f, for each (f1, f2) of zip(f1s, f2s).
+
+    A generator that np.fromiter drains, as the recurrences of ecm.py are.
+    """
+    for f1, f2 in zip(f1s, f2s):
+        v1, v2 = r11 * v1 + r12 * v2 + f1, r21 * v1 + r22 * v2 + f2
+        yield v1
+        yield v2
 
 
 def _diverged(u_nom: TimeSeries, k: int) -> DivergenceError:

@@ -154,12 +154,12 @@ def _residual(traj: _Trajectories, k_a: float) -> tuple[np.ndarray, np.ndarray, 
     if k_a == 1.0:
         raise ValueError("k_a = 1 makes the per-sample correction singular")
     y_nom = traj.nom_model.voltage.samples
-    delta = y_nom - traj.att_model.voltage.samples
-    y_a = (delta + k_a * (traj.y_plant - y_nom)) / (1.0 - k_a)
-    y_measured = traj.y_plant + y_a
-    residual = y_measured - traj.plant_nom.voltage.samples
-    # a runaway attack overflows to inf, which the caller reports
-    with np.errstate(over="ignore"):
+    # a runaway attack, or a gain near 1, overflows to inf, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = y_nom - traj.att_model.voltage.samples
+        y_a = (delta + k_a * (traj.y_plant - y_nom)) / (1.0 - k_a)
+        y_measured = traj.y_plant + y_a
+        residual = y_measured - traj.plant_nom.voltage.samples
         return y_a, y_measured, residual, float(np.sqrt(np.mean(residual * residual)))
 
 
@@ -178,6 +178,14 @@ def feedback_output_attack(
     traj = _simulate_trajectories(attack, plant)
     y_a, y_measured, residual, residual_rms = _residual(traj, k_a)
     voltage = traj.nom_model.voltage
+    # named here, before a TimeSeries would reject them unnamed
+    for name, samples in (("masking correction", y_a), ("measured voltage", y_measured)):
+        finite = np.isfinite(samples)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise FloatingPointError(
+                f"{name} is not finite at t={voltage.times()[k]} ({samples[k]} V, k_a = {k_a})"
+            )
     return StealthResult(
         y_nom=voltage,
         y_plant=voltage.with_samples(traj.y_plant),

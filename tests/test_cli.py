@@ -647,6 +647,40 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(out.iterdir()) == []
 
+    # At 1e-302 A s the plant's voltage is about -1e303 V one step in, and
+    # the correction's 1 / (1 - k_a) = 1e9 carries it past the largest
+    # float.  At 2e-304 A s and k_a = 0.5 the correction, about the plant
+    # voltage, stays finite and its sum with the plant voltage overflows.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("command", "capacity", "k_a", "message"),
+        [
+            ("scenario", 1e-302, 0.999999999,
+             "masking correction is not finite at t=1.0 (-inf V, k_a = 0.999999999)"),
+            ("sweep", 1e-302, 0.999999999,
+             "sweep.csv: residual_rms_V at k_a = -0.1 is not finite (inf)"),
+            ("scenario", 2e-304, 0.5,
+             "measured voltage is not finite at t=1890.0 (-inf V, k_a = 0.5)"),
+        ],
+        ids=["correction", "sweep", "measured"],
+    )
+    def test_overflowing_masking_correction_is_named(
+        self, tmp_path, scenario_dir, params_path, capsys, command, capacity, k_a, message
+    ):
+        config = self.tc1_with_capacity(tmp_path, scenario_dir, params_path, capacity)
+        raw = json.loads(config.read_text())
+        raw["k_a"] = k_a
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "sweep":
+            argv.append("--ka=-0.1,0.999999999")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"runtime error: {message}\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     # At 1e-306 A s the SoC reaches about 1e307 and the OCV extrapolation
     # overflows the terminal voltage.
     @pytest.mark.filterwarnings("error")

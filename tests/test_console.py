@@ -64,6 +64,12 @@ ROWS = [
         id="overflowing-noise",
     ),
     pytest.param(
+        "scenario --config {work}/masking.json",
+        3,
+        "masking correction is not finite at t=1.0 (-inf V, k_a = 0.999999999)",
+        id="overflowing-masking-correction",
+    ),
+    pytest.param(
         "fit --config {work}/fit_huge.json",
         3,
         "fit_report.json: field 'rmse_V' is not finite (inf)",
@@ -87,6 +93,7 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
         "ka1.json": {**raw, "k_a": 1},
         "zoh.json": {**raw, "weights": weights},
         "noise.json": {**raw, "plant_overrides": {"noise_std": 1e308}},
+        "masking.json": {**raw, "k_a": 0.999999999, "plant_overrides": {"capacity_As": 1e-302}},
         "huge_cell.json": {**raw, "profile": {"csv": "huge_cell.csv"}},
     }
 

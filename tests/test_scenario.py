@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from voltmask import (
     sweep_scenario,
 )
 from voltmask import ecm
+from voltmask.attack import solve_riccati
 
 
 def write_config(tmp_path, params_path, **overrides):
@@ -250,3 +252,35 @@ def test_state_mismatch_simulates_each_plant_run(scenario_dir, kernel_calls, nam
     kernel_calls.clear()
     sweep_scenario(prep, [-0.5, 0.0, 0.5])
     assert len(kernel_calls) == 3
+
+
+def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, params_path):
+    """tc1_mismatch at n = 50 001 with 1 mV noise, the benchmark's long scenario.
+
+    S is stationary on all but the last 537 rows.  Each bound is a
+    recorded traced peak plus 0.1 MB.  run_scenario's, 9 613 357 bytes,
+    is set by the masking runs; the sweep's own, 4 794 273 bytes, holds
+    the stationary tail's two forcing columns and its drained rows.
+    """
+    raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
+    raw["params_file"] = str(params_path)
+    scale = 2000.0 / 50_000.0
+    raw["profile"].update(duration=50_000.0, amplitude=2.0 * scale, bias=2.1483 * scale)
+    raw["plant_overrides"].update(noise_std=1e-3, seed=3)
+    (tmp_path / "long.json").write_text(json.dumps(raw))
+    prep = prepare(load_scenario(tmp_path / "long.json"))
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sol, sweep_peak = traced_peak(
+        lambda: solve_riccati(prep.adv_params, prep.weights, prep.reference, prep.u_nom)
+    )
+    _, run_peak = traced_peak(lambda: run_scenario(prep))
+    assert sol.stationary_from == 49_464
+    assert sweep_peak < 4_794_273 + 100_000
+    assert run_peak < 9_613_357 + 100_000

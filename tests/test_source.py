@@ -1,4 +1,5 @@
-"""The source tree itself: the Python floor, and the names the benchmark calls."""
+"""The source tree itself: the Python floor, bounded fromiter drains, and the
+names the benchmark calls."""
 
 import ast
 import os
@@ -41,6 +42,41 @@ def test_source_keeps_to_the_python_3_10_floor(repo_root):
 )
 def test_floor_check_sees_newer_names(source):
     assert NEWER_THAN_FLOOR.intersection(identifiers(ast.parse(source)))
+
+
+def fromiter_calls(tree):
+    """(line, passes count=) for every call of a function named fromiter in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "fromiter":
+                yield node.lineno, any(kw.arg == "count" for kw in node.keywords)
+
+
+def test_every_fromiter_drain_fills_one_preallocated_array(repo_root):
+    # without count=, np.fromiter grows its array as the iterator runs
+    calls = {
+        path: list(fromiter_calls(ast.parse(path.read_text(), str(path))))
+        for path in sorted((repo_root / "src").rglob("*.py"))
+    }
+    assert any(calls.values())
+    for path, found in calls.items():
+        unbounded = [line for line, bounded in found if not bounded]
+        assert not unbounded, f"{path}: np.fromiter without count= on lines {unbounded}"
+
+
+@pytest.mark.parametrize(
+    ("source", "bounded"),
+    [
+        ("np.fromiter(steps, float)", False),
+        ("numpy.fromiter(iter(x), dtype=float)", False),
+        ("from numpy import fromiter\nfromiter(steps, float)", False),
+        ("np.fromiter(steps, float, count=2 * m)", True),
+    ],
+)
+def test_fromiter_check_sees_a_missing_count(source, bounded):
+    assert [ok for _, ok in fromiter_calls(ast.parse(source))] == [bounded]
 
 
 def test_the_benchmark_tracer_installs(repo_root):
