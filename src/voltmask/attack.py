@@ -2,9 +2,9 @@
 
 The adversary injects an additional current u_a on top of the user's
 profile u_nom and wants the state X = (soc, vc) to follow a reference
-trajectory X_ref (typically a ramp from the present SoC to an over-charge
-or over-discharge target) at minimal injection effort.  The cost is the
-finite-horizon quadratic tracker
+trajectory X_ref = (soc_ref, 0), where soc_ref is typically a ramp from
+the present SoC to an over-charge or over-discharge target, at minimal
+injection effort.  The cost is the finite-horizon quadratic tracker
 
     J = 1/2 (X(tf)-X_ref(tf))' Q1 (X(tf)-X_ref(tf))
       + 1/2 int (X-X_ref)' Q2 (X-X_ref) + r u_a^2 dt
@@ -19,13 +19,15 @@ where S (2x2, symmetric) and V (2-vector) solve, backward from tf,
     S' = -(S A + A' S - S B r^-1 B' S + Q2)          S(tf) = Q1
     V' = -(A' V - S B r^-1 B' V - S B u_nom + Q2 X_ref)   V(tf) = Q1 X_ref(tf)
 
-The sweep is integrated with classic 4th-order Runge-Kutta, stepping
-back by the profile's dt; u_nom and X_ref are linearly interpolated at
-the half-step stage points.  Step size and position come from the
-uniform grid (t0, dt, n) alone, never from differences of rounded grid
-times, so no output but a time column depends on the profile's t0.  Once
-S is stationary bit for bit, every remaining V step is one fixed affine
-map, whose coefficients are that same RK4 step applied to unit inputs.
+Since the vc component of X_ref is zero, Q2 X_ref is soc_ref times the
+first column of Q2, and the sweep takes soc_ref alone.  It is integrated
+with classic 4th-order Runge-Kutta, stepping back by the profile's dt;
+u_nom and soc_ref are linearly interpolated at the half-step stage
+points.  Step size and position come from the uniform grid (t0, dt, n)
+alone, never from differences of rounded grid times, so no output but a
+time column depends on the profile's t0.  Once S is stationary bit for
+bit, every remaining V step is one fixed affine map, whose coefficients
+are that same RK4 step applied to unit inputs.
 The synthesized trajectory is then rolled out forward with the exact
 zero-order-hold cell model, closing the loop on the adversary's own
 simulated state.
@@ -37,7 +39,7 @@ that is unstable where S is stationary (h*lambda > 2 on the SoC
 channel, which the RK4 sweep itself survives up to about 2.785), and
 then runs the rollout, which evaluates the feedback law at the grid
 nodes only; S and V are never interpolated in time.  build_reference
-samples X_ref at the n points of a uniform grid.
+samples soc_ref at the n points of a uniform grid.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import checked
 from .ecm import BatteryState, EcmParams, SimulationResult, state_matrices
 from .ecm import _terminal_voltages, _voltage_series
 from .profiles import TimeSeries
@@ -71,6 +74,8 @@ class DivergenceError(RuntimeError):
 
 
 def _check_weight_matrix(name: str, q: np.ndarray) -> None:
+    """Check q and make it exactly symmetric: once its asymmetry is within
+    tolerance, its lower off-diagonal entry is set to the upper one."""
     if q.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {q.shape}")
     if not np.isfinite(q).all():
@@ -78,6 +83,7 @@ def _check_weight_matrix(name: str, q: np.ndarray) -> None:
     tol = 1e-12 * max(1.0, float(np.abs(q).max()))
     if float(np.abs(q - q.T).max()) > tol:
         raise ValueError(f"{name} must be symmetric to 1e-12")
+    q[1, 0] = q[0, 1]
     if float(np.linalg.eigvalsh(q).min()) < -tol:
         raise ValueError(f"{name} must be positive semidefinite (eigenvalues >= -1e-12)")
 
@@ -88,6 +94,8 @@ class AttackWeights:
 
     Defaults are the documented baseline diag(1e4, 0), diag(10, 0), 1;
     shipped scenario files record their own, scaled to the cell capacity.
+    A weight may be asymmetric by 1e-12 relative; its lower off-diagonal
+    entry is then set to the upper one, so every stage sees one matrix.
     """
 
     q1: np.ndarray = None
@@ -99,13 +107,14 @@ class AttackWeights:
         q2 = np.array([[10.0, 0.0], [0.0, 0.0]] if self.q2 is None else self.q2, dtype=float)
         _check_weight_matrix("q1", q1)
         _check_weight_matrix("q2", q2)
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
+        r = checked(self.r, float)
+        if r is None or r <= 0:
             raise ValueError(f"r must be positive and finite, got {self.r}")
         q1.setflags(write=False)
         q2.setflags(write=False)
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "r", r)
 
 
 @dataclass(frozen=True)
@@ -134,17 +143,14 @@ class ReferenceTrajectory:
 
 
 def build_reference(ref: ReferenceTrajectory, n: int) -> np.ndarray:
-    """Sample the reference at the n points of a uniform grid; returns an
-    (n, 2) array.  The ramp goes by sample index, which is linear in time."""
+    """Sample the SoC reference at the n points of a uniform grid; returns
+    an (n,) array.  The ramp goes by sample index, which is linear in time."""
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    out = np.zeros((n, 2))
     if ref.shape == "hold_target":
-        out[:, 0] = ref.soc_target
-    else:
-        frac = np.arange(n) / (n - 1)
-        out[:, 0] = ref.soc_start + (ref.soc_target - ref.soc_start) * frac
-    return out
+        return np.full(n, ref.soc_target, dtype=float)
+    frac = np.arange(n) / (n - 1)
+    return ref.soc_start + (ref.soc_target - ref.soc_start) * frac
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,23 +186,24 @@ def _sweep_backward(
     q1: np.ndarray,
     q2: np.ndarray,
     r: float,
-    xref: np.ndarray,
+    soc_ref: np.ndarray,
     u_nom: TimeSeries,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 backward integration of the coupled S / V equations on u_nom's grid.
 
-    Every step is -u_nom.dt.  Works on scalarized entries (S symmetric, so
-    three S scalars plus two for V); rk4_step takes one RK4 step of the
-    five coupled scalars from the inputs (u_nom, x_ref) at both ends of
-    the step.
+    Every step is -u_nom.dt.  The reference's vc component is zero, so
+    the V equation sees it only as soc_ref times q2's first column.
+    Works on scalarized entries (S symmetric, so three S scalars plus two
+    for V); rk4_step takes one RK4 step of the five coupled scalars from
+    the inputs (u_nom, soc_ref) at both ends of the step.
 
     Once S is the same bit for bit as on the step before, the S equation
-    (which never sees u_nom or x_ref) returns the same S on every
+    (which never sees u_nom or soc_ref) returns the same S on every
     remaining step, so S is stationary.  At a fixed S the V step is
     linear in V and in the inputs at both ends of the step, so it is the
     affine map v_k = R v_{k+1} + G_hi f_{k+1} + G_lo f_k with
-    f = (u_nom, x_ref1, x_ref2), whose columns are the V outputs of
-    rk4_step on unit inputs.  The rest of the sweep runs that map: S rows
+    f = (u_nom, soc_ref), whose columns are the V outputs of rk4_step on
+    the six unit inputs.  The rest of the sweep runs that map: S rows
     are the stationary S, and V rows differ from the stepwise RK4 at
     rounding level only.  The map's forcing is computed for all remaining
     rows at once, one contiguous array per V component, and the
@@ -223,41 +230,37 @@ def _sweep_backward(
         ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
         return p1, p2, ds11, ds12, ds22
 
-    def rk4_step(s11, s12, s22, v1, v2, un_hi, xr1_hi, xr2_hi, un_lo, xr1_lo, xr2_lo):
+    def rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo):
         # the V equation sees S only through p = b'S (S symmetric, so S b)
         pa1, pa2, ka11, ka12, ka22 = s_rhs(s11, s12, s22)
         pb1, pb2, kb11, kb12, kb22 = s_rhs(s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22)
         pc1, pc2, kc11, kc12, kc22 = s_rhs(s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22)
         pd1, pd2, kd11, kd12, kd22 = s_rhs(s11 + h * kc11, s12 + h * kc12, s22 + h * kc22)
-        # e.._hi, e.._mid, e.._lo are the q2 x_ref products of dv1 (e11, e12)
-        # and dv2 (e21, e22) at the upper node, the midpoint and the lower node
-        xr1_mid = 0.5 * (xr1_hi + xr1_lo)
-        xr2_mid = 0.5 * (xr2_hi + xr2_lo)
+        # e1_.. and e2_.. are the q2 soc_ref products of dv1 and dv2 at the
+        # upper node, the midpoint and the lower node
+        xr_mid = 0.5 * (xr_hi + xr_lo)
         un_mid = 0.5 * (un_hi + un_lo)
-        e11_hi, e12_hi = q2_11 * xr1_hi, q2_12 * xr2_hi
-        e21_hi, e22_hi = q2_12 * xr1_hi, q2_22 * xr2_hi
-        e11_mid, e12_mid = q2_11 * xr1_mid, q2_12 * xr2_mid
-        e21_mid, e22_mid = q2_12 * xr1_mid, q2_22 * xr2_mid
-        e11_lo, e12_lo = q2_11 * xr1_lo, q2_12 * xr2_lo
-        e21_lo, e22_lo = q2_12 * xr1_lo, q2_22 * xr2_lo
+        e1_hi, e2_hi = q2_11 * xr_hi, q2_12 * xr_hi
+        e1_mid, e2_mid = q2_11 * xr_mid, q2_12 * xr_mid
+        e1_lo, e2_lo = q2_11 * xr_lo, q2_12 * xr_lo
         btv = b1 * v1 + b2 * v2
-        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e11_hi + e12_hi)
-        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e21_hi + e22_hi)
+        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e1_hi)
+        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e2_hi)
         w1 = v1 + hh * ka1
         w2 = v2 + hh * ka2
         btv = b1 * w1 + b2 * w2
-        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e11_mid + e12_mid)
-        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e21_mid + e22_mid)
+        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e1_mid)
+        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e2_mid)
         w1 = v1 + hh * kb1
         w2 = v2 + hh * kb2
         btv = b1 * w1 + b2 * w2
-        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e11_mid + e12_mid)
-        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e21_mid + e22_mid)
+        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e1_mid)
+        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e2_mid)
         w1 = v1 + h * kc1
         w2 = v2 + h * kc2
         btv = b1 * w1 + b2 * w2
-        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e11_lo + e12_lo)
-        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e21_lo + e22_lo)
+        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e1_lo)
+        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e2_lo)
         return (
             s11 + h6 * (ka11 + 2.0 * kb11 + 2.0 * kc11 + kd11),
             s12 + h6 * (ka12 + 2.0 * kb12 + 2.0 * kc12 + kd12),
@@ -271,7 +274,7 @@ def _sweep_backward(
     v_out = np.empty((n, 2))
     # terminal conditions assigned exactly, not integrated
     s_out[-1] = q1
-    v_out[-1] = q1 @ xref[-1]
+    v_out[-1] = q1 @ (soc_ref[-1], 0.0)
     s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
     v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
     # The stepping loop and the tail's recurrence read plain floats
@@ -280,29 +283,21 @@ def _sweep_backward(
     # by the finite checks instead of spraying numpy warnings.
     s_mv = memoryview(s_out.reshape(-1))
     v_mv = memoryview(v_out.reshape(-1))
-    x_mv = memoryview(xref.reshape(-1))
+    x_mv = memoryview(soc_ref)
     u_mv = memoryview(u_nom.samples)
     # the lower node of each step, from the last step back to the first
-    lows = zip(
-        range(n - 2, -1, -1),
-        x_mv[2 * n - 4 :: -2],
-        x_mv[2 * n - 3 :: -2],
-        u_mv[n - 2 :: -1],
-    )
-    un_hi = u_mv[n - 1]
-    xr1_hi, xr2_hi = x_mv[2 * n - 2], x_mv[2 * n - 1]
+    lows = zip(range(n - 2, -1, -1), x_mv[n - 2 :: -1], u_mv[n - 2 :: -1])
+    un_hi, xr_hi = u_mv[n - 1], x_mv[n - 1]
     # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
     pack = struct.Struct("3d").pack
     isfinite = math.isfinite
     s_key = None
-    for i, xr1_lo, xr2_lo, un_lo in lows:
+    for i, xr_lo, un_lo in lows:
         key = pack(s11, s12, s22)
         if key == s_key:
             break  # S is stationary from here back to the start
         s_key = key
-        s11, s12, s22, v1, v2 = rk4_step(
-            s11, s12, s22, v1, v2, un_hi, xr1_hi, xr2_hi, un_lo, xr1_lo, xr2_lo
-        )
+        s11, s12, s22, v1, v2 = rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo)
         if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
             raise _diverged(u_nom, i)
         if not (isfinite(v1) and isfinite(v2)):
@@ -314,21 +309,21 @@ def _sweep_backward(
         s_mv[j + 3] = s22
         v_mv[2 * i] = v1
         v_mv[2 * i + 1] = v2
-        xr1_hi, xr2_hi, un_hi = xr1_lo, xr2_lo, un_lo
+        xr_hi, un_hi = xr_lo, un_lo
     else:  # S never repeated
         return s_out, v_out
 
     # the columns of R, G_hi and G_lo, in rk4_step's argument order
-    cols = [rk4_step(s11, s12, s22, *unit)[3:] for unit in np.eye(8).tolist()]
+    cols = [rk4_step(s11, s12, s22, *unit)[3:] for unit in np.eye(6).tolist()]
     (r11, r21), (r12, r22) = cols[:2]
-    g_hi, g_lo = cols[2:5], cols[5:]
+    g_hi, g_lo = cols[2:4], cols[4:]
     # Rows i, ..., 0 remain.  Each V component's forcing, the c-th entry
     # of G_hi f_{k+1} + G_lo f_k, is summed into its own length-m array
     # from 0.0, one input column at a time (f_k, then f_{k+1}), so every
     # ufunc runs along the grid, never along a length-2 axis.
     m = i + 1
-    f_lo = (u_nom.samples[:m], xref[:m, 0], xref[:m, 1])
-    f_hi = (u_nom.samples[1 : m + 1], xref[1 : m + 1, 0], xref[1 : m + 1, 1])
+    f_lo = (u_nom.samples[:m], soc_ref[:m])
+    f_hi = (u_nom.samples[1 : m + 1], soc_ref[1 : m + 1])
     term = np.empty(m)
     forcing = (np.zeros(m), np.zeros(m))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,9 +380,9 @@ def solve_riccati(
     u_nom: TimeSeries,
 ) -> RiccatiSolution:
     """Backward sweep on the u_nom sample grid."""
-    xref = build_reference(ref, len(u_nom))
+    soc_ref = build_reference(ref, len(u_nom))
     a, b = state_matrices(params)
-    s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, xref, u_nom)
+    s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, soc_ref, u_nom)
     solution = RiccatiSolution(grid=u_nom.times(), s=s, v=v)
     _check_psd(solution)
     return solution
@@ -517,11 +512,11 @@ def synthesize_input_attack(
     vc_mv = memoryview(vc_arr)
     s_mv = memoryview(riccati.s.reshape(-1))
     v_mv = memoryview(riccati.v.reshape(-1))
+    # every row of S is symmetric bit for bit, the terminal q1 included
     nodes = zip(
         range(n),
         s_mv[0::4],
         s_mv[1::4],
-        s_mv[2::4],
         s_mv[3::4],
         v_mv[0::2],
         v_mv[1::2],
@@ -533,11 +528,11 @@ def synthesize_input_attack(
     comp = 0.0
     soc0 = x0.soc
     # the step taken after the last node is computed and dropped
-    for k, s11, s12, s21, s22, v1, v2, un in nodes:
+    for k, s11, s12, s22, v1, v2, un in nodes:
         soc_mv[k] = soc
         vc_mv[k] = vc
         lam1 = s11 * soc + s12 * vc - v1
-        lam2 = s21 * soc + s22 * vc - v2
+        lam2 = s12 * soc + s22 * vc - v2
         ua = -(b1 * lam1 + b2 * lam2) * rinv
         u_a_mv[k] = ua
         total = un + ua

@@ -48,7 +48,7 @@ def _write_json(path: Path, payload: dict) -> None:
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, float) and not math.isfinite(item):
                 raise FloatingPointError(f"{path.name}: field {key!r} is not finite ({item})")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

@@ -32,7 +32,7 @@ class ConfigError(ValueError):
 def read_json_object(path) -> dict:
     """The JSON object in the file at path; a ConfigError naming the path otherwise."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None

@@ -337,6 +337,6 @@ def dump_params(params: EcmParams, path) -> None:
             [s, v] for s, v in zip(params.ocv.soc_breakpoints, params.ocv.ocv_volts)
         ],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -124,7 +124,7 @@ def load_csv(path, target_dt: float) -> TimeSeries:
     if not (target_dt > 0.0 and np.isfinite(target_dt)):
         raise ValueError(f"target_dt must be positive and finite, got {target_dt}")
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -254,7 +254,7 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             if 2 * np.count_nonzero(view[1:] == view[:-1]) >= n:
                 bits = view
         run_bits.append(bits)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _CSV_CHUNK):
             hi = lo + _CSV_CHUNK

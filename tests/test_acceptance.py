@@ -183,7 +183,7 @@ def test_2_riccati_matches_dp_oracle(report):
     r = 1.0
     ref = ReferenceTrajectory(0.6, 0.55, "linear_ramp")
 
-    xref_c = build_reference(ref, N + 1)
+    xref_c = np.column_stack([build_reference(ref, N + 1), np.zeros(N + 1)])
     ad, bd = zoh_discretize(params, dt_coarse)
     unom_c = np.full(N + 1, unom_val)
     u_dp = dp_tracking(ad, bd, q1, q2, r, dt_coarse, xref_c, unom_c, x0)
@@ -296,7 +296,7 @@ def test_6_riccati_structure(report):
         sol = solve_riccati(cell, weights, ref, profile)
         worst_sym = max(worst_sym, float(np.abs(sol.s - np.transpose(sol.s, (0, 2, 1))).max()))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(sol.s).min()))
-        xref = build_reference(ref, len(profile))
+        xref = np.column_stack([build_reference(ref, len(profile)), np.zeros(len(profile))])
         terminal_exact = (
             terminal_exact
             and np.array_equal(sol.s[-1], weights.q1)

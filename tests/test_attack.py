@@ -66,6 +66,19 @@ class TestWeights:
         with pytest.raises(ValueError, match="q1 must be symmetric"):
             AttackWeights(q1=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_asymmetry_within_tolerance_is_made_exact(self, cell):
+        # q1's lower entry is set to its upper one, so the terminal S row
+        # that the rollout reads is symmetric bit for bit
+        q1 = np.array([[1e4, 1e-9], [0.0, 0.0]])
+        w = AttackWeights(q1=q1, q2=np.array([[10.0, 0.0], [-0.0, 0.0]]))
+        assert w.q1.tobytes() == np.array([[1e4, 1e-9], [1e-9, 0.0]]).tobytes()
+        assert w.q2.tobytes() == np.array([[10.0, 0.0], [0.0, 0.0]]).tobytes()
+        assert q1[1, 0] == 0.0  # the caller's array is left as it was
+        u_nom = synthetic_profile("constant", 0.0, 1.0, 50.0, 1.0)
+        sol = solve_riccati(cell, w, ReferenceTrajectory(0.6, 0.5), u_nom)
+        assert sol.s[-1, 1, 0].tobytes() == sol.s[-1, 0, 1].tobytes()
+        assert sol.s.tobytes() == np.transpose(sol.s, (0, 2, 1)).tobytes()
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             AttackWeights(q2=np.diag([-1.0, 0.0]))
@@ -73,6 +86,14 @@ class TestWeights:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError, match="r must be positive"):
             AttackWeights(r=0.0)
+
+    @pytest.mark.parametrize("r", [True, False, "1", math.inf, math.nan])
+    def test_r_must_be_a_finite_number(self, r):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            AttackWeights(r=r)
+
+    def test_integer_r_is_a_float(self):
+        assert AttackWeights(r=2).r.hex() == (2.0).hex()
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -82,16 +103,15 @@ class TestWeights:
 class TestReference:
     def test_linear_ramp_endpoints(self):
         ref = ReferenceTrajectory(0.8, 0.2)
-        xref = build_reference(ref, 11)
-        assert xref.shape == (11, 2)
-        assert xref[0, 0] == 0.8 and math.isclose(xref[-1, 0], 0.2)
-        assert math.isclose(xref[5, 0], 0.5)
-        np.testing.assert_array_equal(xref[:, 1], np.zeros(11))
+        soc_ref = build_reference(ref, 11)
+        assert soc_ref.shape == (11,)
+        assert soc_ref[0] == 0.8 and math.isclose(soc_ref[-1], 0.2)
+        assert math.isclose(soc_ref[5], 0.5)
 
     def test_hold_target(self):
         ref = ReferenceTrajectory(0.8, 0.2, shape="hold_target")
-        xref = build_reference(ref, 5)
-        np.testing.assert_array_equal(xref[:, 0], np.full(5, 0.2))
+        soc_ref = build_reference(ref, 5)
+        np.testing.assert_array_equal(soc_ref, np.full(5, 0.2))
 
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2 points, got 1"):
@@ -115,14 +135,13 @@ class TestReference:
         # sample k of the ramp is k / (n - 1) of the way, the time ramp
         # t_k / t_last on a grid from 0 whose times are exact, bit for bit
         ref = ReferenceTrajectory(soc_start, soc_target, shape)
-        xref = build_reference(ref, n)
-        want = np.zeros((n, 2))
+        soc_ref = build_reference(ref, n)
         if shape == "hold_target":
-            want[:, 0] = soc_target
+            want = np.full(n, soc_target)
         else:
             times = TimeSeries(0.0, dt, np.zeros(n)).times()
-            want[:, 0] = soc_start + (soc_target - soc_start) * (times / times[-1])
-        assert xref.tobytes() == want.tobytes()
+            want = soc_start + (soc_target - soc_start) * (times / times[-1])
+        assert soc_ref.tobytes() == want.tobytes()
 
 
 def test_sweep_matches_scalar_euler_oracle():
@@ -133,8 +152,7 @@ def test_sweep_matches_scalar_euler_oracle():
     b = np.array([1.0, 0.0])
     q1 = np.diag([0.4, 0.0])
     q2 = np.diag([0.25, 0.0])
-    xref = np.zeros((len(u_nom), 2))
-    s, v = _sweep_backward(a, b, q1, q2, 1.0, xref, u_nom)
+    s, v = _sweep_backward(a, b, q1, q2, 1.0, np.zeros(len(u_nom)), u_nom)
 
     oracle = scalar_riccati_euler(1.0, 1.0, 0.25, 0.4, u_nom.times(), refine=100)
     dev = np.abs(s[:, 0, 0] - oracle).max() / np.abs(oracle).max()
@@ -152,9 +170,9 @@ def test_terminal_conditions_are_assigned_exactly(cell):
     q1 = np.array([[5.0, 1.0], [1.0, 2.0]])
     weights = AttackWeights(q1=q1, q2=np.array([[2.0, 0.3], [0.3, 0.5]]), r=0.5)
     sol = solve_riccati(cell, weights, ref, u_nom)
-    xref = build_reference(ref, len(u_nom))
+    soc_ref = build_reference(ref, len(u_nom))
     np.testing.assert_array_equal(sol.s[-1], q1)
-    np.testing.assert_array_equal(sol.v[-1], q1 @ xref[-1])
+    np.testing.assert_array_equal(sol.v[-1], q1 @ (soc_ref[-1], 0.0))
 
 
 def test_sweep_stays_symmetric_and_psd(cell):
@@ -365,6 +383,13 @@ def generic_rk4_sweep(a, b, q1, q2, r, xref, u_nom):
     return s_out, v_out
 
 
+def with_vc_column(case):
+    """A sweep case with its SoC reference widened to the (soc_ref, 0.0)
+    rows that the generic oracles take."""
+    *head, soc_ref, u_nom = case
+    return (*head, np.column_stack([soc_ref, np.zeros(soc_ref.size)]), u_nom)
+
+
 def assert_sweep_matches_generic_rk4(case):
     """_sweep_backward against the plain RK4 sweep on one case.
 
@@ -376,7 +401,7 @@ def assert_sweep_matches_generic_rk4(case):
     map, V may differ from plain RK4 by rounding only: 1e-12 of max|V|.
     """
     try:
-        s, v = generic_rk4_sweep(*case)
+        s, v = generic_rk4_sweep(*with_vc_column(case))
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as ours:
             _sweep_backward(*case)
@@ -426,13 +451,9 @@ def sweep_cases(draw, stiffness=1.0):
     t0 = draw(st.sampled_from([0.0, 13.7, 1e3]))
     n = draw(st.integers(2, 1200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # a vc reference of the size that makes both q2 terms of the V equation
-    # comparable, so that their rounding shows
-    xref = np.column_stack([rng.uniform(0.0, 1.0, n), rng.normal(0.0, capacity / c1, n)])
-    if draw(st.integers(0, 3)) == 0:
-        xref[:, 1] = 0.0
+    soc_ref = rng.uniform(0.0, 1.0, n)
     unom = rng.normal(0.0, 2.0, n) if draw(st.integers(0, 3)) else np.zeros(n)
-    return a, b, q1, q2, r, xref, TimeSeries(t0, dt, unom)
+    return a, b, q1, q2, r, soc_ref, TimeSeries(t0, dt, unom)
 
 
 # a cell-scaled case with off-diagonal weights and signed zeros whose S
@@ -443,7 +464,7 @@ _SETTLING = (
     np.array([[2e5, -0.0], [-0.0, 0.0]]),
     np.array([[1e6, 2e5], [2e5, 1e6]]),
     1.0,
-    np.column_stack([np.linspace(0.8, 0.2, 2000), 0.5 * np.cos(np.arange(2000) * 0.003)]),
+    np.linspace(0.8, 0.2, 2000),
     TimeSeries(0.0, 0.3, np.sin(np.arange(2000) * 0.01)),
 )
 
@@ -469,12 +490,12 @@ def test_sweep_diverges_where_generic_rk4_does(case):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_divergence_in_the_stationary_tail_is_named(sign):
-    a, b, q1, q2, r, xref, u_nom = _SETTLING
+    a, b, q1, q2, r, soc_ref, u_nom = _SETTLING
     s, v = _sweep_backward(*_SETTLING)
     k = RiccatiSolution(u_nom.times(), s, v).stationary_from // 2
     samples = u_nom.samples.copy()
     samples[k] = sign * 1e308
-    case = (a, b, q1, q2, r, xref, u_nom.with_samples(samples))
+    case = (a, b, q1, q2, r, soc_ref, u_nom.with_samples(samples))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as exc:
@@ -507,10 +528,11 @@ def signed_zero_cases(draw):
 
     q1, q2 = weight(), weight()
     n = draw(st.integers(2, 12))
-    xref = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    soc_ref = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
     unom = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
     t0 = draw(st.sampled_from([0.0, 2.5]))
-    return a, b, q1, q2, 1.0, xref, TimeSeries(t0, draw(st.sampled_from([0.1, 0.3, 1.0])), unom)
+    dt = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    return a, b, q1, q2, 1.0, soc_ref, TimeSeries(t0, dt, unom)
 
 
 @settings(max_examples=300, deadline=None)
@@ -522,7 +544,7 @@ def signed_zero_cases(draw):
         np.array([[0.0, -0.0], [-0.0, -0.0]]),
         np.array([[0.0, 0.0], [0.0, -0.0]]),
         1.0,
-        np.zeros((3, 2)),
+        np.zeros(3),
         TimeSeries(0.0, 0.1, np.zeros(3)),
     )
 )
@@ -572,16 +594,17 @@ def draw_inputs(draw, rng, n, scale):
 
 @st.composite
 def settling_cases(draw):
-    """_SETTLING's cell and weights on random grids and inputs, zeros and
-    signed zeros among them; S settles on every draw."""
+    """_SETTLING's cell and weights on random grids, SoC references and
+    currents, zeros and signed zeros among the currents; S settles on
+    every draw."""
     a, b, q1, q2, r, _, _ = _SETTLING
     n = draw(st.integers(1000, 2000))
     dt = draw(st.sampled_from([0.5, 0.7, 1.0]) | st.floats(0.5, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    xref = np.column_stack([rng.uniform(0.0, 1.0, n), draw_inputs(draw, rng, n, 0.5)])
+    soc_ref = rng.uniform(0.0, 1.0, n)
     unom = draw_inputs(draw, rng, n, 2.0)
     t0 = draw(st.sampled_from([0.0, 13.7]))
-    return a, b, q1, q2, r, xref, TimeSeries(t0, dt, unom)
+    return a, b, q1, q2, r, soc_ref, TimeSeries(t0, dt, unom)
 
 
 # most sweep_cases and signed_zero_cases draws never settle and are filtered out
@@ -596,7 +619,8 @@ def test_stationary_tail_equals_the_plain_float_map_bit_for_bit(case):
     j = RiccatiSolution(case[-1].times(), s, v).stationary_from
     # the sweep steps rows j - 1 and up one by one and maps rows 0 to j - 2
     assume(j is not None and j >= 2)
-    assert v[: j - 1].tobytes() == stationary_tail_map(case, s[j], v[j - 1], j - 1).tobytes()
+    want = stationary_tail_map(with_vc_column(case), s[j], v[j - 1], j - 1)
+    assert v[: j - 1].tobytes() == want.tobytes()
 
 
 def test_stationary_from_marks_where_s_settles(scenario_dir):

@@ -25,6 +25,9 @@ SRC = str(Path(voltmask.__file__).resolve().parent.parent)
 
 PREFIX = {2: "config error: ", 3: "runtime error: "}
 
+# every file the child opens names its encoding, so no output depends on the locale
+ENCODING_CHECK = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+
 # argv with {scenarios} and {work} placeholders, exit code, stderr fragment
 ROWS = [
     pytest.param("scenario --config {scenarios}/tc1.json", 0, "", id="scenario"),
@@ -122,7 +125,7 @@ def test_console_run(tmp_path, capsys, work, scenario_dir, argv, code, fragment)
     pythonpath = os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
     proc = subprocess.run(
-        [sys.executable, "-m", "voltmask.cli", *argv, "--out", str(out)],
+        [sys.executable, *ENCODING_CHECK, "-m", "voltmask.cli", *argv, "--out", str(out)],
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
