@@ -20,7 +20,9 @@ where S (2x2, symmetric) and V (2-vector) solve, backward from tf,
     V' = -(A' V - S B r^-1 B' V - S B u_nom + Q2 X_ref)   V(tf) = Q1 X_ref(tf)
 
 Since the vc component of X_ref is zero, Q2 X_ref is soc_ref times the
-first column of Q2, and the sweep takes soc_ref alone.  It is integrated
+first column of Q2, and the sweep takes soc_ref alone.  A is the cell's
+[[0, 0], [0, -1/tau1]], so the sweep takes its one nonzero entry a22 and
+its right-hand sides carry no product with A's zeros.  It is integrated
 with classic 4th-order Runge-Kutta, stepping back by the profile's dt;
 u_nom and soc_ref are linearly interpolated at the half-step stage
 points.  Step size and position come from the uniform grid (t0, dt, n)
@@ -75,7 +77,9 @@ class DivergenceError(RuntimeError):
 
 def _check_weight_matrix(name: str, q: np.ndarray) -> None:
     """Check q and make it exactly symmetric: once its asymmetry is within
-    tolerance, its lower off-diagonal entry is set to the upper one."""
+    tolerance, its lower off-diagonal entry is set to the upper one.  Every
+    -0.0 entry then becomes +0.0, so the sweep's right-hand sides, which
+    drop A's zero products, keep the signed zeros of RK4 on the full A."""
     if q.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {q.shape}")
     if not np.isfinite(q).all():
@@ -84,6 +88,7 @@ def _check_weight_matrix(name: str, q: np.ndarray) -> None:
     if float(np.abs(q - q.T).max()) > tol:
         raise ValueError(f"{name} must be symmetric to 1e-12")
     q[1, 0] = q[0, 1]
+    q += 0.0
     if float(np.linalg.eigvalsh(q).min()) < -tol:
         raise ValueError(f"{name} must be positive semidefinite (eigenvalues >= -1e-12)")
 
@@ -96,6 +101,7 @@ class AttackWeights:
     shipped scenario files record their own, scaled to the cell capacity.
     A weight may be asymmetric by 1e-12 relative; its lower off-diagonal
     entry is then set to the upper one, so every stage sees one matrix.
+    A -0.0 entry is stored as +0.0.
     """
 
     q1: np.ndarray = None
@@ -181,7 +187,7 @@ class RiccatiSolution:
 
 
 def _sweep_backward(
-    a: np.ndarray,
+    a22: float,
     b: np.ndarray,
     q1: np.ndarray,
     q2: np.ndarray,
@@ -191,8 +197,12 @@ def _sweep_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 backward integration of the coupled S / V equations on u_nom's grid.
 
-    Every step is -u_nom.dt.  The reference's vc component is zero, so
-    the V equation sees it only as soc_ref times q2's first column.
+    Every step is -u_nom.dt.  A is the cell's [[0, 0], [0, a22]], as
+    state_matrices builds it, so the sweep takes a22 alone and the right-hand
+    sides carry no product with A's zeros.  With the weights' zeros +0.0,
+    as AttackWeights stores them, S and V equal those of RK4 on the full
+    A bit for bit.  The reference's vc component is zero, so the V
+    equation sees it only as soc_ref times q2's first column.
     Works on scalarized entries (S symmetric, so three S scalars plus two
     for V); rk4_step takes one RK4 step of the five coupled scalars from
     the inputs (u_nom, soc_ref) at both ends of the step.
@@ -209,8 +219,6 @@ def _sweep_backward(
     rows at once, one contiguous array per V component, and the
     recurrence in R is a generator that np.fromiter drains.
     """
-    a11, a12 = float(a[0, 0]), float(a[0, 1])
-    a21, a22 = float(a[1, 0]), float(a[1, 1])
     b1, b2 = float(b[0]), float(b[1])
     q2_11, q2_12, q2_22 = float(q2[0, 0]), float(q2[0, 1]), float(q2[1, 1])
     rinv = 1.0 / r
@@ -218,24 +226,32 @@ def _sweep_backward(
     hh = 0.5 * h
     h6 = h / 6.0
 
-    def s_rhs(s11, s12, s22):
-        m11 = s11 * a11 + s12 * a21
-        m12 = s11 * a12 + s12 * a22
-        m21 = s12 * a11 + s22 * a21
-        m22 = s12 * a12 + s22 * a22
-        p1 = s11 * b1 + s12 * b2
-        p2 = s12 * b1 + s22 * b2
-        ds11 = -(2.0 * m11 - p1 * p1 * rinv + q2_11)
-        ds12 = -(m12 + m21 - p1 * p2 * rinv + q2_12)
-        ds22 = -(2.0 * m22 - p2 * p2 * rinv + q2_22)
-        return p1, p2, ds11, ds12, ds22
-
     def rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo):
-        # the V equation sees S only through p = b'S (S symmetric, so S b)
-        pa1, pa2, ka11, ka12, ka22 = s_rhs(s11, s12, s22)
-        pb1, pb2, kb11, kb12, kb22 = s_rhs(s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22)
-        pc1, pc2, kc11, kc12, kc22 = s_rhs(s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22)
-        pd1, pd2, kd11, kd12, kd22 = s_rhs(s11 + h * kc11, s12 + h * kc12, s22 + h * kc22)
+        # the four S stages; S A + A'S has a22 in its second column only,
+        # and the V equation sees S only through p = b'S (S symmetric, so S b)
+        pa1 = s11 * b1 + s12 * b2
+        pa2 = s12 * b1 + s22 * b2
+        ka11 = -(-(pa1 * pa1 * rinv) + q2_11)
+        ka12 = -(s12 * a22 - pa1 * pa2 * rinv + q2_12)
+        ka22 = -(2.0 * (s22 * a22) - pa2 * pa2 * rinv + q2_22)
+        t11, t12, t22 = s11 + hh * ka11, s12 + hh * ka12, s22 + hh * ka22
+        pb1 = t11 * b1 + t12 * b2
+        pb2 = t12 * b1 + t22 * b2
+        kb11 = -(-(pb1 * pb1 * rinv) + q2_11)
+        kb12 = -(t12 * a22 - pb1 * pb2 * rinv + q2_12)
+        kb22 = -(2.0 * (t22 * a22) - pb2 * pb2 * rinv + q2_22)
+        t11, t12, t22 = s11 + hh * kb11, s12 + hh * kb12, s22 + hh * kb22
+        pc1 = t11 * b1 + t12 * b2
+        pc2 = t12 * b1 + t22 * b2
+        kc11 = -(-(pc1 * pc1 * rinv) + q2_11)
+        kc12 = -(t12 * a22 - pc1 * pc2 * rinv + q2_12)
+        kc22 = -(2.0 * (t22 * a22) - pc2 * pc2 * rinv + q2_22)
+        t11, t12, t22 = s11 + h * kc11, s12 + h * kc12, s22 + h * kc22
+        pd1 = t11 * b1 + t12 * b2
+        pd2 = t12 * b1 + t22 * b2
+        kd11 = -(-(pd1 * pd1 * rinv) + q2_11)
+        kd12 = -(t12 * a22 - pd1 * pd2 * rinv + q2_12)
+        kd22 = -(2.0 * (t22 * a22) - pd2 * pd2 * rinv + q2_22)
         # e1_.. and e2_.. are the q2 soc_ref products of dv1 and dv2 at the
         # upper node, the midpoint and the lower node
         xr_mid = 0.5 * (xr_hi + xr_lo)
@@ -244,23 +260,23 @@ def _sweep_backward(
         e1_mid, e2_mid = q2_11 * xr_mid, q2_12 * xr_mid
         e1_lo, e2_lo = q2_11 * xr_lo, q2_12 * xr_lo
         btv = b1 * v1 + b2 * v2
-        ka1 = -(a11 * v1 + a21 * v2 - pa1 * btv * rinv - pa1 * un_hi + e1_hi)
-        ka2 = -(a12 * v1 + a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e2_hi)
+        ka1 = -(-pa1 * btv * rinv - pa1 * un_hi + e1_hi)
+        ka2 = -(a22 * v2 - pa2 * btv * rinv - pa2 * un_hi + e2_hi)
         w1 = v1 + hh * ka1
         w2 = v2 + hh * ka2
         btv = b1 * w1 + b2 * w2
-        kb1 = -(a11 * w1 + a21 * w2 - pb1 * btv * rinv - pb1 * un_mid + e1_mid)
-        kb2 = -(a12 * w1 + a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e2_mid)
+        kb1 = -(-pb1 * btv * rinv - pb1 * un_mid + e1_mid)
+        kb2 = -(a22 * w2 - pb2 * btv * rinv - pb2 * un_mid + e2_mid)
         w1 = v1 + hh * kb1
         w2 = v2 + hh * kb2
         btv = b1 * w1 + b2 * w2
-        kc1 = -(a11 * w1 + a21 * w2 - pc1 * btv * rinv - pc1 * un_mid + e1_mid)
-        kc2 = -(a12 * w1 + a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e2_mid)
+        kc1 = -(-pc1 * btv * rinv - pc1 * un_mid + e1_mid)
+        kc2 = -(a22 * w2 - pc2 * btv * rinv - pc2 * un_mid + e2_mid)
         w1 = v1 + h * kc1
         w2 = v2 + h * kc2
         btv = b1 * w1 + b2 * w2
-        kd1 = -(a11 * w1 + a21 * w2 - pd1 * btv * rinv - pd1 * un_lo + e1_lo)
-        kd2 = -(a12 * w1 + a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e2_lo)
+        kd1 = -(-pd1 * btv * rinv - pd1 * un_lo + e1_lo)
+        kd2 = -(a22 * w2 - pd2 * btv * rinv - pd2 * un_lo + e2_lo)
         return (
             s11 + h6 * (ka11 + 2.0 * kb11 + 2.0 * kc11 + kd11),
             s12 + h6 * (ka12 + 2.0 * kb12 + 2.0 * kc12 + kd12),
@@ -382,7 +398,7 @@ def solve_riccati(
     """Backward sweep on the u_nom sample grid."""
     soc_ref = build_reference(ref, len(u_nom))
     a, b = state_matrices(params)
-    s, v = _sweep_backward(a, b, weights.q1, weights.q2, weights.r, soc_ref, u_nom)
+    s, v = _sweep_backward(float(a[1, 1]), b, weights.q1, weights.q2, weights.r, soc_ref, u_nom)
     solution = RiccatiSolution(grid=u_nom.times(), s=s, v=v)
     _check_psd(solution)
     return solution

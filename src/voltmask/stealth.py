@@ -178,11 +178,11 @@ def feedback_output_attack(
     traj = _simulate_trajectories(attack, plant)
     y_a, y_measured, residual, residual_rms = _residual(traj, k_a)
     voltage = traj.nom_model.voltage
-    # named here, before a TimeSeries would reject them unnamed
+    # named here, before a TimeSeries would reject them unnamed; no mask
+    # outlives its test, so none is alive while the results are built
     for name, samples in (("masking correction", y_a), ("measured voltage", y_measured)):
-        finite = np.isfinite(samples)
-        if not finite.all():
-            k = int(finite.argmin())
+        if not np.isfinite(samples).all():
+            k = int(np.isfinite(samples).argmin())
             raise FloatingPointError(
                 f"{name} is not finite at t={voltage.times()[k]} ({samples[k]} V, k_a = {k_a})"
             )

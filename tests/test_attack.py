@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ class TestWeights:
         assert sol.s[-1, 1, 0].tobytes() == sol.s[-1, 0, 1].tobytes()
         assert sol.s.tobytes() == np.transpose(sol.s, (0, 2, 1)).tobytes()
 
+    def test_zeros_are_stored_as_positive_zeros(self):
+        w = AttackWeights(q1=np.diag([1e4, -0.0]), q2=[[10.0, -0.0], [-0.0, -0.0]])
+        assert not np.signbit(w.q1).any() and not np.signbit(w.q2).any()
+
+    def test_negative_zero_weights_sweep_as_positive_zeros(self, cell):
+        # the sweep drops A's zero products, which keeps RK4's signed zeros
+        # only for weights whose zeros are +0.0
+        u_nom = synthetic_profile("sin_mix", 1.0, 0.5, 300.0, 1.0, seed=2)
+        ref = ReferenceTrajectory(0.6, 0.4)
+        negative = AttackWeights(q1=np.diag([1e4, -0.0]), q2=[[10.0, -0.0], [-0.0, -0.0]])
+        positive = AttackWeights(q1=np.diag([1e4, 0.0]), q2=[[10.0, 0.0], [0.0, 0.0]])
+        got = solve_riccati(cell, negative, ref, u_nom)
+        want = solve_riccati(cell, positive, ref, u_nom)
+        assert got.s.tobytes() == want.s.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             AttackWeights(q2=np.diag([-1.0, 0.0]))
@@ -148,11 +165,10 @@ def test_sweep_matches_scalar_euler_oracle():
     # A = 0 and b = (1, 0) reduce the matrix equations to one scalar
     # Riccati equation; constants frozen after tuning the oracle step
     u_nom = TimeSeries(0.0, 0.002, np.zeros(1001))
-    a = np.zeros((2, 2))
     b = np.array([1.0, 0.0])
     q1 = np.diag([0.4, 0.0])
     q2 = np.diag([0.25, 0.0])
-    s, v = _sweep_backward(a, b, q1, q2, 1.0, np.zeros(len(u_nom)), u_nom)
+    s, v = _sweep_backward(0.0, b, q1, q2, 1.0, np.zeros(len(u_nom)), u_nom)
 
     oracle = scalar_riccati_euler(1.0, 1.0, 0.25, 0.4, u_nom.times(), refine=100)
     dev = np.abs(s[:, 0, 0] - oracle).max() / np.abs(oracle).max()
@@ -390,6 +406,18 @@ def with_vc_column(case):
     return (*head, np.column_stack([soc_ref, np.zeros(soc_ref.size)]), u_nom)
 
 
+def sweep(case):
+    """_sweep_backward on a case, whose A is the full matrix the generic
+    oracles take; the sweep reads only its a22."""
+    a, *rest = case
+    return _sweep_backward(float(a[1, 1]), *rest)
+
+
+def canonical(q):
+    """q as AttackWeights stores it: symmetric, with every zero +0.0."""
+    return AttackWeights(q1=q).q1
+
+
 def assert_sweep_matches_generic_rk4(case):
     """_sweep_backward against the plain RK4 sweep on one case.
 
@@ -404,10 +432,10 @@ def assert_sweep_matches_generic_rk4(case):
         s, v = generic_rk4_sweep(*with_vc_column(case))
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as ours:
-            _sweep_backward(*case)
+            sweep(case)
         assert str(ours.value) == str(exc)
         return
-    s_ours, v_ours = _sweep_backward(*case)
+    s_ours, v_ours = sweep(case)
     assert s_ours.tobytes() == s.tobytes()
     j = RiccatiSolution(case[-1].times(), s, v).stationary_from
     stepped = 0 if j is None else j - 1
@@ -416,8 +444,8 @@ def assert_sweep_matches_generic_rk4(case):
 
 
 def psd_weight(draw, scale1, scale2, size):
-    """A 2x2 PSD weight in cell units; each entry is an exact or signed zero
-    on about one draw in four."""
+    """A 2x2 PSD weight in cell units, as AttackWeights stores it; each entry
+    is an exact zero on about one draw in four."""
 
     def entry(values, zeros):
         return draw(st.sampled_from(zeros)) if draw(st.integers(0, 3)) == 0 else draw(values)
@@ -426,7 +454,7 @@ def psd_weight(draw, scale1, scale2, size):
     d2 = entry(st.floats(1e-3, size), [0.0])
     corr = entry(st.floats(-1.0, 1.0), [0.0, -0.0])
     off = corr * math.sqrt(d1 * d2) * scale1 * scale2
-    return np.array([[d1 * scale1 * scale1, off], [off, d2 * scale2 * scale2]])
+    return canonical(np.array([[d1 * scale1 * scale1, off], [off, d2 * scale2 * scale2]]))
 
 
 @st.composite
@@ -456,12 +484,12 @@ def sweep_cases(draw, stiffness=1.0):
     return a, b, q1, q2, r, soc_ref, TimeSeries(t0, dt, unom)
 
 
-# a cell-scaled case with off-diagonal weights and signed zeros whose S
-# settles about 1400 steps before the end of its 2000-step grid
+# a cell-scaled case with off-diagonal weights whose S settles about
+# 1400 steps before the end of its 2000-step grid
 _SETTLING = (
     np.array([[0.0, 0.0], [0.0, -1.0 / 20.0]]),
     np.array([-1.0 / 1e3, 1.0 / 1e3]),
-    np.array([[2e5, -0.0], [-0.0, 0.0]]),
+    canonical(np.array([[2e5, -0.0], [-0.0, 0.0]])),
     np.array([[1e6, 2e5], [2e5, 1e6]]),
     1.0,
     np.linspace(0.8, 0.2, 2000),
@@ -470,13 +498,34 @@ _SETTLING = (
 
 
 def test_settling_case_settles():
-    s, v = _sweep_backward(*_SETTLING)
+    s, v = sweep(_SETTLING)
     assert RiccatiSolution(_SETTLING[-1].times(), s, v).stationary_from is not None
+
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def scenario_case(name, terminal_only=False):
+    """A shipped scenario's sweep inputs, with A as state_matrices builds it,
+    so that a change to A's structure breaks the sweep's match with the
+    generic RK4.  terminal_only drops q2, as sweep-fine's weights do, so S
+    never settles and every row is stepped."""
+    prep = prepare(load_scenario(_SCENARIOS / f"{name}.json"))
+    a, b = state_matrices(prep.adv_params)
+    w = prep.weights
+    q2 = np.zeros((2, 2)) if terminal_only else w.q2
+    return a, b, w.q1, q2, w.r, build_reference(prep.reference, len(prep.u_nom)), prep.u_nom
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=sweep_cases())
 @example(case=_SETTLING)
+@example(case=scenario_case("tc1"))
+@example(case=scenario_case("tc1_mismatch"))
+@example(case=scenario_case("tc2"))
+@example(case=scenario_case("tc3"))
+@example(case=scenario_case("tc4"))
+@example(case=scenario_case("tc3", terminal_only=True))
 def test_sweep_matches_generic_rk4_up_to_rounding_in_the_tail(case):
     assert_sweep_matches_generic_rk4(case)
 
@@ -491,7 +540,7 @@ def test_sweep_diverges_where_generic_rk4_does(case):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_divergence_in_the_stationary_tail_is_named(sign):
     a, b, q1, q2, r, soc_ref, u_nom = _SETTLING
-    s, v = _sweep_backward(*_SETTLING)
+    s, v = sweep(_SETTLING)
     k = RiccatiSolution(u_nom.times(), s, v).stationary_from // 2
     samples = u_nom.samples.copy()
     samples[k] = sign * 1e308
@@ -499,7 +548,7 @@ def test_divergence_in_the_stationary_tail_is_named(sign):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as exc:
-            _sweep_backward(*case)
+            sweep(case)
     assert str(exc.value) == (
         f"riccati sweep: the forcing overflowed at t={u_nom.times()[k]} "
         "(profile or reference too large)"
@@ -513,18 +562,20 @@ _ZERO_OR_ONE = st.sampled_from([0.0, -0.0, 1.0])
 
 @st.composite
 def signed_zero_cases(draw):
-    """Short sweeps on small generic matrices full of 0.0 and -0.0.
+    """Short sweeps on small cell-shaped matrices full of 0.0 and -0.0.
 
-    Here S often steps to a value equal to the last one by == but not by
-    its bits (-0.0 + 0.0 is 0.0), which is where a reuse keyed on ==
-    would repeat the wrong S part.
+    A is [[0, 0], [0, a22]], as state_matrices builds it, and the weights'
+    zeros are +0.0, as AttackWeights stores them; a22, b, the references
+    and the currents may be -0.0.  Here S often steps to a value equal to
+    the last one by == but not by its bits (-0.0 + 0.0 is 0.0), which is
+    where a reuse keyed on == would repeat the wrong S part.
     """
-    a = np.array(draw(st.lists(_SIGNED, min_size=4, max_size=4))).reshape(2, 2)
+    a = np.array([[0.0, 0.0], [0.0, draw(_SIGNED)]])
     b = np.array(draw(st.lists(_SIGNED, min_size=2, max_size=2)))
 
     def weight():
         off = draw(st.sampled_from([0.0, -0.0]))
-        return np.array([[draw(_ZERO_OR_ONE), off], [off, draw(_ZERO_OR_ONE)]])
+        return canonical(np.array([[draw(_ZERO_OR_ONE), off], [off, draw(_ZERO_OR_ONE)]]))
 
     q1, q2 = weight(), weight()
     n = draw(st.integers(2, 12))
@@ -541,8 +592,8 @@ def signed_zero_cases(draw):
     case=(
         np.zeros((2, 2)),
         np.zeros(2),
-        np.array([[0.0, -0.0], [-0.0, -0.0]]),
-        np.array([[0.0, 0.0], [0.0, -0.0]]),
+        canonical(np.array([[0.0, -0.0], [-0.0, -0.0]])),
+        canonical(np.array([[0.0, 0.0], [0.0, -0.0]])),
         1.0,
         np.zeros(3),
         TimeSeries(0.0, 0.1, np.zeros(3)),
@@ -613,7 +664,7 @@ def settling_cases(draw):
 @example(case=_SETTLING)
 def test_stationary_tail_equals_the_plain_float_map_bit_for_bit(case):
     try:
-        s, v = _sweep_backward(*case)
+        s, v = sweep(case)
     except DivergenceError:
         assume(False)
     j = RiccatiSolution(case[-1].times(), s, v).stationary_from

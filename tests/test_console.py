@@ -34,6 +34,7 @@ ROWS = [
     pytest.param("simulate --config {scenarios}/tc1_mismatch.json", 0, "", id="simulate"),
     pytest.param("sweep --config {scenarios}/tc1_mismatch.json", 0, "", id="sweep"),
     pytest.param("fit --config {work}/fit.json", 0, "", id="fit"),
+    pytest.param("scenario --config {work}/terminal.json", 0, "", id="terminal-only-weights"),
     pytest.param("scenario --config {scenarios}", 2, "{scenarios}", id="directory-as-config"),
     pytest.param(
         "scenario --config {scenarios}/tc1.json --seed -1",
@@ -95,6 +96,8 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
     configs = {
         "ka1.json": {**raw, "k_a": 1},
         "zoh.json": {**raw, "weights": weights},
+        # S never settles without q2, so every row of the sweep is stepped
+        "terminal.json": {**raw, "weights": {"q1": [1e7, -0.0], "q2": [0.0, 0.0], "r": 1.0}},
         "noise.json": {**raw, "plant_overrides": {"noise_std": 1e308}},
         "masking.json": {**raw, "k_a": 0.999999999, "plant_overrides": {"capacity_As": 1e-302}},
         "huge_cell.json": {**raw, "profile": {"csv": "huge_cell.csv"}},
