@@ -29,7 +29,10 @@ points.  Step size and position come from the uniform grid (t0, dt, n)
 alone, never from differences of rounded grid times, so no output but a
 time column depends on the profile's t0.  Once S is stationary bit for
 bit, every remaining V step is one fixed affine map, whose coefficients
-are that same RK4 step applied to unit inputs.
+are that same RK4 step applied to unit inputs.  Weights that leave vc
+unweighted, as every shipped scenario's do, keep s12, s22 and v2 at +0.0
+on every row, so the sweep then steps s11 and v1 alone, to the same bits;
+weights on vc take the step of all five scalars.
 The synthesized trajectory is then rolled out forward with the exact
 zero-order-hold cell model, closing the loop on the adversary's own
 simulated state.
@@ -54,7 +57,7 @@ import numpy as np
 
 from .config import checked
 from .ecm import BatteryState, EcmParams, SimulationResult, state_matrices
-from .ecm import _terminal_voltages, _voltage_series
+from .ecm import _terminal_voltages, _voltage_series, _zoh_recurrence
 from .profiles import TimeSeries
 
 __all__ = [
@@ -207,6 +210,18 @@ def _sweep_backward(
     for V); rk4_step takes one RK4 step of the five coupled scalars from
     the inputs (u_nom, soc_ref) at both ends of the step.
 
+    When every entry of q1 and q2 but [0, 0] is +0.0, so vc is
+    unweighted, and a22 is finite, s12, s22 and v2 start at +0.0 and
+    every stage keeps them there: their right-hand sides are sums of
+    products with those zeros.  The sweep then steps s11 and v1 alone
+    with soc_step, which is rk4_step with those zeros put in, and writes
+    s12, s22 and v2 as +0.0.  Of the products it drops, only s12 * b2
+    and b2 * v2 reach a sum it keeps; it keeps them as the one constant
+    zb2 = 0.0 * b2, which is nan where b2 is infinite, as RK4's products
+    are.  So S, V and the row and text of every divergence are those of
+    rk4_step, bit for bit.  Weights on vc, which the config allows, and
+    a non-finite a22, whose zero products are nan, take rk4_step.
+
     Once S is the same bit for bit as on the step before, the S equation
     (which never sees u_nom or soc_ref) returns the same S on every
     remaining step, so S is stationary.  At a fixed S the V step is
@@ -217,7 +232,12 @@ def _sweep_backward(
     are the stationary S, and V rows differ from the stepwise RK4 at
     rounding level only.  The map's forcing is computed for all remaining
     rows at once, one contiguous array per V component, and the
-    recurrence in R is a generator that np.fromiter drains.
+    recurrence in R is a generator that np.fromiter drains.  With vc
+    unweighted, v2 stays +0.0 and the map is v1 = r11 v1 + f1 on v1's
+    forcing alone; v1's forcing is never -0.0, so the dropped r12 * v2,
+    a zero, cannot change a row.  Where dt / tau1 passes about 1e77, R's
+    r12 and r22 overflow and the five-scalar map's v2 becomes 0 * inf,
+    nan, though plain RK4 keeps v2 at 0; the scalar map has neither.
     """
     b1, b2 = float(b[0]), float(b[1])
     q2_11, q2_12, q2_22 = float(q2[0, 0]), float(q2[0, 1]), float(q2[1, 1])
@@ -285,9 +305,42 @@ def _sweep_backward(
             v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
         )
 
+    # s12 * b2 and b2 * v2 at s12 = v2 = +0.0, the only dropped products
+    # that reach a sum soc_step keeps
+    zb2 = 0.0 * b2
+
+    def soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo):
+        # rk4_step's s11 and v1 outputs at s12 = s22 = v2 = +0.0, bit for bit
+        pa = s11 * b1 + zb2
+        ka = -(-(pa * pa * rinv) + q2_11)
+        t = s11 + hh * ka
+        pb = t * b1 + zb2
+        kb = -(-(pb * pb * rinv) + q2_11)
+        t = s11 + hh * kb
+        pc = t * b1 + zb2
+        kc = -(-(pc * pc * rinv) + q2_11)
+        t = s11 + h * kc
+        pd = t * b1 + zb2
+        kd = -(-(pd * pd * rinv) + q2_11)
+        xr_mid = 0.5 * (xr_hi + xr_lo)
+        un_mid = 0.5 * (un_hi + un_lo)
+        btv = b1 * v1 + zb2
+        ka1 = -(-pa * btv * rinv - pa * un_hi + q2_11 * xr_hi)
+        btv = b1 * (v1 + hh * ka1) + zb2
+        kb1 = -(-pb * btv * rinv - pb * un_mid + q2_11 * xr_mid)
+        btv = b1 * (v1 + hh * kb1) + zb2
+        kc1 = -(-pc * btv * rinv - pc * un_mid + q2_11 * xr_mid)
+        btv = b1 * (v1 + h * kc1) + zb2
+        kd1 = -(-pd * btv * rinv - pd * un_lo + q2_11 * xr_lo)
+        return (
+            s11 + h6 * (ka + 2.0 * kb + 2.0 * kc + kd),
+            v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1),
+        )
+
     n = len(u_nom)
-    s_out = np.empty((n, 2, 2))
-    v_out = np.empty((n, 2))
+    # zeros, so that the SoC-only path writes s11 and v1 alone
+    s_out = np.zeros((n, 2, 2))
+    v_out = np.zeros((n, 2))
     # terminal conditions assigned exactly, not integrated
     s_out[-1] = q1
     v_out[-1] = q1 @ (soc_ref[-1], 0.0)
@@ -305,29 +358,48 @@ def _sweep_backward(
     lows = zip(range(n - 2, -1, -1), x_mv[n - 2 :: -1], u_mv[n - 2 :: -1])
     un_hi, xr_hi = u_mv[n - 1], x_mv[n - 1]
     # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
-    pack = struct.Struct("3d").pack
     isfinite = math.isfinite
     s_key = None
-    for i, xr_lo, un_lo in lows:
-        key = pack(s11, s12, s22)
-        if key == s_key:
-            break  # S is stationary from here back to the start
-        s_key = key
-        s11, s12, s22, v1, v2 = rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo)
-        if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
-            raise _diverged(u_nom, i)
-        if not (isfinite(v1) and isfinite(v2)):
-            raise _overflowed(u_nom, i)  # S is still finite here
-        j = 4 * i
-        s_mv[j] = s11
-        s_mv[j + 1] = s12
-        s_mv[j + 2] = s12
-        s_mv[j + 3] = s22
-        v_mv[2 * i] = v1
-        v_mv[2 * i + 1] = v2
-        xr_hi, un_hi = xr_lo, un_lo
-    else:  # S never repeated
-        return s_out, v_out
+    coupled = not _soc_only(a22, q1, q2)
+    if coupled:
+        pack = struct.Struct("3d").pack
+        for i, xr_lo, un_lo in lows:
+            key = pack(s11, s12, s22)
+            if key == s_key:
+                break  # S is stationary from here back to the start
+            s_key = key
+            s11, s12, s22, v1, v2 = rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo)
+            if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
+                raise _diverged(u_nom, i)
+            if not (isfinite(v1) and isfinite(v2)):
+                raise _overflowed(u_nom, i)  # S is still finite here
+            j = 4 * i
+            s_mv[j] = s11
+            s_mv[j + 1] = s12
+            s_mv[j + 2] = s12
+            s_mv[j + 3] = s22
+            v_mv[2 * i] = v1
+            v_mv[2 * i + 1] = v2
+            xr_hi, un_hi = xr_lo, un_lo
+        else:  # S never repeated
+            return s_out, v_out
+    else:
+        pack = struct.Struct("d").pack
+        for i, xr_lo, un_lo in lows:
+            key = pack(s11)
+            if key == s_key:
+                break
+            s_key = key
+            s11, v1 = soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo)
+            if not isfinite(s11):
+                raise _diverged(u_nom, i)
+            if not isfinite(v1):
+                raise _overflowed(u_nom, i)
+            s_mv[4 * i] = s11
+            v_mv[2 * i] = v1
+            xr_hi, un_hi = xr_lo, un_lo
+        else:
+            return s_out, v_out
 
     # the columns of R, G_hi and G_lo, in rk4_step's argument order
     cols = [rk4_step(s11, s12, s22, *unit)[3:] for unit in np.eye(6).tolist()]
@@ -341,18 +413,24 @@ def _sweep_backward(
     f_lo = (u_nom.samples[:m], soc_ref[:m])
     f_hi = (u_nom.samples[1 : m + 1], soc_ref[1 : m + 1])
     term = np.empty(m)
-    forcing = (np.zeros(m), np.zeros(m))
+    # the SoC-only map leaves v2 at +0.0 and needs v1's forcing alone
+    forcing = (np.zeros(m), np.zeros(m)) if coupled else (np.zeros(m),)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, total in enumerate(forcing):
             for f, g in zip(f_lo + f_hi, g_lo + g_hi):
                 np.multiply(f, g[c], out=term)
                 total += term
-    del term  # freed before the drain allocates its 2 m floats
+    del term  # freed before the drain allocates its floats
     # the recurrence runs from row i back to row 0
-    f1s, f2s = (memoryview(total)[::-1] for total in forcing)
-    steps = _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s)
     tail = v_out[:m]
-    tail[:] = np.fromiter(steps, float, count=2 * m).reshape(m, 2)[::-1]
+    if coupled:
+        f1s, f2s = (memoryview(total)[::-1] for total in forcing)
+        steps = _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s)
+        tail[:] = np.fromiter(steps, float, count=2 * m).reshape(m, 2)[::-1]
+    else:
+        # v1 = r11 v1 + f1, whose first yield is row i + 1
+        steps = _zoh_recurrence(r11, v1, memoryview(forcing[0])[::-1])
+        tail[:, 0] = np.fromiter(steps, float, count=m + 1)[:0:-1]
     s_out[:m] = ((s11, s12), (s12, s22))
     # x * inf and x * nan are never finite, so a non-finite row makes
     # every earlier one non-finite too, and row 0 tells; S is the
@@ -361,6 +439,14 @@ def _sweep_backward(
         finite = np.isfinite(tail).all(axis=1)
         raise _overflowed(u_nom, int(np.flatnonzero(~finite)[-1]))
     return s_out, v_out
+
+
+def _soc_only(a22: float, q1: np.ndarray, q2: np.ndarray) -> bool:
+    """Whether the sweep steps s11 and v1 alone: q1 and q2 weight the SoC
+    alone, every entry but [0, 0] +0.0 (the all-zero bits), and a22 is
+    finite, so that s12, s22 and v2 stay +0.0 on every row."""
+    rest = np.stack((q1, q2)).reshape(2, 4)[:, 1:]
+    return math.isfinite(a22) and not rest.view(np.uint64).any()
 
 
 def _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scalar_model import attack_current
 
+import voltmask.attack
 from voltmask import (
     AttackWeights,
     BatteryState,
@@ -443,14 +444,17 @@ def assert_sweep_matches_generic_rk4(case):
     assert np.abs(v_ours[:stepped] - v[:stepped]).max(initial=0.0) <= 1e-12 * np.abs(v).max()
 
 
-def psd_weight(draw, scale1, scale2, size):
+def psd_weight(draw, scale1, scale2, size, soc_only=False):
     """A 2x2 PSD weight in cell units, as AttackWeights stores it; each entry
-    is an exact zero on about one draw in four."""
+    is an exact zero on about one draw in four.  A soc_only weight has a
+    zero vc row and column: it weights the SoC alone."""
 
     def entry(values, zeros):
         return draw(st.sampled_from(zeros)) if draw(st.integers(0, 3)) == 0 else draw(values)
 
     d1 = entry(st.floats(1e-3, size), [0.0])
+    if soc_only:
+        return canonical(np.diag([d1 * scale1 * scale1, 0.0]))
     d2 = entry(st.floats(1e-3, size), [0.0])
     corr = entry(st.floats(-1.0, 1.0), [0.0, -0.0])
     off = corr * math.sqrt(d1 * d2) * scale1 * scale2
@@ -462,16 +466,19 @@ def sweep_cases(draw, stiffness=1.0):
     """Random cells, weights, references, inputs and grids for the sweep.
 
     Weights are drawn relative to the cell (capacity and c1), so that S
-    settles within the horizon on many draws.  Grids start at t0 = 0 and
-    elsewhere, and most of their steps dt are not dyadic.
+    settles within the horizon on many draws.  About half the draws weight
+    the SoC alone, which the sweep steps on s11 and v1 alone; the rest
+    draw full weights, which weight vc on most draws.  Grids start at
+    t0 = 0 and elsewhere, and most of their steps dt are not dyadic.
     """
     capacity = draw(st.floats(500.0, 2e4))
     r1 = draw(st.floats(1e-3, 5e-2))
     c1 = draw(st.floats(50.0, 5e3))
     a = np.array([[0.0, 0.0], [0.0, -1.0 / (r1 * c1)]])
     b = np.array([-1.0 / capacity, 1.0 / c1])
-    q1 = psd_weight(draw, capacity, c1, stiffness)
-    q2 = psd_weight(draw, capacity, c1, 1.0)
+    soc_only = draw(st.booleans())
+    q1 = psd_weight(draw, capacity, c1, stiffness, soc_only)
+    q2 = psd_weight(draw, capacity, c1, 1.0, soc_only)
     if draw(st.integers(0, 3)) == 0:
         q2 = np.zeros((2, 2))  # terminal-only: S never settles
     r = draw(st.floats(0.2, 5.0))
@@ -485,7 +492,8 @@ def sweep_cases(draw, stiffness=1.0):
 
 
 # a cell-scaled case with off-diagonal weights whose S settles about
-# 1400 steps before the end of its 2000-step grid
+# 1400 steps before the end of its 2000-step grid; its q2 weights vc,
+# so the sweep steps all five scalars
 _SETTLING = (
     np.array([[0.0, 0.0], [0.0, -1.0 / 20.0]]),
     np.array([-1.0 / 1e3, 1.0 / 1e3]),
@@ -496,10 +504,20 @@ _SETTLING = (
     TimeSeries(0.0, 0.3, np.sin(np.arange(2000) * 0.01)),
 )
 
+# the same case with q2's vc row and column dropped: it weights the SoC
+# alone, so the sweep steps s11 and v1 alone
+_SETTLING_SOC = (*_SETTLING[:3], np.diag([1e6, 0.0]), *_SETTLING[4:])
+
+
+def with_a22(case, a22):
+    """case on a cell whose A has a22 in place of its own."""
+    return (np.array([[0.0, 0.0], [0.0, a22]]), *case[1:])
+
 
 def test_settling_case_settles():
-    s, v = sweep(_SETTLING)
-    assert RiccatiSolution(_SETTLING[-1].times(), s, v).stationary_from is not None
+    for case in (_SETTLING, _SETTLING_SOC):
+        s, v = sweep(case)
+        assert RiccatiSolution(case[-1].times(), s, v).stationary_from is not None
 
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -517,9 +535,31 @@ def scenario_case(name, terminal_only=False):
     return a, b, w.q1, q2, w.r, build_reference(prep.reference, len(prep.u_nom)), prep.u_nom
 
 
+def test_shipped_scenarios_sweep_on_the_soc_alone(monkeypatch):
+    # every shipped scenario weights the SoC alone, so its sweep steps s11
+    # and v1 alone; _SETTLING's q2 weights vc, so it steps all five scalars
+    soc_only = []
+    pick = voltmask.attack._soc_only
+    monkeypatch.setattr(
+        voltmask.attack, "_soc_only", lambda *args: soc_only.append(pick(*args)) or soc_only[-1]
+    )
+    for name in ("tc1", "tc1_mismatch", "tc2", "tc3", "tc4"):
+        prep = prepare(load_scenario(_SCENARIOS / f"{name}.json"))
+        solve_riccati(prep.adv_params, prep.weights, prep.reference, prep.u_nom)
+    sweep(_SETTLING)
+    sweep(_SETTLING_SOC)
+    assert soc_only == [True] * 5 + [False, True]
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=sweep_cases())
 @example(case=_SETTLING)
+@example(case=_SETTLING_SOC)
+# 0 * a22 is nan in RK4's s12, so the SoC-only weights diverge on the first step
+@example(case=with_a22(_SETTLING_SOC, -math.inf))
+# dt / tau1 = 3e79: the five-scalar tail map's r22 overflows, and its
+# v2 = r22 * 0 would be nan, where plain RK4 keeps v2 at 0
+@example(case=with_a22(_SETTLING_SOC, -1e80))
 @example(case=scenario_case("tc1"))
 @example(case=scenario_case("tc1_mismatch"))
 @example(case=scenario_case("tc2"))
@@ -539,25 +579,27 @@ def test_sweep_diverges_where_generic_rk4_does(case):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_divergence_in_the_stationary_tail_is_named(sign):
-    a, b, q1, q2, r, soc_ref, u_nom = _SETTLING
-    s, v = sweep(_SETTLING)
-    k = RiccatiSolution(u_nom.times(), s, v).stationary_from // 2
-    samples = u_nom.samples.copy()
-    samples[k] = sign * 1e308
-    case = (a, b, q1, q2, r, soc_ref, u_nom.with_samples(samples))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            sweep(case)
-    assert str(exc.value) == (
-        f"riccati sweep: the forcing overflowed at t={u_nom.times()[k]} "
-        "(profile or reference too large)"
-    )
-    assert_sweep_matches_generic_rk4(case)
+    for settling in (_SETTLING, _SETTLING_SOC):
+        *head, u_nom = settling
+        s, v = sweep(settling)
+        k = RiccatiSolution(u_nom.times(), s, v).stationary_from // 2
+        samples = u_nom.samples.copy()
+        samples[k] = sign * 1e308
+        case = (*head, u_nom.with_samples(samples))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                sweep(case)
+        assert str(exc.value) == (
+            f"riccati sweep: the forcing overflowed at t={u_nom.times()[k]} "
+            "(profile or reference too large)"
+        )
+        assert_sweep_matches_generic_rk4(case)
 
 
 _SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
 _ZERO_OR_ONE = st.sampled_from([0.0, -0.0, 1.0])
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 
 
 @st.composite
@@ -568,16 +610,21 @@ def signed_zero_cases(draw):
     zeros are +0.0, as AttackWeights stores them; a22, b, the references
     and the currents may be -0.0.  Here S often steps to a value equal to
     the last one by == but not by its bits (-0.0 + 0.0 is 0.0), which is
-    where a reuse keyed on == would repeat the wrong S part.
+    where a reuse keyed on == would repeat the wrong S part.  About half
+    the draws weight the SoC alone; the rest weight vc in q1, q2 or both.
     """
     a = np.array([[0.0, 0.0], [0.0, draw(_SIGNED)]])
     b = np.array(draw(st.lists(_SIGNED, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        vc1, vc2 = draw(_SIGNED_ZERO), draw(_SIGNED_ZERO)
+    else:
+        vc1, vc2 = draw(st.sampled_from([(1.0, 0.0), (-0.0, 1.0), (1.0, 1.0)]))
 
-    def weight():
-        off = draw(st.sampled_from([0.0, -0.0]))
-        return canonical(np.array([[draw(_ZERO_OR_ONE), off], [off, draw(_ZERO_OR_ONE)]]))
+    def weight(vc):
+        off = draw(_SIGNED_ZERO)
+        return canonical(np.array([[draw(_ZERO_OR_ONE), off], [off, vc]]))
 
-    q1, q2 = weight(), weight()
+    q1, q2 = weight(vc1), weight(vc2)
     n = draw(st.integers(2, 12))
     soc_ref = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
     unom = np.array(draw(st.lists(_ZERO_OR_ONE, min_size=n, max_size=n)))
@@ -597,6 +644,19 @@ def signed_zero_cases(draw):
         1.0,
         np.zeros(3),
         TimeSeries(0.0, 0.1, np.zeros(3)),
+    )
+)
+# b2 = inf, as a c1 of 1e-310 gives: RK4's s12 * b2 is 0 * inf, nan, so the
+# SoC-only weights diverge on the first step
+@example(
+    case=(
+        np.zeros((2, 2)),
+        np.array([1.0, math.inf]),
+        canonical(np.diag([1.0, 0.0])),
+        canonical(np.diag([1.0, 0.0])),
+        1.0,
+        np.ones(3),
+        TimeSeries(0.0, 0.1, np.ones(3)),
     )
 )
 def test_sweep_keeps_signed_zeros_of_generic_rk4(case):
@@ -645,10 +705,10 @@ def draw_inputs(draw, rng, n, scale):
 
 @st.composite
 def settling_cases(draw):
-    """_SETTLING's cell and weights on random grids, SoC references and
-    currents, zeros and signed zeros among the currents; S settles on
-    every draw."""
-    a, b, q1, q2, r, _, _ = _SETTLING
+    """_SETTLING's or _SETTLING_SOC's cell and weights on random grids, SoC
+    references and currents, zeros and signed zeros among the currents;
+    S settles on every draw."""
+    a, b, q1, q2, r, _, _ = draw(st.sampled_from([_SETTLING, _SETTLING_SOC]))
     n = draw(st.integers(1000, 2000))
     dt = draw(st.sampled_from([0.5, 0.7, 1.0]) | st.floats(0.5, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -662,6 +722,7 @@ def settling_cases(draw):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(case=sweep_cases() | signed_zero_cases() | settling_cases())
 @example(case=_SETTLING)
+@example(case=_SETTLING_SOC)
 def test_stationary_tail_equals_the_plain_float_map_bit_for_bit(case):
     try:
         s, v = sweep(case)

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import voltmask.attack
 import voltmask.cli
-from voltmask import BatteryState, TimeSeries, save_csv, simulate, synthetic_profile
+from voltmask import (
+    BatteryState,
+    TimeSeries,
+    save_csv,
+    simulate,
+    synthesize_input_attack,
+    synthetic_profile,
+)
 from voltmask.cli import _write_csv, main
 from voltmask.ecm import _ocv_array, dump_params, load_params, state_matrices
 from voltmask.scenario import load_scenario, prepare
@@ -146,6 +153,28 @@ class TestScenarioCommand:
         assert main(["scenario", "--config", str(from_file), "--out", str(out2)]) == 0
         for name in ("attack.csv", "riccati.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_vc_weighted_run_writes_the_library_injection(
+        self, tmp_path, scenario_dir, params_path
+    ):
+        # no shipped scenario weights vc: weights that do take the sweep's
+        # five-scalar path, and the CLI writes its injection bit for bit
+        raw = json.loads((scenario_dir / "tc1.json").read_text())
+        raw["params_file"] = str(params_path)
+        raw["weights"].update(q1=[1e7, 1e3], q2=[2e5, 50.0])
+        config = tmp_path / "tc1_vc.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 0
+        header, ric = read_rows(out / "riccati.csv")
+        for name in ("s12", "s22", "v2"):
+            assert ric[:, header.index(name)].any(), name
+        prep = prepare(load_scenario(config))
+        atk = synthesize_input_attack(
+            prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
+        )
+        header, data = read_rows(out / "attack.csv")
+        assert data[:, header.index("u_a")].tobytes() == atk.u_a.samples.tobytes()
 
 
     def test_outputs_do_not_depend_on_the_profile_start(self, tmp_path, params_path, capsys):

@@ -259,9 +259,9 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
 
     S is stationary on all but the last 537 rows.  Each bound is a
     recorded traced peak plus 0.1 MB.  run_scenario's, 9 613 357 bytes,
-    is set by the masking runs; the sweep's own, 4 393 025 bytes, holds
-    the SoC reference, the stationary tail's two forcing columns and its
-    drained rows.
+    is set by the masking runs; the sweep's own, 3 671 005 bytes, holds
+    the SoC reference, the stationary tail's one forcing column (v1's:
+    the weights leave vc unweighted) and its drained rows.
     """
     raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
     raw["params_file"] = str(params_path)
@@ -283,5 +283,5 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     )
     _, run_peak = traced_peak(lambda: run_scenario(prep))
     assert sol.stationary_from == 49_464
-    assert sweep_peak < 4_393_025 + 100_000
+    assert sweep_peak < 3_671_005 + 100_000
     assert run_peak < 9_613_357 + 100_000
