@@ -37,8 +37,9 @@ The synthesized trajectory is then rolled out forward with the exact
 zero-order-hold cell model, closing the loop on the adversary's own
 simulated state.
 
-solve_riccati runs the sweep alone, rejects an S that left the positive
-semidefinite cone, and returns a RiccatiSolution on the profile grid.
+solve_riccati runs the sweep alone, rejects one that left the finite
+numbers or stepped S out of the positive semidefinite cone, and returns
+a RiccatiSolution on the profile grid.
 synthesize_input_attack runs it, rejects a zero-order-hold closed loop
 that is unstable where S is stationary (h*lambda > 2 on the SoC
 channel, which the RK4 sweep itself survives up to about 2.785), and
@@ -211,16 +212,14 @@ def _sweep_backward(
     the inputs (u_nom, soc_ref) at both ends of the step.
 
     When every entry of q1 and q2 but [0, 0] is +0.0, so vc is
-    unweighted, and a22 is finite, s12, s22 and v2 start at +0.0 and
-    every stage keeps them there: their right-hand sides are sums of
-    products with those zeros.  The sweep then steps s11 and v1 alone
-    with soc_step, which is rk4_step with those zeros put in, and writes
-    s12, s22 and v2 as +0.0.  Of the products it drops, only s12 * b2
-    and b2 * v2 reach a sum it keeps; it keeps them as the one constant
-    zb2 = 0.0 * b2, which is nan where b2 is infinite, as RK4's products
-    are.  So S, V and the row and text of every divergence are those of
-    rk4_step, bit for bit.  Weights on vc, which the config allows, and
-    a non-finite a22, whose zero products are nan, take rk4_step.
+    unweighted, s12, s22 and v2 start at +0.0 and every stage keeps them
+    there: their right-hand sides are sums of products of those zeros
+    with a22 and b2, which every EcmParams makes finite.  The sweep then
+    steps s11 and v1 alone with soc_step, rk4_step with those zeros put
+    in, and writes s12, s22 and v2 as +0.0.  The only dropped products
+    that reach a kept sum, s12 * b2 and b2 * v2, are +0.0 for b2 = 1/c1,
+    as soc_step adds.  So S, V and every divergence are those of
+    rk4_step, bit for bit.  Weights on vc take rk4_step.
 
     Once S is the same bit for bit as on the step before, the S equation
     (which never sees u_nom or soc_ref) returns the same S on every
@@ -305,32 +304,29 @@ def _sweep_backward(
             v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
         )
 
-    # s12 * b2 and b2 * v2 at s12 = v2 = +0.0, the only dropped products
-    # that reach a sum soc_step keeps
-    zb2 = 0.0 * b2
-
     def soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo):
-        # rk4_step's s11 and v1 outputs at s12 = s22 = v2 = +0.0, bit for bit
-        pa = s11 * b1 + zb2
+        # rk4_step's s11 and v1 outputs at s12 = s22 = v2 = +0.0, bit for
+        # bit; each + 0.0 is rk4_step's s12 * b2 or b2 * v2
+        pa = s11 * b1 + 0.0
         ka = -(-(pa * pa * rinv) + q2_11)
         t = s11 + hh * ka
-        pb = t * b1 + zb2
+        pb = t * b1 + 0.0
         kb = -(-(pb * pb * rinv) + q2_11)
         t = s11 + hh * kb
-        pc = t * b1 + zb2
+        pc = t * b1 + 0.0
         kc = -(-(pc * pc * rinv) + q2_11)
         t = s11 + h * kc
-        pd = t * b1 + zb2
+        pd = t * b1 + 0.0
         kd = -(-(pd * pd * rinv) + q2_11)
         xr_mid = 0.5 * (xr_hi + xr_lo)
         un_mid = 0.5 * (un_hi + un_lo)
-        btv = b1 * v1 + zb2
+        btv = b1 * v1 + 0.0
         ka1 = -(-pa * btv * rinv - pa * un_hi + q2_11 * xr_hi)
-        btv = b1 * (v1 + hh * ka1) + zb2
+        btv = b1 * (v1 + hh * ka1) + 0.0
         kb1 = -(-pb * btv * rinv - pb * un_mid + q2_11 * xr_mid)
-        btv = b1 * (v1 + hh * kb1) + zb2
+        btv = b1 * (v1 + hh * kb1) + 0.0
         kc1 = -(-pc * btv * rinv - pc * un_mid + q2_11 * xr_mid)
-        btv = b1 * (v1 + h * kc1) + zb2
+        btv = b1 * (v1 + h * kc1) + 0.0
         kd1 = -(-pd * btv * rinv - pd * un_lo + q2_11 * xr_lo)
         return (
             s11 + h6 * (ka + 2.0 * kb + 2.0 * kc + kd),
@@ -346,10 +342,10 @@ def _sweep_backward(
     v_out[-1] = q1 @ (soc_ref[-1], 0.0)
     s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
     v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
-    # The stepping loop and the tail's recurrence read plain floats
-    # through memoryviews, so they neither do numpy scalar arithmetic nor
-    # keep per-row Python objects alive; a diverging sweep overflows to inf silently and is caught
-    # by the finite checks instead of spraying numpy warnings.
+    # The stepping loops and the tail's recurrence work on plain floats
+    # through memoryviews: no numpy scalar arithmetic, no per-row Python
+    # object kept alive, and a row that overflows, for _check_finite to
+    # name after the sweep, raises no numpy warning.
     s_mv = memoryview(s_out.reshape(-1))
     v_mv = memoryview(v_out.reshape(-1))
     x_mv = memoryview(soc_ref)
@@ -358,9 +354,8 @@ def _sweep_backward(
     lows = zip(range(n - 2, -1, -1), x_mv[n - 2 :: -1], u_mv[n - 2 :: -1])
     un_hi, xr_hi = u_mv[n - 1], x_mv[n - 1]
     # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
-    isfinite = math.isfinite
     s_key = None
-    coupled = not _soc_only(a22, q1, q2)
+    coupled = not _soc_only(q1, q2)
     if coupled:
         pack = struct.Struct("3d").pack
         for i, xr_lo, un_lo in lows:
@@ -369,10 +364,6 @@ def _sweep_backward(
                 break  # S is stationary from here back to the start
             s_key = key
             s11, s12, s22, v1, v2 = rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo)
-            if not (isfinite(s11) and isfinite(s12) and isfinite(s22)):
-                raise _diverged(u_nom, i)
-            if not (isfinite(v1) and isfinite(v2)):
-                raise _overflowed(u_nom, i)  # S is still finite here
             j = 4 * i
             s_mv[j] = s11
             s_mv[j + 1] = s12
@@ -391,10 +382,6 @@ def _sweep_backward(
                 break
             s_key = key
             s11, v1 = soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo)
-            if not isfinite(s11):
-                raise _diverged(u_nom, i)
-            if not isfinite(v1):
-                raise _overflowed(u_nom, i)
             s_mv[4 * i] = s11
             v_mv[2 * i] = v1
             xr_hi, un_hi = xr_lo, un_lo
@@ -432,21 +419,14 @@ def _sweep_backward(
         steps = _zoh_recurrence(r11, v1, memoryview(forcing[0])[::-1])
         tail[:, 0] = np.fromiter(steps, float, count=m + 1)[:0:-1]
     s_out[:m] = ((s11, s12), (s12, s22))
-    # x * inf and x * nan are never finite, so a non-finite row makes
-    # every earlier one non-finite too, and row 0 tells; S is the
-    # stationary S, finite, on all of them
-    if not np.isfinite(tail[0]).all():
-        finite = np.isfinite(tail).all(axis=1)
-        raise _overflowed(u_nom, int(np.flatnonzero(~finite)[-1]))
     return s_out, v_out
 
 
-def _soc_only(a22: float, q1: np.ndarray, q2: np.ndarray) -> bool:
+def _soc_only(q1: np.ndarray, q2: np.ndarray) -> bool:
     """Whether the sweep steps s11 and v1 alone: q1 and q2 weight the SoC
-    alone, every entry but [0, 0] +0.0 (the all-zero bits), and a22 is
-    finite, so that s12, s22 and v2 stay +0.0 on every row."""
+    alone, every entry but [0, 0] +0.0 (the all-zero bits)."""
     rest = np.stack((q1, q2)).reshape(2, 4)[:, 1:]
-    return math.isfinite(a22) and not rest.view(np.uint64).any()
+    return not rest.view(np.uint64).any()
 
 
 def _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s):
@@ -460,21 +440,6 @@ def _affine_recurrence(r11, r12, r21, r22, v1, v2, f1s, f2s):
         yield v2
 
 
-def _diverged(u_nom: TimeSeries, k: int) -> DivergenceError:
-    """S left the finite numbers on row k."""
-    return DivergenceError(
-        f"riccati sweep diverged at t={u_nom.times()[k]} (weights too stiff for this grid step)"
-    )
-
-
-def _overflowed(u_nom: TimeSeries, k: int) -> DivergenceError:
-    """V left the finite numbers on row k, where S is still finite."""
-    return DivergenceError(
-        f"riccati sweep: the forcing overflowed at t={u_nom.times()[k]} "
-        "(profile or reference too large)"
-    )
-
-
 def solve_riccati(
     params: EcmParams,
     weights: AttackWeights,
@@ -486,8 +451,31 @@ def solve_riccati(
     a, b = state_matrices(params)
     s, v = _sweep_backward(float(a[1, 1]), b, weights.q1, weights.q2, weights.r, soc_ref, u_nom)
     solution = RiccatiSolution(grid=u_nom.times(), s=s, v=v)
+    _check_finite(solution)
     _check_psd(solution)
     return solution
+
+
+def _check_finite(solution: RiccatiSolution) -> None:
+    """Raise DivergenceError where the sweep left the finite numbers.
+
+    Each stepped scalar is itself plus an increment, and the tail's
+    x * inf and x * nan are never finite, so the rows of S, and of V,
+    that are not finite are rows 0 to the last of them.  S diverged on
+    its last such row, unless V's is later: the forcing overflowed there.
+    """
+    if np.isfinite(solution.s[0]).all() and np.isfinite(solution.v[0]).all():
+        return
+    last_s = np.count_nonzero(~np.isfinite(solution.s).all(axis=(1, 2))) - 1
+    last_v = np.count_nonzero(~np.isfinite(solution.v).all(axis=1)) - 1
+    t = solution.grid[max(last_s, last_v)]
+    if last_s >= last_v:
+        raise DivergenceError(
+            f"riccati sweep diverged at t={t} (weights too stiff for this grid step)"
+        )
+    raise DivergenceError(
+        f"riccati sweep: the forcing overflowed at t={t} (profile or reference too large)"
+    )
 
 
 # how far a row of S, scaled by its largest entry, may sit outside the

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,9 @@ class EcmParams:
     r1          [ohm]   RC branch resistance
     c1          [F]     RC branch capacitance
     ocv                 open-circuit-voltage curve
+
+    Each number must be positive and finite, and so must 1/capacity_q, 1/c1
+    and 1/tau1, which the model steps by; a tau1 that overflows is allowed.
     """
 
     capacity_q: float
@@ -141,6 +145,9 @@ class EcmParams:
             if value is None or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
             object.__setattr__(self, name, value)
+        for name, value in ("capacity_q", self.capacity_q), ("c1", self.c1), ("r1 * c1", self.tau1):
+            if value == 0.0 or not math.isfinite(1.0 / value):
+                raise ValueError(f"{name} = {value!r} is too small: its reciprocal is not finite")
         if not isinstance(self.ocv, OcvCurve):
             raise TypeError("ocv must be an OcvCurve")
 
@@ -302,6 +309,12 @@ def simulate(params: EcmParams, x0: BatteryState, current: TimeSeries) -> Simula
 _SCALAR_FIELDS = {"capacity_As": "capacity_q", "r0_ohm": "r0", "r1_ohm": "r1", "c1_farad": "c1"}
 
 
+def _in_file_terms(exc: ValueError) -> str:
+    """The message of an EcmParams error, each field named by its cell-file key."""
+    keys = {name: key for key, name in _SCALAR_FIELDS.items()}
+    return re.sub(r"\b(capacity_q|r0|r1|c1)\b", lambda m: keys[m[0]], str(exc))
+
+
 def load_params(path) -> EcmParams:
     """Load cell parameters from JSON.
 
@@ -326,7 +339,7 @@ def load_params(path) -> EcmParams:
             ),
         )
     except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
+        raise ConfigError(f"{ctx}: {_in_file_terms(exc)}") from None
 
 
 def dump_params(params: EcmParams, path) -> None:

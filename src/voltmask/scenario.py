@@ -25,7 +25,7 @@ from .attack import (
     synthesize_input_attack,
 )
 from .config import REQUIRED, ConfigError, read_field, read_json_object, read_path, read_scalars
-from .ecm import _SCALAR_FIELDS, BatteryState, EcmParams, load_params
+from .ecm import _SCALAR_FIELDS, BatteryState, EcmParams, _in_file_terms, load_params
 from .metrics import KaSweepResult, ScenarioSummary
 from .profiles import TimeSeries, load_csv, synthetic_profile
 from .stealth import PlantConfig, StealthResult, feedback_output_attack
@@ -146,7 +146,7 @@ def load_scenario(path) -> ScenarioConfig:
     bad = overrides.keys() - _SCALAR_FIELDS.keys() - {"noise_std", "seed"}
     if bad:
         raise ConfigError(f"{ctx}: unknown plant_overrides keys {sorted(bad)}")
-    cell_overrides = read_scalars(overrides, [k for k in overrides if k in _SCALAR_FIELDS], octx)
+    overridden = read_scalars(overrides, [k for k in overrides if k in _SCALAR_FIELDS], octx)
     noise_std = read_field(overrides, "noise_std", float, octx, 0.0)
     if noise_std < 0:
         raise ConfigError(f"{octx}: field 'noise_std' must be >= 0, got {noise_std}")
@@ -157,9 +157,10 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{ctx}: field 'i_max' must be a positive number, got {i_max!r}")
 
     adv_params = load_params(params_file)
-    true_params = replace(
-        adv_params, **{_SCALAR_FIELDS[key]: value for key, value in cell_overrides.items()}
-    )
+    try:
+        true_params = replace(adv_params, **{_SCALAR_FIELDS[k]: v for k, v in overridden.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{octx}: {_in_file_terms(exc)}") from None
     return ScenarioConfig(
         adv_params=adv_params,
         plant=PlantConfig(true_params=true_params, noise_std=noise_std, seed=seed),

@@ -267,13 +267,10 @@ def _levenberg_marquardt(
 
     def score(params):
         """(soc, vc, err, rmse) of params, or None if it does not simulate to a finite rmse."""
-        # an overflow, here or in the rmse, rejects the candidate
-        try:
-            soc, vc, volts = trajectory(params)
-        except ArithmeticError:  # exp or a division over- or underflowed
-            return None
+        soc, vc, volts = trajectory(params)
         if not np.isfinite(volts).all():
             return None
+        # an overflow in the rmse rejects the candidate
         with np.errstate(over="ignore"):
             err = volts - measured
             rmse = float(np.sqrt(np.mean(err * err)))

@@ -1371,6 +1371,41 @@ def test_cell_field_out_of_range_is_named(tmp_path, params_path, capsys, field, 
     assert err.startswith("config error") and f"field {field!r}" in err
 
 
+@pytest.mark.parametrize("where", ["cell", "plant_overrides"])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"r1_ohm": 1e-200, "c1_farad": 1e-200},  # tau1 underflows to 0
+        {"r1_ohm": 1e-160, "c1_farad": 1e-150},  # a subnormal tau1: 1/tau1 is inf
+        {"c1_farad": 1e-310},  # 1/c1 is inf
+    ],
+)
+def test_cell_the_model_cannot_step_is_named(tmp_path, params_path, capsys, where, fields):
+    cell = json.loads(params_path.read_text())
+    cell_path = tmp_path / "cell.json"
+    cell_path.write_text(json.dumps({**cell, **fields} if where == "cell" else cell))
+    overrides = fields if where == "plant_overrides" else {}
+    config = small_scenario(tmp_path, cell_path, plant_overrides=overrides)
+    out = tmp_path / "o"
+    assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = cell_path if where == "cell" else f"{config}: plant_overrides"
+    assert err.startswith(f"config error: {named}: ")
+    assert all(key in err for key in fields) and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [1e-40, 1e200])
+def test_cell_at_the_edge_of_the_model_runs(tmp_path, params_path, value):
+    # r1 = c1 = 1e-40 steps by 1/tau1 = 1e80; at 1e200 tau1 overflows to inf,
+    # so -1/tau1 is -0.0 and the RC branch holds its voltage
+    cell = {**json.loads(params_path.read_text()), "r1_ohm": value, "c1_farad": value}
+    (tmp_path / "cell.json").write_text(json.dumps(cell))
+    config = small_scenario(tmp_path, tmp_path / "cell.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
 # -- hostile values: any one field of a config file set to a value of the
 # wrong kind or out of range must end in exit 0, 2 or 3, never a
 # traceback, and an exit 2 must name the field (or, for a path, the path)
@@ -1378,7 +1413,9 @@ def test_cell_field_out_of_range_is_named(tmp_path, params_path, capsys, field, 
 HOSTILE = st.one_of(
     st.sampled_from(
         ["abc", "0.5", True, False, None, [], [0.5], [True, 0], {}, {"x": 1}, math.nan,
-         math.inf, -math.inf, 10**400, -(10**400)]
+         math.inf, -math.inf, 10**400, -(10**400),
+         # positive, but 1/x is inf: a cell with such a c1 cannot be stepped
+         1e-310, 5e-324]
     ),
     st.integers(max_value=-1),
     st.floats(max_value=0.0, exclude_max=True, allow_nan=False, allow_infinity=False),
@@ -1390,8 +1427,8 @@ SCENARIO_FIELDS = [
     ("profile", "duration"), ("profile", "seed"), ("reference",), ("reference", "soc_start"),
     ("reference", "soc_target"), ("reference", "shape"), ("weights",), ("weights", "q1"),
     ("weights", "q2"), ("weights", "r"), ("k_a",), ("i_max",), ("ka_values",),
-    ("plant_overrides",), ("plant_overrides", "r0_ohm"), ("plant_overrides", "noise_std"),
-    ("plant_overrides", "seed"),
+    ("plant_overrides",), ("plant_overrides", "r0_ohm"), ("plant_overrides", "c1_farad"),
+    ("plant_overrides", "noise_std"), ("plant_overrides", "seed"),
 ]
 CELL_FIELDS = [("capacity_As",), ("r0_ohm",), ("r1_ohm",), ("c1_farad",), ("ocv",)]
 FIT_FIELDS = [
@@ -1456,6 +1493,8 @@ def hostile_dir(tmp_path_factory, params_path):
 
 @settings(max_examples=150, deadline=None)
 @given(target=st.sampled_from(TARGETS), value=HOSTILE)
+@example(target=("cell", ("c1_farad",)), value=1e-310)
+@example(target=("scenario", ("plant_overrides", "c1_farad")), value=1e-310)
 def test_hostile_field_value_never_raises(hostile_dir, target, value):
     kind, path = target
     raw = json.loads((hostile_dir / f"{kind}.json").read_text())

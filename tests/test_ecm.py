@@ -85,6 +85,43 @@ class TestParams:
         with pytest.raises(ValueError, match="c1 must be positive"):
             dataclasses.replace(cell, c1=math.nan)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"capacity_q": 5e-324},
+            {"c1": 1e-310},
+            {"c1": 2.0**-1024},  # 1/c1 is 2**1024, one past the largest float
+            {"r1": 1e-200, "c1": 1e-200},  # tau1 underflows to 0
+            {"r1": 1e-160, "c1": 1e-150},  # a subnormal tau1
+            {"r1": 2.0**-512, "c1": 2.0**-512},
+        ],
+    )
+    def test_reciprocals_the_model_steps_by_must_be_finite(self, cell, fields):
+        name = "r1 * c1" if "r1" in fields else next(iter(fields))
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(cell, **fields)
+        assert str(exc.value).startswith(f"{name} = ")
+        assert str(exc.value).endswith("is too small: its reciprocal is not finite")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"capacity_q": math.nextafter(2.0**-1024, 1.0)},
+            # 1/c1 and 1/tau1 just below the largest float
+            {"r1": 1.0, "c1": math.nextafter(2.0**-1024, 1.0)},
+            {"r1": 1e-40, "c1": 1e-40},
+        ],
+    )
+    def test_the_smallest_steppable_cells_are_accepted(self, cell, fields):
+        a, b = state_matrices(dataclasses.replace(cell, **fields))
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+
+    def test_a_tau1_that_overflows_is_accepted(self, cell):
+        # -1/inf is -0.0, a finite a22: the RC branch holds its voltage
+        a, b = state_matrices(dataclasses.replace(cell, r1=1e200, c1=1e200))
+        assert math.copysign(1.0, a[1, 1]) == -1.0 and a[1, 1] == 0.0
+        assert b[1] == 1e-200
+
     def test_json_round_trip(self, cell, tmp_path):
         path = tmp_path / "cell.json"
         dump_params(cell, path)
@@ -362,9 +399,9 @@ def test_kernel_matches_reference_loop_bit_for_bit(case):
 
 
 def test_kernel_starts_at_soc0_when_dt_over_capacity_overflows():
-    # capacity_q = 5e-324 is positive and finite, but dt / capacity_q is inf
-    params = EcmParams(5e-324, 0.01, 0.01, 1e3, OcvCurve((0.0, 1.0), (3.0, 4.2)))
-    case = (params, 0.5, 0.0, np.array([0.0, 1.0, -1.0]), 1.0)
+    # 1/capacity_q is finite, but dt / capacity_q is 1e310, inf
+    params = EcmParams(1e-300, 0.01, 0.01, 1e3, OcvCurve((0.0, 1.0), (3.0, 4.2)))
+    case = (params, 0.5, 0.0, np.array([0.0, 1.0, -1.0]), 1e10)
     with np.errstate(all="ignore"):
         got = _simulate_arrays(*case)
         want = reference_kernel(*case)
