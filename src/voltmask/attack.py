@@ -35,7 +35,10 @@ on every row, so the sweep then steps s11 and v1 alone, to the same bits;
 weights on vc take the step of all five scalars.
 The synthesized trajectory is then rolled out forward with the exact
 zero-order-hold cell model, closing the loop on the adversary's own
-simulated state.
+simulated state.  Weights that leave vc unweighted roll the SoC alone
+and take vc afterwards from the kernel's own recurrence; a zero product
+in the feedback law, or weights on vc, hand the rest of the rollout to
+the loop of all five scalars, which decides that zero's sign.
 
 solve_riccati runs the sweep alone, rejects one that left the finite
 numbers or stepped S out of the positive semidefinite cone, and returns
@@ -53,6 +56,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -559,6 +563,38 @@ class InputAttackResult:
     i_max_violated: bool
 
 
+def _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv):
+    """The closed loop on the SoC alone, for weights that leave vc unweighted.
+
+    nodes yields (k, s11, v1, u_nom) from row 0.  s12, s22 and v2 are
+    +0.0 on every row, so the five-scalar loop's b1 lam1 + b2 lam2 is
+    p = b1 (s11 soc - v1) plus products of those zeros: a signed zero,
+    which cannot change a nonzero p.  So wherever p is nonzero, -p * rinv
+    is that loop's u_a bit for bit, and soc its coulomb count, never
+    reading vc.  On the first row where p is +-0, the signs of the
+    dropped zeros decide the sign of u_a: the loop stops there, before
+    writing the row.  Returns that row (the row count when p is never
+    zero) and the soc, count and compensation to go on from.
+    """
+    soc = soc0
+    charge = 0.0
+    comp = 0.0
+    for k, s11, v1, un in nodes:
+        p = b1 * (s11 * soc - v1)
+        if p == 0.0:
+            return k, soc, charge, comp
+        soc_mv[k] = soc
+        ua = -p * rinv
+        u_a_mv[k] = ua
+        total = un + ua
+        y = total - comp
+        t = charge + y
+        comp = (t - charge) - y
+        charge = t
+        soc = soc0 - scale * charge
+    return len(soc_mv), soc, charge, comp
+
+
 def synthesize_input_attack(
     params: EcmParams,
     weights: AttackWeights,
@@ -574,6 +610,14 @@ def synthesize_input_attack(
     law at each grid node along the simulated state.  It does the float
     operations of the stepping kernel in the same order, so the model
     trajectory equals simulate(params, x0, add(u_nom, u_a)) bit for bit.
+
+    Weights that leave vc unweighted, as every shipped scenario's do,
+    roll the SoC alone (_roll_soc) and then take vc from the kernel's
+    own _zoh_recurrence on beta * (u_nom + u_a).  From a zero product in
+    the feedback law, and from row 0 for weights on vc, the loop of all
+    five scalars runs, with the RC step inline.  So the compensated count
+    has three copies: the kernel's, which has no feedback to evaluate,
+    and these two loops', which need their row's state before they step.
     """
     riccati = solve_riccati(params, weights, ref, u_nom)
     _, b = state_matrices(params)
@@ -602,21 +646,36 @@ def synthesize_input_attack(
     vc_mv = memoryview(vc_arr)
     s_mv = memoryview(riccati.s.reshape(-1))
     v_mv = memoryview(riccati.v.reshape(-1))
+    un_mv = memoryview(unom)
+    soc0 = x0.soc
+    soc, vc, charge, comp = soc0, x0.vc, 0.0, 0.0
+    start = 0
+    if _soc_only(weights.q1, weights.q2):
+        # s12, s22 and v2 are +0.0 on every row; rows before j repeat S[j]
+        first = j or 0
+        s11s = chain(repeat(s_mv[4 * first], first), s_mv[4 * first :: 4])
+        nodes = zip(range(n), s11s, v_mv[0::2], un_mv)
+        start, soc, charge, comp = _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv)
+        # vc up to the row the SoC loop stopped at, by the kernel's recurrence
+        m = min(start, n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive = np.add(unom[:m], u_a[:m])
+            drive *= beta
+        vc_arr[: m + 1] = np.fromiter(
+            _zoh_recurrence(alpha, vc, memoryview(drive)), float, count=m + 1
+        )
+        del drive  # freed before the voltage readout allocates
+        vc = vc_mv[m]
     # every row of S is symmetric bit for bit, the terminal q1 included
     nodes = zip(
-        range(n),
-        s_mv[0::4],
-        s_mv[1::4],
-        s_mv[3::4],
-        v_mv[0::2],
-        v_mv[1::2],
-        memoryview(unom),
+        range(start, n),
+        s_mv[4 * start :: 4],
+        s_mv[4 * start + 1 :: 4],
+        s_mv[4 * start + 3 :: 4],
+        v_mv[2 * start :: 2],
+        v_mv[2 * start + 1 :: 2],
+        un_mv[start:],
     )
-    soc = x0.soc
-    vc = x0.vc
-    charge = 0.0
-    comp = 0.0
-    soc0 = x0.soc
     # the step taken after the last node is computed and dropped
     for k, s11, s12, s22, v1, v2, un in nodes:
         soc_mv[k] = soc
@@ -632,9 +691,10 @@ def synthesize_input_attack(
         charge = t
         soc = soc0 - scale * charge
         vc = alpha * vc + beta * total
-    # A non-finite state makes the next injection non-finite too (b has
-    # no zero entry), so u_a alone tells where the closed loop diverged.
-    finite = np.isfinite(u_a)
+    # A non-finite state makes the five-scalar loop's next injection
+    # non-finite too (b has no zero entry); the SoC loop never reads vc,
+    # so vc is tested with u_a, which names the same first row.
+    finite = np.isfinite(u_a) & np.isfinite(vc_arr)
     if not finite.all():
         k = int(finite.argmin())
         raise DivergenceError(

@@ -1,5 +1,7 @@
 """A hypothesis strategy for random attack set-ups, shared by the test modules."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -25,7 +27,15 @@ def attack_setups(draw):
     is then at most 1 and the sweep's (twice that) at most 2, inside the
     zero-order-hold limit of 2 and the RK4 limit of about 2.785.  Profiles
     with a large bias drive the SoC out of [0, 1] on some draws.
+
+    About half the draws weight vc too, which the rollout steps on all
+    five scalars from row 0.  Their vc weights are in units of c1 squared
+    and at most a quarter of it, so the gain b2^2 S22 / r is at most 1/2,
+    and their c1 keeps tau1 at 2 dt or more.  The sweep's h*lambda on the
+    vc channel, dt (2 / tau1 + 2 b2^2 S22 / r), is then at most 2, and
+    2 dt / tau1 alone at most 1, under the RK4 limit.
     """
+    weights_vc = draw(st.booleans())
     dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0))
     n = draw(st.integers(2, 600))
     duration = dt * (n - 1)
@@ -34,18 +44,21 @@ def attack_setups(draw):
     curve = OcvCurve(
         tuple(np.linspace(0.0, 1.0, len(rises) + 1)), tuple(3.0 + np.cumsum([0.0, *rises]))
     )
+    r1 = draw(st.floats(1e-3, 5e-2))
+    c1 = draw(st.floats(max(50.0, 2.0 * dt / r1) if weights_vc else 50.0, 5e3))
     cell = EcmParams(
-        capacity_q=capacity,
-        r0=draw(st.floats(1e-3, 5e-2)),
-        r1=draw(st.floats(1e-3, 5e-2)),
-        c1=draw(st.floats(50.0, 5e3)),
-        ocv=curve,
+        capacity_q=capacity, r0=draw(st.floats(1e-3, 5e-2)), r1=r1, c1=c1, ocv=curve
     )
-    weights = AttackWeights(
-        q1=np.diag([draw(st.floats(0.0, 1.0)) * capacity**2, 0.0]),
-        q2=np.diag([draw(st.floats(0.0, 1.0)) * capacity**2, 0.0]),
-        r=draw(st.floats(1.0, 5.0)),
-    )
+
+    def weight(least_vc):
+        soc = draw(st.floats(0.0, 1.0)) * capacity**2
+        if not weights_vc:
+            return np.diag([soc, 0.0])
+        vc = draw(st.floats(least_vc, 0.25)) * c1**2
+        off = draw(st.floats(-1.0, 1.0)) * math.sqrt(soc * vc)
+        return np.array([[soc, off], [off, vc]])
+
+    weights = AttackWeights(q1=weight(0.0), q2=weight(1e-3), r=draw(st.floats(1.0, 5.0)))
     x0 = BatteryState(draw(st.floats(0.1, 0.9)), draw(st.floats(-0.05, 0.05)))
     ref = ReferenceTrajectory(
         soc_start=x0.soc,

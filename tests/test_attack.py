@@ -1,4 +1,32 @@
-"""Injection synthesis: backward sweep correctness and the feedback law."""
+"""Injection synthesis: backward sweep correctness and the feedback law.
+
+The sweep is held to generic_rk4_sweep, a plain RK4 step of all five
+coupled scalars on the full 2x2 A, fed the reference rows
+(soc_ref, 0.0): S on every row and V up to the stationary tail bit for
+bit, the tail's V to 1e-12 of max|V|.  The oracle takes cell-shaped A
+([[0, 0], [0, a22]]) and weights as AttackWeights stores them (zeros
++0.0); its examples include the five shipped scenarios with A from
+state_matrices and a terminal-only case, so a change to A's structure
+fails it.  About half of each property's draws weight the SoC alone,
+which the sweep steps on s11 and v1 alone, and the rest weight vc too.
+The sweep names its failure once, from row 0 and the count of rows that
+are not finite; a property on stiff draws and on tail overflows checks
+that those rows are always rows 0 to some k.  A second property holds
+the stationary tail's V rows bit for bit to a plain-float loop of the
+tail map, with R, G_hi and G_lo from the generic step on unit inputs
+and each row's six forcing terms summed in a fixed order; its draws
+include all-zero, all -0.0 and mixed signed-zero currents.
+
+The rollout is held to reference_rollout, the loop as first written,
+indexing numpy scalars one by one.  On the shipped scenarios, and by a
+property whose draws weight vc on about half the set-ups and include
+all-zero weights, signed-zero starts and currents, overflowing
+currents, a zero feedback product mid-run and a vc that overflows
+alone, u_a and the model's SoC, vc and voltage equal it bit for bit, or
+the error's type and text do.  Spy tests check that the shipped
+scenarios take the two-scalar sweep step and never leave the rollout's
+SoC loop.
+"""
 
 import math
 import warnings
@@ -16,6 +44,8 @@ from voltmask import (
     AttackWeights,
     BatteryState,
     DivergenceError,
+    EcmParams,
+    OcvCurve,
     ReferenceTrajectory,
     RiccatiSolution,
     TimeSeries,
@@ -222,7 +252,10 @@ def test_zero_weights_mean_zero_attack(cell):
     weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=1.0)
     ref = ReferenceTrajectory(0.6, 0.1)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    assert (atk.u_a.samples == 0.0).all()
+    # every product of the feedback law is zero, so the five-scalar loop
+    # decides each sign from row 0: -0.0 here, where the SoC loop's
+    # -b1 (s11 soc - v1) / r would be +0.0
+    assert (atk.u_a.samples == 0.0).all() and np.signbit(atk.u_a.samples).all()
     nominal = simulate(cell, x0, u_nom)
     np.testing.assert_array_equal(atk.model.soc, nominal.soc)
     np.testing.assert_array_equal(atk.model.vc, nominal.vc)
@@ -827,6 +860,155 @@ def test_rollout_model_equals_simulation_bit_for_bit(setup):
     assert model.voltage.samples.tobytes() == sim.voltage.samples.tobytes()
     assert (model.voltage.t0, model.voltage.dt) == (sim.voltage.t0, sim.voltage.dt)
     assert model.soc_violation == sim.soc_violation
+
+
+def reference_synthesis(cell, weights, ref, u_nom, x0):
+    """synthesize_input_attack with its rollout done by reference_rollout.
+
+    Returns the bytes of u_a and of the model's SoC, vc and voltage, or
+    the error's type and text.  The sweep and the stability check where
+    S is stationary are the library's; the divergence is named at the
+    first u_a that is not finite, and the voltage is simulate's.
+    """
+    try:
+        riccati = solve_riccati(cell, weights, ref, u_nom)
+        _, b = state_matrices(cell)
+        alpha = math.exp(-u_nom.dt / cell.tau1)
+        j = riccati.stationary_from
+        if j is not None:
+            rho = _zoh_radius(
+                riccati.s[j], float(b[0]), float(b[1]), 1.0 / weights.r,
+                -u_nom.dt / cell.capacity_q, alpha, cell.r1 * (1.0 - alpha),
+            )
+            if not rho <= 1.0 + _ZOH_RADIUS_TOL:
+                raise DivergenceError(
+                    "zero-order-hold closed loop is unstable where S is stationary "
+                    f"(t={riccati.grid[0]} to t={riccati.grid[j]}): spectral radius {rho!r} > 1 "
+                    "(feedback gain too stiff for this grid step)"
+                )
+        with np.errstate(all="ignore"):
+            u_a, soc, vc = reference_rollout(cell, weights, u_nom, x0, riccati.s, riccati.v)
+        bad = np.flatnonzero(~np.isfinite(u_a))
+        if bad.size:
+            raise DivergenceError(
+                f"closed-loop rollout diverged at t={riccati.grid[bad[0]]} "
+                "(feedback gain too stiff for this grid step)"
+            )
+        with np.errstate(all="ignore"):
+            volts = simulate(cell, x0, TimeSeries(u_nom.t0, u_nom.dt, u_nom.samples + u_a))
+    except (DivergenceError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    return tuple(a.tobytes() for a in (u_a, soc, vc, volts.voltage.samples))
+
+
+def library_synthesis(cell, weights, ref, u_nom, x0):
+    """synthesize_input_attack's results in reference_synthesis's terms."""
+    try:
+        atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
+    except (DivergenceError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    model = atk.model
+    return tuple(
+        a.tobytes() for a in (atk.u_a.samples, model.soc, model.vc, model.voltage.samples)
+    )
+
+
+@st.composite
+def rollout_cases(draw):
+    """attack_setups, with all-zero weights on about one draw in four,
+    signed-zero starts, and currents with runs of 0.0, -0.0, +-1e300 and
+    +-1e308, whose sums overflow."""
+    cell, weights, ref, u_nom, x0 = draw(attack_setups())
+    if draw(st.integers(0, 3)) == 0:
+        weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=weights.r)
+    if draw(st.booleans()):
+        x0 = BatteryState(
+            draw(st.sampled_from([0.0, -0.0, x0.soc])), draw(st.sampled_from([0.0, -0.0, x0.vc]))
+        )
+    samples = u_nom.samples.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, samples.size - 1))
+        hi = draw(st.integers(lo + 1, samples.size))
+        samples[lo:hi] = draw(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e308, -1e308]))
+    return cell, weights, ref, u_nom.with_samples(samples), x0
+
+
+_LINE = OcvCurve((0.0, 1.0), (3.0, 4.2))
+
+# A 1 A s cell at dt = 1 s and r = 1 with q1 = q2 = diag(1, 0): s11 stays
+# 1.0 and V 0.0, so row 0's injection takes the SoC from 0.5 to 0.0 exactly
+# and the feedback law's product is 0 on row 1, with vc still moving.
+_ZERO_ON_ROW_1 = (
+    EcmParams(1.0, 0.01, 0.01, 1e3, _LINE),
+    AttackWeights(q1=np.diag([1.0, 0.0]), q2=np.diag([1.0, 0.0]), r=1.0),
+    ReferenceTrajectory(0.5, 0.0, "hold_target"),
+    TimeSeries(0.0, 1.0, np.zeros(6)),
+    BatteryState(0.5, 0.03),
+)
+
+# vc overflows on row 2 while the SoC stays finite
+_VC_OVERFLOW = (
+    EcmParams(14322.0, 0.0135, 1e10, 1e-9, _LINE),
+    AttackWeights(q1=np.diag([1.0, 0.0]), q2=np.zeros((2, 2)), r=1.0),
+    ReferenceTrajectory(0.5, 0.4),
+    TimeSeries(0.0, 1.0, np.array([0.0, 1e300, 0.0, 0.0, 0.0])),
+    BatteryState(0.5, 0.0),
+)
+
+# all-zero weights from a positive SoC: the five-scalar loop runs from row 0
+_ZERO_WEIGHTS = (
+    _ZERO_ON_ROW_1[0],
+    AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=2.0),
+    ReferenceTrajectory(0.6, 0.1),
+    TimeSeries(0.0, 1.0, np.array([1.0, -0.0, 0.0, -2.0, -0.0])),
+    BatteryState(0.6, -0.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rollout_cases())
+@example(case=_ZERO_ON_ROW_1)
+@example(case=_VC_OVERFLOW)
+@example(case=_ZERO_WEIGHTS)
+def test_rollout_equals_the_reference_loop_or_fails_as_it_does(case):
+    assert library_synthesis(*case) == reference_synthesis(*case)
+
+
+def test_vc_that_overflows_alone_is_named_as_a_diverged_rollout():
+    with pytest.raises(DivergenceError) as exc:
+        synthesize_input_attack(*_VC_OVERFLOW)
+    assert str(exc.value) == (
+        "closed-loop rollout diverged at t=2.0 (feedback gain too stiff for this grid step)"
+    )
+
+
+def test_rollout_hands_over_only_on_a_zero_product(monkeypatch, scenario_dir):
+    # the rows where _roll_soc stops: the row count for every shipped
+    # scenario, the zero product's row otherwise; vc weights never call it
+    stops = []
+    roll = voltmask.attack._roll_soc
+
+    def spy(*args):
+        stop = roll(*args)
+        stops.append(stop[0])
+        return stop
+
+    monkeypatch.setattr(voltmask.attack, "_roll_soc", spy)
+    sizes = []
+    for name in ("tc1", "tc1_mismatch", "tc2", "tc3", "tc4"):
+        prep = prepare(load_scenario(scenario_dir / f"{name}.json"))
+        synthesize_input_attack(
+            prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
+        )
+        sizes.append(len(prep.u_nom))
+    assert stops == sizes
+    stops.clear()
+    synthesize_input_attack(*_ZERO_ON_ROW_1)
+    synthesize_input_attack(*_ZERO_WEIGHTS)
+    cell, _, ref, u_nom, x0 = _ZERO_ON_ROW_1
+    vc_weights = AttackWeights(q1=np.eye(2), q2=np.eye(2), r=1.0)
+    synthesize_input_attack(cell, vc_weights, ref, u_nom, x0)
+    assert stops == [1, 0]
 
 
 # profile starts where t0 + k*dt is inexact, and one drawn anywhere

@@ -1,4 +1,12 @@
-"""Command-line behavior: outputs, exit codes, determinism."""
+"""Command-line behavior: outputs, exit codes, determinism.
+
+The CSV writer is held to the csv module's bytes: on example columns
+around its 256-row chunk, and by a property on columns drawn as runs
+from a small pool of values (0.0 next to -0.0, NaN, infinities, the
+smallest subnormal), with 0 to 2 and 254 to 258 rows.  Its traced
+memory peak stays under 0.5 MB on a 50 001-row file of 10 distinct
+columns and one of run columns.
+"""
 
 import contextlib
 import csv

@@ -5,6 +5,11 @@ stdout, stderr and ``--out``.  A run that succeeds must write the bytes
 an in-process ``main()`` writes; a run that fails must print exactly one
 ``config error: `` (exit 2) or ``runtime error: `` (exit 3) line, with
 no traceback and no warning, and leave stdout and ``--out`` empty.
+Every child runs with ``-X warn_default_encoding -W
+error::EncodingWarning``, so a file opened without a named encoding,
+whose bytes would then depend on the locale, fails the run.  The
+children import the package that pytest imported and write only under
+pytest's temporary directory.
 """
 
 import json
@@ -35,6 +40,8 @@ ROWS = [
     pytest.param("sweep --config {scenarios}/tc1_mismatch.json", 0, "", id="sweep"),
     pytest.param("fit --config {work}/fit.json", 0, "", id="fit"),
     pytest.param("scenario --config {work}/terminal.json", 0, "", id="terminal-only-weights"),
+    pytest.param("scenario --config {work}/zero.json", 0, "", id="all-zero-weights"),
+    pytest.param("scenario --config {work}/vc.json", 0, "", id="vc-weights"),
     pytest.param("scenario --config {scenarios}", 2, "{scenarios}", id="directory-as-config"),
     pytest.param(
         "scenario --config {scenarios}/tc1.json --seed -1",
@@ -98,6 +105,11 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
         "zoh.json": {**raw, "weights": weights},
         # S never settles without q2, so every row of the sweep is stepped
         "terminal.json": {**raw, "weights": {"q1": [1e7, -0.0], "q2": [0.0, 0.0], "r": 1.0}},
+        # every product of the feedback law is zero, so the rollout hands
+        # over to its five-scalar loop on row 0 and writes u_a as -0.0
+        "zero.json": {**raw, "weights": {"q1": [0.0, 0.0], "q2": [0.0, 0.0], "r": 1.0}},
+        # weights on vc: the sweep and the rollout step all five scalars
+        "vc.json": {**raw, "weights": {"q1": [1e7, 1e3], "q2": [2e5, 50.0], "r": 1.0}},
         "noise.json": {**raw, "plant_overrides": {"noise_std": 1e308}},
         "masking.json": {**raw, "k_a": 0.999999999, "plant_overrides": {"capacity_As": 1e-302}},
         "huge_cell.json": {**raw, "profile": {"csv": "huge_cell.csv"}},

@@ -1,7 +1,8 @@
 """Cell model: OCV lookup, exact zero-order-hold stepping, simulation.
 
 The scalar ocv, step and terminal_voltage of tests/scalar_model.py are
-the reference the kernel is held to.
+the reference the kernel is held to, and a property holds the kernel bit
+for bit to a loop that indexes numpy arrays one element at a time.
 """
 
 import dataclasses

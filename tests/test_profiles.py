@@ -1,4 +1,16 @@
-"""Time-series grid handling, CSV round trips, and synthetic profiles."""
+"""Time-series grid handling, CSV round trips, and synthetic profiles.
+
+load_csv is held to the per-row parser it replaced (samples bit for
+bit, or the same message) on random files with blank and
+whitespace-only rows, rows starting with #, LF, CRLF and lone CR line
+ends, quoted cells, spaces, NBSP, non-ASCII digits, underscores, leading
+and trailing commas, signed zeros, infinity, +nan and other non-finite
+cells, cells over the csv module's field size limit, wrong column
+counts, non-increasing times and files with no data rows.  Example
+tests check that a file with no data rows raises no warning, that a
+bad cell at line 17 000 of a 17 903-row record is named by that line,
+and that the row reader runs only where numpy's reader fails.
+"""
 
 import csv
 import json

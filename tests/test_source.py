@@ -1,8 +1,9 @@
-"""The source tree itself: the Python floor, bounded fromiter drains, and the
-names the benchmark calls."""
+"""The source tree itself: the Python floor, the declared dependencies,
+bounded fromiter drains, and the names the benchmark calls."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,47 @@ def test_source_keeps_to_the_python_3_10_floor(repo_root):
 )
 def test_floor_check_sees_newer_names(source):
     assert NEWER_THAN_FLOOR.intersection(identifiers(ast.parse(source)))
+
+
+def imported_packages(tree):
+    """The top-level package of every absolute import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def declared_dependencies(repo_root):
+    """The names in pyproject.toml's dependencies list, which for every
+    dependency so far are also its import names."""
+    text = (repo_root / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*)\]$", text, re.MULTILINE)
+    return set(re.findall(r'"([A-Za-z0-9_]+)', listed[1]))
+
+
+def test_source_imports_only_what_the_package_declares(repo_root):
+    # CI installs more than pyproject.toml declares, so an undeclared import
+    # would pass there and fail for a user who installs the package alone
+    allowed = set(sys.stdlib_module_names) | declared_dependencies(repo_root) | {"voltmask"}
+    assert "numpy" in allowed
+    for path in sorted((repo_root / "src").rglob("*.py")):
+        undeclared = set(imported_packages(ast.parse(path.read_text(), str(path)))) - allowed
+        assert not undeclared, f"{path} imports {sorted(undeclared)}, which pyproject.toml lacks"
+
+
+@pytest.mark.parametrize(
+    ("source", "packages"),
+    [
+        ("import scipy.linalg", ["scipy"]),
+        ("from scipy import linalg", ["scipy"]),
+        ("import json, numpy as np", ["json", "numpy"]),
+        ("from . import ecm\nfrom .config import checked", []),
+        ("def f():\n    import hypothesis", ["hypothesis"]),
+    ],
+)
+def test_import_check_sees_every_absolute_import(source, packages):
+    assert list(imported_packages(ast.parse(source))) == packages
 
 
 def fromiter_calls(tree):

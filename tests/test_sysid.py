@@ -1,4 +1,17 @@
-"""Parameter identification: OCV extraction and RC fitting."""
+"""Parameter identification: OCV extraction and RC fitting.
+
+The OCV projection's stack of pooled blocks is held byte for byte to an
+index loop on numpy work arrays, on arrays drawn from a pool of 0.0,
+-0.0, +-1, +-inf, NaN, 5e-324 and +-1e308 and on random walks; a second
+property checks the projection's optimality conditions on finite inputs
+(levels rise strictly from block to block, each is its block's mean, and
+no prefix of a block has a lower mean).  fit_rc is held, report for
+report, to its own Levenberg-Marquardt solver driven by the reference
+stepping loop and by plain-float loops for the Jacobian; another
+property holds every Jacobian column to central differences in log
+space, and a 6000 s record started at 1.5 times r0, r1 and c1 must
+converge with c1 within 2% on three noise draws.
+"""
 
 import dataclasses
 import json
