@@ -19,26 +19,10 @@ where S (2x2, symmetric) and V (2-vector) solve, backward from tf,
     S' = -(S A + A' S - S B r^-1 B' S + Q2)          S(tf) = Q1
     V' = -(A' V - S B r^-1 B' V - S B u_nom + Q2 X_ref)   V(tf) = Q1 X_ref(tf)
 
-Since the vc component of X_ref is zero, Q2 X_ref is soc_ref times the
-first column of Q2, and the sweep takes soc_ref alone.  A is the cell's
-[[0, 0], [0, -1/tau1]], so the sweep takes its one nonzero entry a22 and
-its right-hand sides carry no product with A's zeros.  It is integrated
-with classic 4th-order Runge-Kutta, stepping back by the profile's dt;
-u_nom and soc_ref are linearly interpolated at the half-step stage
-points.  Step size and position come from the uniform grid (t0, dt, n)
-alone, never from differences of rounded grid times, so no output but a
-time column depends on the profile's t0.  Once S is stationary bit for
-bit, every remaining V step is one fixed affine map, whose coefficients
-are that same RK4 step applied to unit inputs.  Weights that leave vc
-unweighted, as every shipped scenario's do, keep s12, s22 and v2 at +0.0
-on every row, so the sweep then steps s11 and v1 alone, to the same bits;
-weights on vc take the step of all five scalars.
-The synthesized trajectory is then rolled out forward with the exact
-zero-order-hold cell model, closing the loop on the adversary's own
-simulated state.  Weights that leave vc unweighted roll the SoC alone
-and take vc afterwards from the kernel's own recurrence; a zero product
-in the feedback law, or weights on vc, hand the rest of the rollout to
-the loop of all five scalars, which decides that zero's sign.
+_sweep_backward states how the sweep integrates S and V backward from
+tf and why its bits equal plain RK4's; synthesize_input_attack states
+how the closed loop is rolled out forward and why its model trajectory
+equals simulate's.
 
 solve_riccati runs the sweep alone, rejects one that left the finite
 numbers or stepped S out of the positive semidefinite cone, and returns
@@ -205,7 +189,11 @@ def _sweep_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 backward integration of the coupled S / V equations on u_nom's grid.
 
-    Every step is -u_nom.dt.  A is the cell's [[0, 0], [0, a22]], as
+    Every step is -u_nom.dt.  Step size and position come from the
+    uniform grid alone, never from differences of rounded grid times, so
+    no output but a time column depends on u_nom.t0.  u_nom and soc_ref
+    enter the midpoint stages as the mean of the step's two nodes, their
+    linear interpolation.  A is the cell's [[0, 0], [0, a22]], as
     state_matrices builds it, so the sweep takes a22 alone and the right-hand
     sides carry no product with A's zeros.  With the weights' zeros +0.0,
     as AttackWeights stores them, S and V equal those of RK4 on the full
@@ -232,10 +220,11 @@ def _sweep_backward(
     affine map v_k = R v_{k+1} + G_hi f_{k+1} + G_lo f_k with
     f = (u_nom, soc_ref), whose columns are the V outputs of rk4_step on
     the six unit inputs.  The rest of the sweep runs that map: S rows
-    are the stationary S, and V rows differ from the stepwise RK4 at
-    rounding level only.  The map's forcing is computed for all remaining
-    rows at once, one contiguous array per V component, and the
-    recurrence in R is a generator that np.fromiter drains.  With vc
+    are the stationary S, bit for bit, and V rows differ from the
+    stepwise RK4 at rounding level only (about 1e-15 relative), as does
+    everything downstream of u_a.  The map's forcing is computed for all
+    remaining rows at once, one contiguous array per V component, and
+    the recurrence in R is a generator that np.fromiter drains.  With vc
     unweighted, v2 stays +0.0 and the map is v1 = r11 v1 + f1 on v1's
     forcing alone; v1's forcing is never -0.0, so the dropped r12 * v2,
     a zero, cannot change a row.  Where dt / tau1 passes about 1e77, R's
@@ -615,9 +604,14 @@ def synthesize_input_attack(
     roll the SoC alone (_roll_soc) and then take vc from the kernel's
     own _zoh_recurrence on beta * (u_nom + u_a).  From a zero product in
     the feedback law, and from row 0 for weights on vc, the loop of all
-    five scalars runs, with the RC step inline.  So the compensated count
-    has three copies: the kernel's, which has no feedback to evaluate,
-    and these two loops', which need their row's state before they step.
+    five scalars runs, with the RC step inline.  At such a zero the signs
+    of the terms the SoC loop drops decide the sign of u_a: all-zero
+    weights write u_a as -0.0 on every row, and q1 = 0 writes it on the
+    last row, where the SoC loop's -p * rinv would give +0.0.  So the
+    compensated count has three copies: the kernel's, which has no
+    feedback to evaluate, and these two loops', which need their row's
+    state before they step.  A rollout that drives the kernel's own
+    generators from the closed loop gives the same bits but is slower.
     """
     riccati = solve_riccati(params, weights, ref, u_nom)
     _, b = state_matrices(params)

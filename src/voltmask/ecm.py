@@ -264,6 +264,7 @@ def _rc_trajectory(
     vc = np.fromiter(
         _zoh_recurrence(alpha, vc0, memoryview(drive)[:-1]), float, count=current.size
     )
+    del drive  # freed before the voltage readout allocates
     return soc, vc, _terminal_voltages(params, soc, vc, current)
 
 

@@ -66,8 +66,10 @@ def sweep_ka(attack: InputAttackResult, plant: PlantConfig, ka_values) -> KaSwee
     """Score the masking residual over a set of feedback gains.
 
     The injection is fixed, so the masking trajectories and the noise
-    draw are made once and only the per-sample correction is recomputed
-    per gain: every row equals feedback_output_attack at that gain.
+    draw are made once, with the kernel runs of one
+    feedback_output_attack, and only the per-sample correction is
+    recomputed per gain: every row equals feedback_output_attack at
+    that gain.
     """
     kas = sorted(float(k) for k in ka_values)
     if not kas:

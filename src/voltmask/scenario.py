@@ -68,7 +68,10 @@ def load_scenario(path) -> ScenarioConfig:
     """Read a scenario file and load the cell file and profile it names.
 
     Every field is checked before the cell file is loaded, so a bad
-    field is reported before a bad cell file.
+    field is reported before a bad cell file.  The profile is built
+    where its field is read, into u_nom: a CSV profile by load_csv, whose
+    errors name the CSV file and line, and a synthetic one by
+    synthetic_profile, whose errors start with "<config>: profile:".
     """
     path = Path(path)
     raw = read_json_object(path)

@@ -118,9 +118,10 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
     r1 and c1 equal the model's, its states under a current are the
     model's bit for bit (test_rollout_model_equals_simulation_bit_for_bit
     pins the rollout to simulate), and only the plant's readout is
-    computed; otherwise each plant run is simulated.  The measurement
-    noise is drawn once, from the plant's seed; a noisy voltage that
-    overflows is named with its first time.
+    computed: one stepping-kernel run in all, the nominal model's.
+    Otherwise each plant run is simulated, three kernel runs in all.
+    The measurement noise is drawn once, from the plant's seed; a noisy
+    voltage that overflows is named with its first time.
     """
     x0 = BatteryState(attack.model.soc[0], attack.model.vc[0])
     u_nom = attack.u_nom

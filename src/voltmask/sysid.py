@@ -58,7 +58,8 @@ def _pava_increasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nondecreasing sequences.
 
     A stack of pooled (mean, size) blocks on plain floats, the active-set
-    form of Best & Chakravarti (1990).
+    form of Best & Chakravarti (1990): each point pools the blocks before
+    it whose mean is at least its own.
     """
     means, sizes = [], []
     for value in y.tolist():
@@ -93,6 +94,10 @@ def extract_ocv(
     most OCV_GRID_POINTS) uniform points pinned to 0 and 1, each at least
     _MIN_OCV_STEP above the one before.  Voltages so large that the
     curve overflows on the way are a ValueError naming the largest.
+
+    r0_guess subtracts nothing: when the largest sweep current times
+    r0_guess exceeds 10 mV, it only warns that the ohmic drop will bias
+    the recovered curve.
     """
     if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
         raise ValueError(
@@ -189,7 +194,9 @@ def _sensitivities(
     """d voltage / d ln p along a trajectory, one row per name of free.
 
     soc and vc are the trajectory _rc_trajectory gives for params and
-    the coulomb counts of current.  With alpha = exp(-dt/tau) and
+    the coulomb counts of current.  The r0 row is -r0 i, and the
+    capacity_q row the OCV slope at soc times the SoC's own sensitivity
+    (dt / capacity_q) counts.  With alpha = exp(-dt/tau) and
     beta = r1 (1 - alpha), the r1 and c1 rows are -s for the
     recurrence s <- alpha s + d alpha vc + d beta i from s = 0; each
     costs one more zero-order-hold pass.
@@ -255,10 +262,10 @@ def _levenberg_marquardt(
     row per name of free.  Each iteration solves
     (J'J + lam diag(J'J)) step = -J'err over the columns that are not
     all zero, Marquardt's scaling, shortens the step so that no
-    log-parameter moves by more than 1, and scores it.  A step that
-    does not raise the rmse is taken and divides lam by ten; any other,
-    or one whose cell is invalid or simulates to a non-finite voltage,
-    multiplies lam by ten.  The fit converges at a zero rmse, at a zero
+    log-parameter moves by more than 1 (no parameter by more than a
+    factor e), and scores it.  A step that does not raise the rmse is
+    taken and divides lam by ten; any other, or one whose cell is
+    invalid or simulates to a non-finite voltage, multiplies lam by ten.  The fit converges at a zero rmse, at a zero
     Jacobian, or when a taken step lowers the rmse by less than 1e-6 of
     it; it stops unconverged after 500 iterations or when the Jacobian
     is not finite.  A start that does not simulate to a finite rmse is
@@ -358,7 +365,12 @@ def fit_rc(
     from initial.  The fit is Levenberg-Marquardt over the log of the
     free parameters (positivity for free) on the voltage residuals of
     exact zero-order-hold simulation, with exact sensitivities for its
-    Jacobian; see _levenberg_marquardt for its steps and stopping rules.
+    Jacobian (_sensitivities); see _levenberg_marquardt for its steps and
+    stopping rules.  The record's coulombs are counted once, since the
+    count depends on the current alone; each candidate scales the counts
+    by its capacity and runs only the RC recurrence (_rc_trajectory), the
+    stepping kernel's float operations in the same order, so a fit is
+    bit for bit what it would be with the whole kernel per candidate.
 
     If x0 is not given, vc is assumed 0 at the first sample and the
     starting SoC is inverted from the first voltage after removing the
@@ -378,8 +390,6 @@ def fit_rc(
 
     current = i_ts.samples
     dt = i_ts.dt
-    # the coulomb counts depend on the current alone, so every candidate
-    # shares them and runs only the RC recurrence
     counts = _coulomb_counts(current)
 
     def trajectory(params):

@@ -1,5 +1,9 @@
 """Acceptance gate: nine headline requirements, one test and one verdict line each.
 
+The nine are exact masking with a perfect model, agreement with an
+independent dynamic-programming solution, SoC target attainment,
+mismatch gain sensitivity, coulomb exactness, Riccati structure, the
+zero-attack identity, identification round trips and byte determinism.
 Every scenario run here goes through the CLI entry point, exactly as a
 user would invoke it.  Each test prints a single PASS/FAIL line with the
 measured figure against its bound; the lines are written to the real

@@ -21,11 +21,12 @@ The rollout is held to reference_rollout, the loop as first written,
 indexing numpy scalars one by one.  On the shipped scenarios, and by a
 property whose draws weight vc on about half the set-ups and include
 all-zero weights, signed-zero starts and currents, overflowing
-currents, a zero feedback product mid-run and a vc that overflows
-alone, u_a and the model's SoC, vc and voltage equal it bit for bit, or
-the error's type and text do.  Spy tests check that the shipped
-scenarios take the two-scalar sweep step and never leave the rollout's
-SoC loop.
+currents, a zero feedback product mid-run or on the last row alone
+(tc1 at q1 = 0) and a vc that overflows alone, u_a and the model's SoC,
+vc and voltage equal it bit for bit, or the error's type and text do.
+Spy tests check that the shipped scenarios take the two-scalar sweep
+step and never leave the rollout's SoC loop, and that tc1 at q1 = 0
+leaves it on its last row, whose u_a is the five-scalar loop's -0.0.
 """
 
 import math
@@ -964,12 +965,24 @@ _ZERO_WEIGHTS = (
     BatteryState(0.6, -0.0),
 )
 
+# tc1 at q1 = 0: S and V are zero on the last row alone, so the feedback
+# product is a zero there and the five-scalar loop writes that row
+_TC1 = prepare(load_scenario(_SCENARIOS / "tc1.json"))
+_TC1_Q1_ZERO = (
+    _TC1.adv_params,
+    AttackWeights(q1=np.zeros((2, 2)), q2=_TC1.weights.q2, r=_TC1.weights.r),
+    _TC1.reference,
+    _TC1.u_nom,
+    _TC1.x0,
+)
+
 
 @settings(max_examples=150, deadline=None)
 @given(case=rollout_cases())
 @example(case=_ZERO_ON_ROW_1)
 @example(case=_VC_OVERFLOW)
 @example(case=_ZERO_WEIGHTS)
+@example(case=_TC1_Q1_ZERO)
 def test_rollout_equals_the_reference_loop_or_fails_as_it_does(case):
     assert library_synthesis(*case) == reference_synthesis(*case)
 
@@ -1009,6 +1022,13 @@ def test_rollout_hands_over_only_on_a_zero_product(monkeypatch, scenario_dir):
     vc_weights = AttackWeights(q1=np.eye(2), q2=np.eye(2), r=1.0)
     synthesize_input_attack(cell, vc_weights, ref, u_nom, x0)
     assert stops == [1, 0]
+    # q1 = 0 zeroes the product on the last row alone; there the SoC
+    # loop's -p * rinv would write +0.0, and the five-scalar loop writes
+    # the -0.0 of its dropped terms
+    stops.clear()
+    u_a = synthesize_input_attack(*_TC1_Q1_ZERO).u_a.samples
+    assert stops == [2000] and u_a.size == 2001
+    assert u_a[-1] == 0.0 and math.copysign(1.0, u_a[-1]) == -1.0
 
 
 # profile starts where t0 + k*dt is inexact, and one drawn anywhere

@@ -1,7 +1,8 @@
 """Scenario config parsing, preparation, and the end-to-end pipeline.
 
-solve_riccati's and run_scenario's traced memory peaks on a 50 001-sample
-settling scenario are held within 0.1 MB of their recorded figures.
+The traced memory peaks of solve_riccati, synthesize_input_attack,
+simulate and run_scenario on a 50 001-sample settling scenario are held
+within 0.1 MB of their recorded figures.
 """
 
 import json
@@ -20,6 +21,7 @@ from voltmask import (
     run_scenario,
     select_argmin,
     sweep_scenario,
+    synthesize_input_attack,
 )
 from voltmask import ecm
 from voltmask.attack import solve_riccati
@@ -265,7 +267,11 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     recorded traced peak plus 0.1 MB.  run_scenario's, 9 613 357 bytes,
     is set by the masking runs; the sweep's own, 3 671 005 bytes, holds
     the SoC reference, the stationary tail's one forcing column (v1's:
-    the weights leave vc unweighted) and its drained rows.
+    the weights leave vc unweighted) and its drained rows.  The
+    synthesis's, 5 713 245 bytes, holds no coulomb counts: a rollout
+    that stores them peaks at 6 111 773.  simulate's, 2 001 973 bytes,
+    frees the RC drive before the voltage readout; kept, it peaks at
+    2 402 165.
     """
     raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
     raw["params_file"] = str(params_path)
@@ -286,6 +292,16 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
         lambda: solve_riccati(prep.adv_params, prep.weights, prep.reference, prep.u_nom)
     )
     _, run_peak = traced_peak(lambda: run_scenario(prep))
+    _, synth_peak = traced_peak(
+        lambda: synthesize_input_attack(
+            prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
+        )
+    )
+    _, simulate_peak = traced_peak(
+        lambda: ecm.simulate(prep.plant.true_params, prep.x0, prep.u_nom)
+    )
     assert sol.stationary_from == 49_464
     assert sweep_peak < 3_671_005 + 100_000
     assert run_peak < 9_613_357 + 100_000
+    assert synth_peak < 5_713_245 + 100_000
+    assert simulate_peak < 2_001_973 + 100_000

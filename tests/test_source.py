@@ -1,5 +1,12 @@
 """The source tree itself: the Python floor, the declared dependencies,
-bounded fromiter drains, and the names the benchmark calls."""
+bounded fromiter drains, and the names the benchmark calls.
+
+Every file under src/ parses as Python 3.10 and uses no name that 3.10
+lacks; every import is the standard library or a dependency that
+pyproject.toml declares (numpy); every np.fromiter drain passes count=;
+and bench/ finds every name it calls.  The floor, import and fromiter
+checks also run on snippets that break them, so each is seen to fail.
+"""
 
 import ast
 import os
