@@ -555,23 +555,18 @@ class InputAttackResult:
 def _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv):
     """The closed loop on the SoC alone, for weights that leave vc unweighted.
 
-    nodes yields (k, s11, v1, u_nom) from row 0.  s12, s22 and v2 are
+    nodes yields (k, s11, v1, u_nom) for every row.  s12, s22 and v2 are
     +0.0 on every row, so the five-scalar loop's b1 lam1 + b2 lam2 is
     p = b1 (s11 soc - v1) plus products of those zeros: a signed zero,
     which cannot change a nonzero p.  So wherever p is nonzero, -p * rinv
-    is that loop's u_a bit for bit, and soc its coulomb count, never
-    reading vc.  On the first row where p is +-0, the signs of the
-    dropped zeros decide the sign of u_a: the loop stops there, before
-    writing the row.  Returns that row (the row count when p is never
-    zero) and the soc, count and compensation to go on from.
+    is that loop's u_a bit for bit, and a zero wherever p is; soc is its
+    coulomb count, never reading vc.
     """
     soc = soc0
     charge = 0.0
     comp = 0.0
     for k, s11, v1, un in nodes:
         p = b1 * (s11 * soc - v1)
-        if p == 0.0:
-            return k, soc, charge, comp
         soc_mv[k] = soc
         ua = -p * rinv
         u_a_mv[k] = ua
@@ -581,7 +576,6 @@ def _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv):
         comp = (t - charge) - y
         charge = t
         soc = soc0 - scale * charge
-    return len(soc_mv), soc, charge, comp
 
 
 def synthesize_input_attack(
@@ -602,16 +596,12 @@ def synthesize_input_attack(
 
     Weights that leave vc unweighted, as every shipped scenario's do,
     roll the SoC alone (_roll_soc) and then take vc from the kernel's
-    own _zoh_recurrence on beta * (u_nom + u_a).  From a zero product in
-    the feedback law, and from row 0 for weights on vc, the loop of all
-    five scalars runs, with the RC step inline.  At such a zero the signs
-    of the terms the SoC loop drops decide the sign of u_a: all-zero
-    weights write u_a as -0.0 on every row, and q1 = 0 writes it on the
-    last row, where the SoC loop's -p * rinv would give +0.0.  So the
-    compensated count has three copies: the kernel's, which has no
-    feedback to evaluate, and these two loops', which need their row's
-    state before they step.  A rollout that drives the kernel's own
-    generators from the closed loop gives the same bits but is slower.
+    own _zoh_recurrence on beta * (u_nom + u_a).  Weights on vc roll all
+    five scalars, with the RC step inline.  So the compensated count has
+    three copies: the kernel's, which has no feedback to evaluate, and
+    these two loops', which need their row's state before they step.  A
+    rollout that drives the kernel's own generators from the closed loop
+    gives the same bits but is slower.
     """
     riccati = solve_riccati(params, weights, ref, u_nom)
     _, b = state_matrices(params)
@@ -634,57 +624,45 @@ def synthesize_input_attack(
     n = unom.size
     u_a = np.empty(n)
     soc_arr = np.empty(n)
-    vc_arr = np.empty(n)
     u_a_mv = memoryview(u_a)
     soc_mv = memoryview(soc_arr)
-    vc_mv = memoryview(vc_arr)
     s_mv = memoryview(riccati.s.reshape(-1))
     v_mv = memoryview(riccati.v.reshape(-1))
     un_mv = memoryview(unom)
     soc0 = x0.soc
-    soc, vc, charge, comp = soc0, x0.vc, 0.0, 0.0
-    start = 0
     if _soc_only(weights.q1, weights.q2):
         # s12, s22 and v2 are +0.0 on every row; rows before j repeat S[j]
         first = j or 0
         s11s = chain(repeat(s_mv[4 * first], first), s_mv[4 * first :: 4])
         nodes = zip(range(n), s11s, v_mv[0::2], un_mv)
-        start, soc, charge, comp = _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv)
-        # vc up to the row the SoC loop stopped at, by the kernel's recurrence
-        m = min(start, n - 1)
+        _roll_soc(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv)
+        # vc by the kernel's recurrence, on the n - 1 steps the rows take
         with np.errstate(over="ignore", invalid="ignore"):
-            drive = np.add(unom[:m], u_a[:m])
+            drive = np.add(unom[:-1], u_a[:-1])
             drive *= beta
-        vc_arr[: m + 1] = np.fromiter(
-            _zoh_recurrence(alpha, vc, memoryview(drive)), float, count=m + 1
-        )
+        vc_arr = np.fromiter(_zoh_recurrence(alpha, x0.vc, memoryview(drive)), float, count=n)
         del drive  # freed before the voltage readout allocates
-        vc = vc_mv[m]
-    # every row of S is symmetric bit for bit, the terminal q1 included
-    nodes = zip(
-        range(start, n),
-        s_mv[4 * start :: 4],
-        s_mv[4 * start + 1 :: 4],
-        s_mv[4 * start + 3 :: 4],
-        v_mv[2 * start :: 2],
-        v_mv[2 * start + 1 :: 2],
-        un_mv[start:],
-    )
-    # the step taken after the last node is computed and dropped
-    for k, s11, s12, s22, v1, v2, un in nodes:
-        soc_mv[k] = soc
-        vc_mv[k] = vc
-        lam1 = s11 * soc + s12 * vc - v1
-        lam2 = s12 * soc + s22 * vc - v2
-        ua = -(b1 * lam1 + b2 * lam2) * rinv
-        u_a_mv[k] = ua
-        total = un + ua
-        y = total - comp
-        t = charge + y
-        comp = (t - charge) - y
-        charge = t
-        soc = soc0 - scale * charge
-        vc = alpha * vc + beta * total
+    else:
+        vc_arr = np.empty(n)
+        vc_mv = memoryview(vc_arr)
+        soc, vc, charge, comp = soc0, x0.vc, 0.0, 0.0
+        # every row of S is symmetric bit for bit, the terminal q1 included
+        nodes = zip(range(n), s_mv[0::4], s_mv[1::4], s_mv[3::4], v_mv[0::2], v_mv[1::2], un_mv)
+        # the step taken after the last node is computed and dropped
+        for k, s11, s12, s22, v1, v2, un in nodes:
+            soc_mv[k] = soc
+            vc_mv[k] = vc
+            lam1 = s11 * soc + s12 * vc - v1
+            lam2 = s12 * soc + s22 * vc - v2
+            ua = -(b1 * lam1 + b2 * lam2) * rinv
+            u_a_mv[k] = ua
+            total = un + ua
+            y = total - comp
+            t = charge + y
+            comp = (t - charge) - y
+            charge = t
+            soc = soc0 - scale * charge
+            vc = alpha * vc + beta * total
     # A non-finite state makes the five-scalar loop's next injection
     # non-finite too (b has no zero entry); the SoC loop never reads vc,
     # so vc is tested with u_a, which names the same first row.
@@ -703,5 +681,5 @@ def synthesize_input_attack(
         u_a=u_nom.with_samples(u_a),
         model=SimulationResult(soc_arr, vc_arr, _voltage_series(u_nom, volts)),
         riccati=riccati,
-        i_max_violated=i_max is not None and bool(np.abs(applied).max() > i_max),
+        i_max_violated=i_max is not None and bool(max(applied.max(), -applied.min()) > i_max),
     )

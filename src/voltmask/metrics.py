@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class KaSweepResult:
 
 
 def select_argmin(rows) -> tuple[float, float]:
-    """Smallest residual; ties go to the smallest |k_a|, then smallest k_a."""
-    best = min(rows, key=lambda row: (row[1], abs(row[0]), row[0]))
+    """Smallest residual; ties go to the smallest |k_a|, then smallest k_a,
+    then -0.0 before 0.0."""
+    best = min(rows, key=lambda row: (row[1], abs(row[0]), row[0], math.copysign(1.0, row[0])))
     return best[0], best[1]
 
 
@@ -71,7 +73,8 @@ def sweep_ka(attack: InputAttackResult, plant: PlantConfig, ka_values) -> KaSwee
     recomputed per gain: every row equals feedback_output_attack at
     that gain.
     """
-    kas = sorted(float(k) for k in ka_values)
+    # by value, -0.0 before 0.0, so no row's place depends on the gains' order
+    kas = sorted((float(k) for k in ka_values), key=lambda k: (k, math.copysign(1.0, k)))
     if not kas:
         raise ValueError("ka_values must not be empty")
     traj = _simulate_trajectories(attack, plant)

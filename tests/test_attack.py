@@ -22,11 +22,16 @@ indexing numpy scalars one by one.  On the shipped scenarios, and by a
 property whose draws weight vc on about half the set-ups and include
 all-zero weights, signed-zero starts and currents, overflowing
 currents, a zero feedback product mid-run or on the last row alone
-(tc1 at q1 = 0) and a vc that overflows alone, u_a and the model's SoC,
-vc and voltage equal it bit for bit, or the error's type and text do.
-Spy tests check that the shipped scenarios take the two-scalar sweep
-step and never leave the rollout's SoC loop, and that tc1 at q1 = 0
-leaves it on its last row, whose u_a is the five-scalar loop's -0.0.
+(tc1 at q1 = 0) and a vc that overflows alone, the model's SoC and
+voltage equal it bit for bit, or the error's type and text do.  u_a and
+vc equal it bit for bit wherever the reference's value is nonzero and
+are zero wherever it is: for weights that leave vc unweighted, the
+rollout's SoC loop writes every row as -p * rinv, and at a zero product
+that zero's sign can differ from the reference's, which carries it into
+vc only through a -0.0 current onto a -0.0 vc.  Spy tests check that
+the shipped scenarios take the two-scalar sweep step, and that the
+rollout's SoC loop writes every row for SoC-only weights, the zero
+products included, and is never called for weights on vc.
 """
 
 import math
@@ -253,10 +258,11 @@ def test_zero_weights_mean_zero_attack(cell):
     weights = AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=1.0)
     ref = ReferenceTrajectory(0.6, 0.1)
     atk = synthesize_input_attack(cell, weights, ref, u_nom, x0)
-    # every product of the feedback law is zero, so the five-scalar loop
-    # decides each sign from row 0: -0.0 here, where the SoC loop's
-    # -b1 (s11 soc - v1) / r would be +0.0
-    assert (atk.u_a.samples == 0.0).all() and np.signbit(atk.u_a.samples).all()
+    assert (atk.u_a.samples == 0.0).all()
+    # S and V are +0.0 and the SoC stays positive, so the SoC loop's
+    # p = b1 (s11 soc - v1) is b1 * +0.0 = -0.0 (b1 = -1/Q < 0) on every
+    # row, and -p * rinv is +0.0
+    assert not np.signbit(atk.u_a.samples).any()
     nominal = simulate(cell, x0, u_nom)
     np.testing.assert_array_equal(atk.model.soc, nominal.soc)
     np.testing.assert_array_equal(atk.model.vc, nominal.vc)
@@ -956,7 +962,7 @@ _VC_OVERFLOW = (
     BatteryState(0.5, 0.0),
 )
 
-# all-zero weights from a positive SoC: the five-scalar loop runs from row 0
+# all-zero weights from a positive SoC: the feedback product is zero on every row
 _ZERO_WEIGHTS = (
     _ZERO_ON_ROW_1[0],
     AttackWeights(q1=np.zeros((2, 2)), q2=np.zeros((2, 2)), r=2.0),
@@ -966,7 +972,7 @@ _ZERO_WEIGHTS = (
 )
 
 # tc1 at q1 = 0: S and V are zero on the last row alone, so the feedback
-# product is a zero there and the five-scalar loop writes that row
+# product is a zero there
 _TC1 = prepare(load_scenario(_SCENARIOS / "tc1.json"))
 _TC1_Q1_ZERO = (
     _TC1.adv_params,
@@ -977,14 +983,41 @@ _TC1_Q1_ZERO = (
 )
 
 
+# all-zero weights from vc = -0.0 under -0.0 currents: the reference's
+# u_a is -0.0, so its vc stays -0.0 until the current moves; the SoC
+# loop's u_a is +0.0, which drives vc to +0.0 from row 1
+_NEGATIVE_ZERO_VC = (
+    _ZERO_ON_ROW_1[0],
+    _ZERO_WEIGHTS[1],
+    ReferenceTrajectory(0.6, 0.1),
+    TimeSeries(0.0, 1.0, np.array([-0.0, -0.0, 1.0, 0.0])),
+    BatteryState(0.6, -0.0),
+)
+
+
+def _equal_up_to_zero_signs(got: bytes, want: bytes) -> bool:
+    """Bit for bit wherever want is not zero, and zero wherever it is."""
+    got, want = np.frombuffer(got), np.frombuffer(want)
+    zero = want == 0.0
+    return got[~zero].tobytes() == want[~zero].tobytes() and bool((got[zero] == 0.0).all())
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=rollout_cases())
 @example(case=_ZERO_ON_ROW_1)
 @example(case=_VC_OVERFLOW)
 @example(case=_ZERO_WEIGHTS)
 @example(case=_TC1_Q1_ZERO)
+@example(case=_NEGATIVE_ZERO_VC)
 def test_rollout_equals_the_reference_loop_or_fails_as_it_does(case):
-    assert library_synthesis(*case) == reference_synthesis(*case)
+    got, want = library_synthesis(*case), reference_synthesis(*case)
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return
+    (u_a, soc, vc, volts), (ref_u_a, ref_soc, ref_vc, ref_volts) = got, want
+    assert soc == ref_soc and volts == ref_volts
+    assert _equal_up_to_zero_signs(u_a, ref_u_a)
+    assert _equal_up_to_zero_signs(vc, ref_vc)
 
 
 def test_vc_that_overflows_alone_is_named_as_a_diverged_rollout():
@@ -995,40 +1028,32 @@ def test_vc_that_overflows_alone_is_named_as_a_diverged_rollout():
     )
 
 
-def test_rollout_hands_over_only_on_a_zero_product(monkeypatch, scenario_dir):
-    # the rows where _roll_soc stops: the row count for every shipped
-    # scenario, the zero product's row otherwise; vc weights never call it
-    stops = []
+def test_soc_weights_roll_every_row_on_the_soc_alone(monkeypatch, scenario_dir):
+    # the rows _roll_soc writes, per call: every row wherever the weights
+    # leave vc unweighted, the zero feedback products included; the spy
+    # fills both outputs with nan first, so a row it skips shows
+    written = []
     roll = voltmask.attack._roll_soc
 
-    def spy(*args):
-        stop = roll(*args)
-        stops.append(stop[0])
-        return stop
+    def spy(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv):
+        soc, u_a = np.asarray(soc_mv), np.asarray(u_a_mv)
+        soc[:] = u_a[:] = np.nan
+        roll(b1, rinv, scale, soc0, nodes, soc_mv, u_a_mv)
+        written.append(int(np.count_nonzero(~np.isnan(soc) & ~np.isnan(u_a))))
 
     monkeypatch.setattr(voltmask.attack, "_roll_soc", spy)
-    sizes = []
+    cases = [_ZERO_ON_ROW_1, _ZERO_WEIGHTS, _TC1_Q1_ZERO]
     for name in ("tc1", "tc1_mismatch", "tc2", "tc3", "tc4"):
         prep = prepare(load_scenario(scenario_dir / f"{name}.json"))
-        synthesize_input_attack(
-            prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
-        )
-        sizes.append(len(prep.u_nom))
-    assert stops == sizes
-    stops.clear()
-    synthesize_input_attack(*_ZERO_ON_ROW_1)
-    synthesize_input_attack(*_ZERO_WEIGHTS)
+        cases.append((prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0))
+    for case in cases:
+        synthesize_input_attack(*case)
+    assert written == [len(case[3]) for case in cases]
+    # weights on vc roll all five scalars and never call it
     cell, _, ref, u_nom, x0 = _ZERO_ON_ROW_1
     vc_weights = AttackWeights(q1=np.eye(2), q2=np.eye(2), r=1.0)
     synthesize_input_attack(cell, vc_weights, ref, u_nom, x0)
-    assert stops == [1, 0]
-    # q1 = 0 zeroes the product on the last row alone; there the SoC
-    # loop's -p * rinv would write +0.0, and the five-scalar loop writes
-    # the -0.0 of its dropped terms
-    stops.clear()
-    u_a = synthesize_input_attack(*_TC1_Q1_ZERO).u_a.samples
-    assert stops == [2000] and u_a.size == 2001
-    assert u_a[-1] == 0.0 and math.copysign(1.0, u_a[-1]) == -1.0
+    assert len(written) == len(cases)
 
 
 # profile starts where t0 + k*dt is inexact, and one drawn anywhere

@@ -252,6 +252,22 @@ class TestSweepCommand:
         _, data = read_rows(out / "sweep.csv")
         np.testing.assert_array_equal(data[:, 0], [-0.2, 0.2])
 
+    def test_signed_zero_gains_give_the_same_bytes_in_either_order(
+        self, tmp_path, scenario_dir, params_path, capsys
+    ):
+        # -0.0 sorts before 0.0 and wins their tie, whichever comes first
+        raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
+        raw["params_file"] = str(params_path)
+        config = tmp_path / "tc1_mismatch.json"
+        config.write_text(json.dumps(raw))
+        outputs = []
+        for ka in ("0,-0", "-0,0"):
+            out = tmp_path / ka
+            assert main(["sweep", "--config", str(config), "--out", str(out), f"--ka={ka}"]) == 0
+            outputs.append(((out / "sweep.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].startswith("argmin k_a = -0.0 ")
+
     def test_sweep_reruns_match_bytes(self, tmp_path, params_path):
         config = small_scenario(
             tmp_path,

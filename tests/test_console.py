@@ -41,7 +41,9 @@ ROWS = [
     pytest.param("fit --config {work}/fit.json", 0, "", id="fit"),
     pytest.param("scenario --config {work}/terminal.json", 0, "", id="terminal-only-weights"),
     pytest.param("scenario --config {work}/zero.json", 0, "", id="all-zero-weights"),
+    pytest.param("scenario --config {work}/q1_zero.json", 0, "", id="terminal-weight-zero"),
     pytest.param("scenario --config {work}/vc.json", 0, "", id="vc-weights"),
+    pytest.param("sweep --config {work}/vc.json", 0, "", id="sweep-vc-weights"),
     pytest.param("scenario --config {scenarios}", 2, "{scenarios}", id="directory-as-config"),
     pytest.param(
         "scenario --config {scenarios}/tc1.json --seed -1",
@@ -105,9 +107,12 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
         "zoh.json": {**raw, "weights": weights},
         # S never settles without q2, so every row of the sweep is stepped
         "terminal.json": {**raw, "weights": {"q1": [1e7, -0.0], "q2": [0.0, 0.0], "r": 1.0}},
-        # every product of the feedback law is zero, so the rollout hands
-        # over to its five-scalar loop on row 0 and writes u_a as -0.0
+        # every product of the feedback law is zero, so the rollout's SoC
+        # loop writes u_a as a zero on every row
         "zero.json": {**raw, "weights": {"q1": [0.0, 0.0], "q2": [0.0, 0.0], "r": 1.0}},
+        # S and V are zero on the last row alone, so the SoC loop writes
+        # a zero product there
+        "q1_zero.json": {**raw, "weights": {**raw["weights"], "q1": [0.0, 0.0]}},
         # weights on vc: the sweep and the rollout step all five scalars
         "vc.json": {**raw, "weights": {"q1": [1e7, 1e3], "q2": [2e5, 50.0], "r": 1.0}},
         "noise.json": {**raw, "plant_overrides": {"noise_std": 1e308}},

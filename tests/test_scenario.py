@@ -269,7 +269,9 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     the SoC reference, the stationary tail's one forcing column (v1's:
     the weights leave vc unweighted) and its drained rows.  The
     synthesis's, 5 713 245 bytes, holds no coulomb counts: a rollout
-    that stores them peaks at 6 111 773.  simulate's, 2 001 973 bytes,
+    that stores them peaks at 6 111 773.  The same bound holds with the
+    config's i_max, which is checked without an array of |u_nom + u_a|:
+    that array peaks at 6 058 797.  simulate's, 2 001 973 bytes,
     frees the RC drive before the voltage readout; kept, it peaks at
     2 402 165.
     """
@@ -297,6 +299,11 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
             prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
         )
     )
+    _, synth_i_max_peak = traced_peak(
+        lambda: synthesize_input_attack(
+            prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
+        )
+    )
     _, simulate_peak = traced_peak(
         lambda: ecm.simulate(prep.plant.true_params, prep.x0, prep.u_nom)
     )
@@ -304,4 +311,5 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     assert sweep_peak < 3_671_005 + 100_000
     assert run_peak < 9_613_357 + 100_000
     assert synth_peak < 5_713_245 + 100_000
+    assert prep.i_max is not None and synth_i_max_peak < 5_713_245 + 100_000
     assert simulate_peak < 2_001_973 + 100_000

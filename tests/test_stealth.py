@@ -17,6 +17,8 @@ from voltmask import (
     ReferenceTrajectory,
     add,
     feedback_output_attack,
+    load_scenario,
+    prepare,
     simulate,
     synthesize_input_attack,
     synthetic_profile,
@@ -77,6 +79,24 @@ def test_perfect_model_masks_exactly(cell, injection):
         res = feedback_output_attack(atk, plant, k_a)
         assert res.residual_max <= 1e-12, f"k_a={k_a}"
         assert res.residual_rms <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "k_a", [-0.9, 0.5, 1.5, 1e6, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 2**-52, 1 + 2**-52]
+)
+def test_perfect_model_masks_to_the_rounding_of_the_gain_term(scenario_dir, k_a):
+    # y_a rounds k_a (y_plant - y_nom) = -k_a delta and divides by
+    # 1 - k_a, so the residual stays under max|delta| |k_a| / |1 - k_a|
+    # 2**-52, plus the rounding of the sums that carry y, a few ulp of it
+    prep = prepare(load_scenario(scenario_dir / "tc1.json"))
+    atk = synthesize_input_attack(
+        prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
+    )
+    res = feedback_output_attack(atk, prep.plant, k_a)
+    delta = float(np.abs(res.y_nom.samples - atk.model.voltage.samples).max())
+    y_max = float(np.abs(res.y_plant.samples).max())
+    bound = delta * abs(k_a) / abs(1.0 - k_a) * 2**-52
+    assert res.residual_max <= bound + 4 * math.ulp(y_max)
 
 
 # Rounding in the correction grows like 1/|1 - k_a|, so gains within 1e-2
