@@ -81,7 +81,9 @@ def _check_weight_matrix(name: str, q: np.ndarray) -> None:
         raise ValueError(f"{name} must be symmetric to 1e-12")
     q[1, 0] = q[0, 1]
     q += 0.0
-    if float(np.linalg.eigvalsh(q).min()) < -tol:
+    # the smaller eigenvalue in closed form, halved first so that no finite entry overflows
+    a, b, c = float(q[0, 0]), float(q[0, 1]), float(q[1, 1])
+    if 0.5 * a + 0.5 * c - math.hypot(0.5 * a - 0.5 * c, b) < -tol:
         raise ValueError(f"{name} must be positive semidefinite (eigenvalues >= -1e-12)")
 
 
@@ -332,7 +334,7 @@ def _sweep_backward(
     v_out = np.zeros((n, 2))
     # terminal conditions assigned exactly, not integrated
     s_out[-1] = q1
-    v_out[-1] = q1 @ (soc_ref[-1], 0.0)
+    v_out[-1] = q1[:, 0] * soc_ref[-1] + q1[:, 1] * 0.0  # q1 (soc, 0), the zero's sign kept
     s11, s12, s22 = float(q1[0, 0]), float(q1[0, 1]), float(q1[1, 1])
     v1, v2 = float(v_out[-1, 0]), float(v_out[-1, 1])
     # The stepping loops and the tail's recurrence work on plain floats

@@ -284,12 +284,15 @@ def _terminal_voltages(
         return _ocv_array(params.ocv, soc) - vc - current * params.r0
 
 
-def _voltage_series(current: TimeSeries, volts: np.ndarray) -> TimeSeries:
-    """volts on the grid of current; a non-finite voltage is named with its first time."""
+def _voltage_series(
+    current: TimeSeries, volts: np.ndarray, name: str = "terminal voltage", note: str = ""
+) -> TimeSeries:
+    """volts on the grid of current; the first non-finite voltage raises
+    "<name> is not finite at t=<t> (<v> V<note>)"."""
     bad = np.flatnonzero(~np.isfinite(volts))
     if bad.size:
         t, v = current.times()[bad[0]], volts[bad[0]]
-        raise FloatingPointError(f"terminal voltage is not finite at t={t} ({v} V)")
+        raise FloatingPointError(f"{name} is not finite at t={t} ({v} V{note})")
     return current.with_samples(volts)
 
 

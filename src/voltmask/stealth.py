@@ -99,7 +99,7 @@ class _Trajectories:
     att_model: SimulationResult
     plant_att: SimulationResult
     plant_nom: SimulationResult
-    y_plant: np.ndarray
+    y_plant: TimeSeries
 
 
 def _readout(params: EcmParams, states: SimulationResult, current: TimeSeries) -> SimulationResult:
@@ -120,8 +120,9 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
     pins the rollout to simulate), and only the plant's readout is
     computed: one stepping-kernel run in all, the nominal model's.
     Otherwise each plant run is simulated, three kernel runs in all.
-    The measurement noise is drawn once, from the plant's seed; a noisy
-    voltage that overflows is named with its first time.
+    The measurement noise is drawn once, from the plant's seed, into the
+    one copy of the noisy plant voltage; one that overflows is named with
+    its first time.
     """
     x0 = BatteryState(attack.model.soc[0], attack.model.vc[0])
     u_nom = attack.u_nom
@@ -132,12 +133,8 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
     with np.errstate(over="ignore"):
         noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
         y_plant = plant_att.voltage.samples + noise
-    bad = np.flatnonzero(~np.isfinite(y_plant))
-    if bad.size:
-        t, v = u_nom.times()[bad[0]], y_plant[bad[0]]
-        raise FloatingPointError(
-            f"noisy plant voltage is not finite at t={t} ({v} V, noise_std = {plant.noise_std})"
-        )
+    note = f", noise_std = {plant.noise_std}"
+    y_plant = _voltage_series(u_nom, y_plant, "noisy plant voltage", note)
     nom_model = simulate(model, x0, u_nom)
     return _Trajectories(
         nom_model=nom_model,
@@ -158,8 +155,9 @@ def _residual(traj: _Trajectories, k_a: float) -> tuple[np.ndarray, np.ndarray, 
     # a runaway attack, or a gain near 1, overflows to inf, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
         delta = y_nom - traj.att_model.voltage.samples
-        y_a = (delta + k_a * (traj.y_plant - y_nom)) / (1.0 - k_a)
-        y_measured = traj.y_plant + y_a
+        y_plant = traj.y_plant.samples
+        y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
+        y_measured = y_plant + y_a
         residual = y_measured - traj.plant_nom.voltage.samples
         return y_a, y_measured, residual, float(np.sqrt(np.mean(residual * residual)))
 
@@ -178,20 +176,12 @@ def feedback_output_attack(
     """
     traj = _simulate_trajectories(attack, plant)
     y_a, y_measured, residual, residual_rms = _residual(traj, k_a)
-    voltage = traj.nom_model.voltage
-    # named here, before a TimeSeries would reject them unnamed; no mask
-    # outlives its test, so none is alive while the results are built
-    for name, samples in (("masking correction", y_a), ("measured voltage", y_measured)):
-        if not np.isfinite(samples).all():
-            k = int(np.isfinite(samples).argmin())
-            raise FloatingPointError(
-                f"{name} is not finite at t={voltage.times()[k]} ({samples[k]} V, k_a = {k_a})"
-            )
+    note = f", k_a = {k_a}"
     return StealthResult(
-        y_nom=voltage,
-        y_plant=voltage.with_samples(traj.y_plant),
-        y_a=voltage.with_samples(y_a),
-        y_measured=voltage.with_samples(y_measured),
+        y_nom=traj.nom_model.voltage,
+        y_plant=traj.y_plant,
+        y_a=_voltage_series(traj.y_plant, y_a, "masking correction", note),
+        y_measured=_voltage_series(traj.y_plant, y_measured, "measured voltage", note),
         residual_rms=residual_rms,
         residual_max=float(np.abs(residual).max()),
         ka_warning=bool(abs(1.0 - k_a) < 1.0),  # the noise gain 1 / |1 - k_a| exceeds 1

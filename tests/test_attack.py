@@ -74,6 +74,20 @@ from voltmask.attack import (
 from voltmask.scenario import load_scenario, prepare
 
 
+@st.composite
+def symmetric_weights(draw):
+    """A symmetric 2x2 at a scale from 1e-20 to 1e20; a third of those with
+    a, c >= 0 are within a relative 1e-6 of singular, on either side."""
+    scale = 10.0 ** draw(st.floats(-20.0, 20.0))
+    a, c = (scale * draw(st.floats(-0.2, 1.0)) for _ in range(2))
+    if a >= 0.0 and c >= 0.0 and draw(st.integers(0, 2)) == 0:
+        gap = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -6.0))
+        b = draw(st.sampled_from([-1.0, 1.0])) * math.sqrt(a * c) * (1.0 + gap)
+    else:
+        b = scale * draw(st.floats(-1.0, 1.0))
+    return np.array([[a, b], [b, c]])
+
+
 def scalar_riccati_euler(b1, r, q, s_terminal, grid, refine=100):
     """Backward explicit Euler on ds/dt = s^2 b^2 / r - q at a finer step.
 
@@ -137,6 +151,23 @@ class TestWeights:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             AttackWeights(q2=np.diag([-1.0, 0.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=symmetric_weights())
+    # a + c overflows here, so the sum is taken on the halves
+    @example(q=np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+    @example(q=np.array([[1e308, 0.0], [0.0, 1e308]]))
+    def test_closed_form_decides_as_eigvalsh(self, q):
+        # the weight check takes the smaller eigenvalue in closed form; away
+        # from the tolerance it accepts and rejects what LAPACK's does
+        tol = 1e-12 * max(1.0, float(np.abs(q).max()))
+        lowest = float(np.linalg.eigvalsh(q).min())
+        assume(abs(lowest + tol) > 0.01 * tol)
+        if lowest < -tol:
+            with pytest.raises(ValueError, match="q1 must be positive semidefinite"):
+                AttackWeights(q1=q)
+        else:
+            AttackWeights(q1=q)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError, match="r must be positive"):

@@ -36,6 +36,9 @@ ENCODING_CHECK = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
 # argv with {scenarios} and {work} placeholders, exit code, stderr fragment
 ROWS = [
     pytest.param("scenario --config {scenarios}/tc1.json", 0, "", id="scenario"),
+    pytest.param(
+        "scenario --config {scenarios}/tc1_mismatch.json", 0, "", id="scenario-mismatch"
+    ),
     pytest.param("simulate --config {scenarios}/tc1_mismatch.json", 0, "", id="simulate"),
     pytest.param("sweep --config {scenarios}/tc1_mismatch.json", 0, "", id="sweep"),
     pytest.param("fit --config {work}/fit.json", 0, "", id="fit"),
@@ -52,6 +55,12 @@ ROWS = [
         id="negative-seed",
     ),
     pytest.param("scenario --config {work}/ka1.json", 2, "field 'k_a'", id="gain-of-one"),
+    pytest.param(
+        "scenario --config {work}/c1.json",
+        2,
+        "c1_farad = 1e-310 is too small",
+        id="cell-reciprocal-not-finite",
+    ),
     pytest.param(
         "scenario --config {work}/huge_cell.json",
         2,
@@ -102,6 +111,9 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
     q = 14322.0
     weights = {"q1": [2.05 * q * q, 0.0], "q2": [(2.05 * q) ** 2, 0.0], "r": 1.0}
     (work / "huge_cell.csv").write_text(f"time_s,value\n0,1\n2000,{'9' * 140_000}\n")
+    # a cell whose 1/c1 is not finite, which the model cannot step
+    c1_cell = {**json.loads(params_path.read_text()), "c1_farad": 1e-310}
+    (work / "c1_cell.json").write_text(json.dumps(c1_cell))
     configs = {
         "ka1.json": {**raw, "k_a": 1},
         "zoh.json": {**raw, "weights": weights},
@@ -118,6 +130,7 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
         "noise.json": {**raw, "plant_overrides": {"noise_std": 1e308}},
         "masking.json": {**raw, "k_a": 0.999999999, "plant_overrides": {"capacity_As": 1e-302}},
         "huge_cell.json": {**raw, "profile": {"csv": "huge_cell.csv"}},
+        "c1.json": {**raw, "params_file": "c1_cell.json"},
     }
 
     current = synthetic_profile("sin_mix", 4.0, 0.5, 1500.0, 1.0, seed=9)

@@ -1,14 +1,18 @@
 """The source tree itself: the Python floor, the declared dependencies,
-bounded fromiter drains, and the names the benchmark calls.
+bounded fromiter drains, no linear algebra, the console script and the
+names the benchmark calls.
 
 Every file under src/ parses as Python 3.10 and uses no name that 3.10
 lacks; every import is the standard library or a dependency that
 pyproject.toml declares (numpy); every np.fromiter drain passes count=;
-and bench/ finds every name it calls.  The floor, import and fromiter
-checks also run on snippets that break them, so each is seen to fail.
+no file calls numpy's linear algebra; pyproject.toml's console script
+names voltmask.cli.run; and bench/ finds every name it calls.  The
+floor, import, fromiter and linear-algebra checks also run on snippets
+that break them, so each is seen to fail.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -16,6 +20,7 @@ import sys
 
 import pytest
 
+import voltmask.cli
 from voltmask.scenario import load_scenario, prepare
 
 # each name is new in Python 3.11 (tomllib and the rest) or reached as an
@@ -126,6 +131,52 @@ def test_every_fromiter_drain_fills_one_preallocated_array(repo_root):
 )
 def test_fromiter_check_sees_a_missing_count(source, bounded):
     assert [ok for _, ok in fromiter_calls(ast.parse(source))] == [bounded]
+
+
+# numpy's matrix products and linear algebra: the first call starts BLAS or
+# LAPACK, some 0.15 to 0.5 MB more resident; every system here is 2x2 or a
+# small one that sysid._solve_spd eliminates on plain floats
+LINEAR_ALGEBRA = {"linalg", "dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def linear_algebra(tree):
+    """"@" for each matrix product in tree, then each linear-algebra name it uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield "@"
+    yield from sorted(LINEAR_ALGEBRA.intersection(identifiers(tree)))
+
+
+def test_no_source_file_starts_blas_or_lapack(repo_root):
+    for path in sorted((repo_root / "src").rglob("*.py")):
+        found = list(linear_algebra(ast.parse(path.read_text(), str(path))))
+        assert not found, f"{path} uses {found}"
+
+
+@pytest.mark.parametrize(
+    ("source", "found"),
+    [
+        ("v = q1 @ (x, 0.0)", ["@"]),
+        ("m @= q", ["@"]),
+        ("np.linalg.eigvalsh(q).min()", ["linalg"]),
+        ("from numpy.linalg import solve", ["linalg"]),
+        ("a.dot(b)", ["dot"]),
+        ("np.einsum('ij,j', a, b)", ["einsum"]),
+        ("from numpy import inner, vdot", ["inner", "vdot"]),
+        ("(a * b).sum() + math.hypot(x, y)", []),
+    ],
+)
+def test_linear_algebra_check_sees_every_product(source, found):
+    assert list(linear_algebra(ast.parse(source))) == found
+
+
+def test_the_console_script_names_the_cli_entry_point(repo_root):
+    # tomllib is Python 3.11+, so the table line is read with a regex
+    text = (repo_root / "pyproject.toml").read_text(encoding="utf-8")
+    table = r'^\[project\.scripts\]\nvoltmask = "([\w.]+):(\w+)"$'
+    script = re.search(table, text, re.MULTILINE)
+    assert script, "pyproject.toml declares no voltmask console script"
+    assert getattr(importlib.import_module(script[1]), script[2]) is voltmask.cli.run
 
 
 def test_the_benchmark_tracer_installs(repo_root):

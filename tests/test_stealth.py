@@ -264,4 +264,4 @@ def test_masking_trajectories_equal_plain_simulations_bit_for_bit(setup, share_s
     _assert_same_run(traj.plant_att, plant_att)
     _assert_same_run(traj.plant_nom, simulate(true, x0, u_nom))
     noise = np.random.default_rng(plant.seed).standard_normal(len(u_nom)) * plant.noise_std
-    assert traj.y_plant.tobytes() == (plant_att.voltage.samples + noise).tobytes()
+    assert traj.y_plant.samples.tobytes() == (plant_att.voltage.samples + noise).tobytes()
