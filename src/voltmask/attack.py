@@ -44,7 +44,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .config import checked
+from .config import DivergenceError, checked
 from .ecm import BatteryState, EcmParams, SimulationResult, state_matrices
 from .ecm import _terminal_voltages, _voltage_series, _zoh_recurrence
 from .profiles import TimeSeries
@@ -59,12 +59,6 @@ __all__ = [
     "solve_riccati",
     "synthesize_input_attack",
 ]
-
-
-class DivergenceError(RuntimeError):
-    """The synthesis failed numerically: the backward sweep went non-finite or
-    left the positive semidefinite cone, or the closed loop is unstable or
-    went non-finite in the forward rollout."""
 
 
 def _check_weight_matrix(name: str, q: np.ndarray) -> None:

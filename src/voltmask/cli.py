@@ -24,15 +24,19 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attack import DivergenceError
-from .config import ConfigError, checked
+from .config import ConfigError, DivergenceError, checked
 from .ecm import dump_params, simulate
 from .profiles import write_csv as _write_csv  # bench/tracing.py times the writer by this name
-from .scenario import ScenarioConfig, load_scenario, prepare, run_scenario, sweep_scenario
-from .sysid import FitConfig, extract_ocv, fit_rc, load_fit_config
+
+# Each command imports the modules it runs when it runs: fit never loads
+# the attack pipeline, and scenario, sweep and simulate never load sysid.
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
+    from .sysid import FitConfig
 
 __all__ = ["main", "run"]
 
@@ -75,6 +79,8 @@ def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioCon
     The flags follow the rules for the config's fields: --seed is a whole
     number, and --ka a comma-separated list of finite gains other than 1.
     """
+    from .scenario import load_scenario, prepare
+
     config = load_scenario(config_path)
     if seed is not None and checked(seed, int) is None:
         raise ConfigError(f"--seed must be a whole number, got {seed}")
@@ -82,7 +88,7 @@ def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioCon
     if ka is not None:
         tokens = [tok for tok in ka.split(",") if tok.strip() != ""]
         gains = tuple(float(tok) if _GAIN.fullmatch(tok) else math.nan for tok in tokens)
-        if not all(map(math.isfinite, gains)) or 1.0 in gains:
+        if not gains or not all(map(math.isfinite, gains)) or 1.0 in gains:
             raise ConfigError(f"--ka must be comma-separated finite gains other than 1, got {ka!r}")
     return prepare(config, seed, gains)
 
@@ -100,6 +106,8 @@ def _cmd_simulate(prep: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _cmd_scenario(prep: ScenarioConfig, out_dir: Path) -> int:
+    from .scenario import run_scenario
+
     run = run_scenario(prep)
     s = run.summary
     # the summary goes first: _write_json checks it before writing, so a
@@ -172,6 +180,8 @@ def _cmd_scenario(prep: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _cmd_sweep(prep: ScenarioConfig, out_dir: Path) -> int:
+    from .scenario import sweep_scenario
+
     result = sweep_scenario(prep, prep.ka_values)
     # _write_json's rule: a non-finite residual is named, and nothing is written
     for ka, rms in result.rows:
@@ -192,6 +202,8 @@ def _cmd_sweep(prep: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _cmd_fit(config: FitConfig, out_dir: Path) -> int:
+    from .sysid import extract_ocv, fit_rc
+
     params = config.initial
     if config.charge is not None:
         curve = extract_ocv(
@@ -258,6 +270,8 @@ def main(argv=None) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "fit":
+            from .sysid import load_fit_config
+
             loaded = load_fit_config(args.config)
         else:
             loaded = _prepare(args.config, args.seed, getattr(args, "ka", None))

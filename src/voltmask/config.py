@@ -5,7 +5,9 @@ every config file has the same rules for what a number is, and every
 malformed value is a ConfigError naming its file, block and field.  The
 loaders that build values from a file (load_scenario, load_params,
 load_fit_config) stay next to the types they build; this module knows
-none of those types and imports nothing else from the package.
+none of those types and imports nothing else from the package.  It also
+holds DivergenceError, which attack raises and re-exports, so that the
+CLI catches a failed synthesis without loading the attack modules.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 __all__ = [
     "ConfigError",
+    "DivergenceError",
     "REQUIRED",
     "checked",
     "read_field",
@@ -27,6 +30,12 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A scenario, cell or fit config is malformed; the message names the field."""
+
+
+class DivergenceError(RuntimeError):
+    """The synthesis failed numerically: the backward sweep went non-finite or
+    left the positive semidefinite cone, or the closed loop is unstable or
+    went non-finite in the forward rollout."""
 
 
 def read_json_object(path) -> dict:

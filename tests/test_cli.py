@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 import voltmask.attack
 import voltmask.cli
+import voltmask.scenario
+import voltmask.sysid
 from voltmask import (
     BatteryState,
     TimeSeries,
@@ -307,6 +309,19 @@ class TestSweepCommand:
         assert code == 2
         assert "--ka" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--ka", ""], ["--ka=,"], ["--ka", " , "]])
+    def test_ka_flag_without_a_gain_is_named(self, tmp_path, params_path, capsys, flag):
+        # the config lists gains, so the flag is what is wrong
+        config = small_scenario(tmp_path, params_path)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out), *flag]) == 2
+        ka = flag[-1].removeprefix("--ka=")
+        assert capsys.readouterr() == (
+            "",
+            f"config error: --ka must be comma-separated finite gains other than 1, got {ka!r}\n",
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestExitCodes:
     def test_missing_config_names_the_path(self, tmp_path, capsys):
@@ -549,7 +564,7 @@ class TestExitCodes:
         def failing_run(prep):
             raise error
 
-        monkeypatch.setattr(voltmask.cli, "run_scenario", failing_run)
+        monkeypatch.setattr(voltmask.scenario, "run_scenario", failing_run)
         config = small_scenario(tmp_path, params_path)
         out = tmp_path / "o"
         assert main(["scenario", "--config", str(config), "--out", str(out)]) == 3
@@ -1232,7 +1247,7 @@ class TestFitCommand:
         def failing_fit(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(voltmask.cli, "fit_rc", failing_fit)
+        monkeypatch.setattr(voltmask.sysid, "fit_rc", failing_fit)
         rc = {"current_csv": "exc_i.csv", "voltage_csv": "exc_v.csv", "dt": 2.0}
         code, _, out = self.run_fit(records, params_path, {"rc": rc})
         assert code == 3

@@ -10,6 +10,10 @@ error::EncodingWarning``, so a file opened without a named encoding,
 whose bytes would then depend on the locale, fails the run.  The
 children import the package that pytest imported and write only under
 pytest's temporary directory.
+
+The last tests check what a fresh interpreter loads: ``import voltmask``
+loads no submodule, and a command loads none of the modules it does not
+run (``fit`` none of the attack pipeline, the others not ``sysid``).
 """
 
 import json
@@ -151,16 +155,21 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
     return work
 
 
+def child(args, cwd):
+    """A fresh interpreter run on args, with the package the tests import."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return subprocess.run(
+        [sys.executable, *ENCODING_CHECK, *args],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(("argv", "code", "fragment"), ROWS)
 def test_console_run(tmp_path, capsys, work, scenario_dir, argv, code, fragment):
     argv = [tok.format(scenarios=scenario_dir, work=work) for tok in argv.split()]
     out = tmp_path / "out"
-    pythonpath = os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    proc = subprocess.run(
-        [sys.executable, *ENCODING_CHECK, "-m", "voltmask.cli", *argv, "--out", str(out)],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
-    )
+    proc = child(["-m", "voltmask.cli", *argv, "--out", str(out)], tmp_path)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stderr == ""
@@ -178,3 +187,45 @@ def test_console_run(tmp_path, capsys, work, scenario_dir, argv, code, fragment)
     assert "Traceback" not in proc.stderr and "warning" not in proc.stderr.lower()
     assert proc.stdout == ""
     assert list(out.iterdir()) == []
+
+
+def loaded_modules(tmp_path, code, argv=()):
+    """The voltmask submodules a fresh interpreter has loaded once code has run."""
+    report = "print(*sorted(m[9:] for m in sys.modules if m.startswith('voltmask.')))"
+    proc = child(["-c", f"import sys\n{code}\n{report}", *argv], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    ("code", "modules"),
+    [
+        ("import voltmask", set()),
+        ("from voltmask.ecm import load_params", {"config", "profiles", "ecm"}),
+        (
+            "from voltmask import ecm; assert ecm.__name__ == 'voltmask.ecm'",
+            {"config", "profiles", "ecm"},
+        ),
+        ("import voltmask; voltmask.sysid.fit_rc", {"config", "profiles", "ecm", "sysid"}),
+    ],
+    ids=["package", "ecm", "submodule-from-package", "submodule-attribute"],
+)
+def test_an_import_loads_only_the_modules_it_names(tmp_path, code, modules):
+    assert loaded_modules(tmp_path, code) == modules
+
+
+@pytest.mark.parametrize(
+    ("argv", "unused"),
+    [
+        ("fit --config {work}/fit.json", {"attack", "stealth", "metrics", "scenario"}),
+        ("scenario --config {scenarios}/tc1.json", {"sysid"}),
+        ("sweep --config {scenarios}/tc1.json", {"sysid"}),
+        ("simulate --config {scenarios}/tc1.json", {"sysid"}),
+    ],
+    ids=["fit", "scenario", "sweep", "simulate"],
+)
+def test_a_command_loads_no_module_it_does_not_run(tmp_path, work, scenario_dir, argv, unused):
+    argv = [tok.format(scenarios=scenario_dir, work=work) for tok in argv.split()]
+    run = "from voltmask.cli import main; assert main(sys.argv[1:]) == 0"
+    loaded = loaded_modules(tmp_path, run, [*argv, "--out", str(tmp_path / "out")])
+    assert "cli" in loaded and not loaded & unused, sorted(loaded & unused)
