@@ -14,10 +14,10 @@ import importlib
 # the module each public name is exported from
 _MODULES = {
     "attack": (
-        "AttackWeights", "DivergenceError", "InputAttackResult", "ReferenceTrajectory",
-        "RiccatiSolution", "build_reference", "solve_riccati", "synthesize_input_attack",
+        "AttackWeights", "InputAttackResult", "ReferenceTrajectory", "RiccatiSolution",
+        "build_reference", "solve_riccati", "synthesize_input_attack",
     ),
-    "config": ("ConfigError",),
+    "config": ("ConfigError", "DivergenceError"),
     "ecm": (
         "BatteryState", "EcmParams", "OcvCurve", "SimulationResult", "dump_params",
         "invert_ocv", "load_params", "simulate", "state_matrices",

@@ -86,9 +86,8 @@ def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioCon
         raise ConfigError(f"--seed must be a whole number, got {seed}")
     gains = None
     if ka is not None:
-        tokens = [tok for tok in ka.split(",") if tok.strip() != ""]
-        gains = tuple(float(tok) if _GAIN.fullmatch(tok) else math.nan for tok in tokens)
-        if not gains or not all(map(math.isfinite, gains)) or 1.0 in gains:
+        gains = tuple(float(tok) if _GAIN.fullmatch(tok) else math.nan for tok in ka.split(","))
+        if not all(map(math.isfinite, gains)) or 1.0 in gains:
             raise ConfigError(f"--ka must be comma-separated finite gains other than 1, got {ka!r}")
     return prepare(config, seed, gains)
 

@@ -33,12 +33,15 @@ def attack_setups(draw):
     and at most a quarter of it, so the gain b2^2 S22 / r is at most 1/2,
     and their c1 keeps tau1 at 2 dt or more.  The sweep's h*lambda on the
     vc channel, dt (2 / tau1 + 2 b2^2 S22 / r), is then at most 2, and
-    2 dt / tau1 alone at most 1, under the RK4 limit.  Their off-diagonal
-    weight is at least 0, so that with b1 < 0 < b2 it lowers b' q b below
-    the two channels' sum instead of adding to it (q1 at the corners of
-    these ranges with the other sign gives b' q1 b / r = 2.25, and the
-    sweep diverges at dt = 1), and at most 0.9 of its PSD limit: an RK4
-    step from S = 0 under a singular q2 can leave the PSD cone.
+    2 dt / tau1 alone at most 1, under the RK4 limit.  With b1 < 0 < b2,
+    a negative off-diagonal weight adds to the two channels' gains:
+    b' q b is a + v - 2 rho sqrt(a v) for the SoC and vc gains a and
+    v and the correlation rho.  So a negative rho goes only down to where
+    b' q b reaches 1, the SoC channel's own bound, which keeps the sweep's
+    h*lambda at dt = 1 within what rho = 0 reaches at a = 1, v = 1/4
+    (2.78); at rho = -1 the corners give b' q b = 2.25 and the sweep
+    diverges.  |rho| is at most 0.9: an RK4 step from S = 0 under a
+    singular q2 can leave the PSD cone.
     """
     weights_vc = draw(st.booleans())
     dt = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0))
@@ -56,11 +59,14 @@ def attack_setups(draw):
     )
 
     def weight(least_vc):
-        soc = draw(st.floats(0.0, 1.0)) * capacity**2
+        a = draw(st.floats(0.0, 1.0))
+        soc = a * capacity**2
         if not weights_vc:
             return np.diag([soc, 0.0])
-        vc = draw(st.floats(least_vc, 0.25)) * c1**2
-        off = draw(st.floats(0.0, 0.9)) * math.sqrt(soc * vc)
+        v = draw(st.floats(least_vc, 0.25))
+        vc = v * c1**2
+        least_rho = max(-0.9, min(0.0, (a + v - 1.0) / (2.0 * math.sqrt(a * v) or 1.0)))
+        off = draw(st.floats(least_rho, 0.9)) * math.sqrt(soc * vc)
         return np.array([[soc, off], [off, vc]])
 
     weights = AttackWeights(q1=weight(0.0), q2=weight(1e-3), r=draw(st.floats(1.0, 5.0)))

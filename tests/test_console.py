@@ -202,13 +202,14 @@ def loaded_modules(tmp_path, code, argv=()):
     [
         ("import voltmask", set()),
         ("from voltmask.ecm import load_params", {"config", "profiles", "ecm"}),
+        ("from voltmask import DivergenceError", {"config"}),
         (
             "from voltmask import ecm; assert ecm.__name__ == 'voltmask.ecm'",
             {"config", "profiles", "ecm"},
         ),
         ("import voltmask; voltmask.sysid.fit_rc", {"config", "profiles", "ecm", "sysid"}),
     ],
-    ids=["package", "ecm", "submodule-from-package", "submodule-attribute"],
+    ids=["package", "ecm", "divergence-error", "submodule-from-package", "submodule-attribute"],
 )
 def test_an_import_loads_only_the_modules_it_names(tmp_path, code, modules):
     assert loaded_modules(tmp_path, code) == modules
