@@ -1,8 +1,9 @@
 """Reading config files: the JSON object, its fields, and the paths they name.
 
 The scenario, cell and fit files are read through these readers, so
-every config file has the same rules for what a number is, and every
-malformed value is a ConfigError naming its file, block and field.  The
+every config file has the same rules for what a number is and which
+keys an object may hold, and every malformed value, unknown key or
+repeated key is a ConfigError naming its file, block and field.  The
 loaders that build values from a file (load_scenario, load_params,
 load_fit_config) stay next to the types they build; this module knows
 none of those types and imports nothing else from the package.  It also
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "DivergenceError",
     "REQUIRED",
     "checked",
+    "read_block",
     "read_field",
     "read_json_object",
     "read_path",
@@ -38,11 +41,37 @@ class DivergenceError(RuntimeError):
     went non-finite in the forward rollout."""
 
 
-def read_json_object(path) -> dict:
-    """The JSON object in the file at path; a ConfigError naming the path otherwise."""
+class _JsonObject(dict):
+    """A JSON object as read, with the keys its text gives more than once
+    (json.load keeps the last value of each)."""
+
+    repeated: list | tuple = ()
+
+
+def _json_object(pairs) -> _JsonObject:
+    obj = _JsonObject(pairs)
+    if len(obj) < len(pairs):
+        obj.repeated = sorted(key for key, n in Counter(k for k, _ in pairs).items() if n > 1)
+    return obj
+
+
+def _check_keys(block: dict, keys, ctx: str) -> None:
+    """A ConfigError naming ctx when block holds a key not among keys, which
+    no reader would look at, or a key its JSON text gives more than once."""
+    unknown = sorted(block.keys() - set(keys))
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {unknown}, not among {list(keys)}")
+    repeated = getattr(block, "repeated", ())
+    if repeated:
+        raise ConfigError(f"{ctx}: keys given more than once {repeated}")
+
+
+def read_json_object(path, keys) -> dict:
+    """The JSON object in the file at path, its keys checked against keys
+    (see _check_keys); a ConfigError naming the path otherwise."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_json_object)
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
     except IsADirectoryError:
@@ -51,6 +80,7 @@ def read_json_object(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    _check_keys(raw, keys, str(path))
     return raw
 
 
@@ -110,6 +140,14 @@ def read_field(block: dict, name: str, kind, ctx: str, default):
         else:
             expected = _KIND_NAMES[kind][0]
         raise ConfigError(f"{ctx}: field {name!r} must be {expected}, got {block[name]!r}")
+    return value
+
+
+def read_block(block: dict, name: str, keys, ctx: str, default=REQUIRED) -> dict:
+    """block[name] read as an object (see read_field), its keys checked
+    against keys (see _check_keys)."""
+    value = read_field(block, name, dict, ctx, default)
+    _check_keys(value, keys, f"{ctx}: {name}")
     return value
 
 

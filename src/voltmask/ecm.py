@@ -325,9 +325,10 @@ def load_params(path) -> EcmParams:
     Schema: {"capacity_As": ..., "r0_ohm": ..., "r1_ohm": ...,
              "c1_farad": ..., "ocv": [[soc, volts], ...]}
     """
-    raw = read_json_object(path)
+    keys = (*_SCALAR_FIELDS, "ocv")
+    raw = read_json_object(path, keys)
     ctx = str(path)
-    for key in (*_SCALAR_FIELDS, "ocv"):
+    for key in keys:
         if key not in raw:
             raise ConfigError(f"{ctx}: missing key {key!r}")
     scalars = read_scalars(raw, _SCALAR_FIELDS, ctx)

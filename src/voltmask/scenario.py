@@ -24,7 +24,15 @@ from .attack import (
     ReferenceTrajectory,
     synthesize_input_attack,
 )
-from .config import REQUIRED, ConfigError, read_field, read_json_object, read_path, read_scalars
+from .config import (
+    REQUIRED,
+    ConfigError,
+    read_block,
+    read_field,
+    read_json_object,
+    read_path,
+    read_scalars,
+)
 from .ecm import _SCALAR_FIELDS, BatteryState, EcmParams, _in_file_terms, load_params
 from .metrics import KaSweepResult, ScenarioSummary
 from .profiles import TimeSeries, load_csv, synthetic_profile
@@ -40,6 +48,10 @@ __all__ = [
 ]
 
 _PROFILE_SYNTH_KINDS = {"kind": str, "amplitude": float, "bias": float, "duration": float, "seed": int}
+_SCENARIO_KEYS = (
+    "params_file", "dt", "x0", "profile", "reference", "weights", "k_a", "i_max", "ka_values",
+    "plant_overrides",
+)
 
 
 @dataclass(frozen=True)
@@ -74,20 +86,20 @@ def load_scenario(path) -> ScenarioConfig:
     synthetic_profile, whose errors start with "<config>: profile:".
     """
     path = Path(path)
-    raw = read_json_object(path)
+    raw = read_json_object(path, _SCENARIO_KEYS)
     ctx = str(path)
     base = path.parent
 
     params_file = read_path(raw, "params_file", ctx, base)
     dt = read_scalars(raw, ["dt"], ctx)["dt"]
 
-    x0_raw = read_field(raw, "x0", dict, ctx, REQUIRED)
+    x0_raw = read_block(raw, "x0", ("soc", "vc"), ctx)
     x0 = BatteryState(
         read_field(x0_raw, "soc", float, f"{ctx}: x0", REQUIRED),
         read_field(x0_raw, "vc", float, f"{ctx}: x0", REQUIRED),
     )
 
-    profile_raw = read_field(raw, "profile", dict, ctx, REQUIRED)
+    profile_raw = read_block(raw, "profile", ("csv", *_PROFILE_SYNTH_KINDS), ctx)
     pctx = f"{ctx}: profile"
     if "csv" in profile_raw:
         csv_path = read_path(profile_raw, "csv", pctx, base, f"{ctx}: profile csv")
@@ -108,7 +120,7 @@ def load_scenario(path) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{pctx}: {exc}") from None
 
-    ref_raw = read_field(raw, "reference", dict, ctx, REQUIRED)
+    ref_raw = read_block(raw, "reference", ("soc_start", "soc_target", "shape"), ctx)
     rctx = f"{ctx}: reference"
     if "soc_start" not in ref_raw and not 0.0 <= x0.soc <= 1.0:
         raise ConfigError(
@@ -125,7 +137,7 @@ def load_scenario(path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"{rctx}: {exc}") from None
 
-    w_raw = read_field(raw, "weights", dict, ctx, REQUIRED)
+    w_raw = read_block(raw, "weights", ("q1", "q2", "r"), ctx)
     wctx = f"{ctx}: weights"
     q1 = read_field(w_raw, "q1", [float], wctx, REQUIRED)
     q2 = read_field(w_raw, "q2", [float], wctx, REQUIRED)
@@ -144,11 +156,8 @@ def load_scenario(path) -> ScenarioConfig:
         if 1.0 in gains:
             raise ConfigError(f"{ctx}: field {name!r}: the gain 1 makes the masking singular")
 
-    overrides = read_field(raw, "plant_overrides", dict, ctx, {})
+    overrides = read_block(raw, "plant_overrides", (*_SCALAR_FIELDS, "noise_std", "seed"), ctx, {})
     octx = f"{ctx}: plant_overrides"
-    bad = overrides.keys() - _SCALAR_FIELDS.keys() - {"noise_std", "seed"}
-    if bad:
-        raise ConfigError(f"{ctx}: unknown plant_overrides keys {sorted(bad)}")
     overridden = read_scalars(overrides, [k for k in overrides if k in _SCALAR_FIELDS], octx)
     noise_std = read_field(overrides, "noise_std", float, octx, 0.0)
     if noise_std < 0:

@@ -17,7 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REQUIRED, ConfigError, read_field, read_json_object, read_path, read_scalars
+from .config import (
+    REQUIRED,
+    ConfigError,
+    read_block,
+    read_field,
+    read_json_object,
+    read_path,
+    read_scalars,
+)
 from .ecm import (
     BatteryState,
     EcmParams,
@@ -39,6 +47,16 @@ _MIN_OCV_STEP = 1e-6
 # points of the SoC grid the averaged sweeps are resampled on; more
 # breakpoints than this would only interpolate between its points
 OCV_GRID_POINTS = 2001
+
+# breakpoints of the extracted curve when the fit file's ocv block gives none
+_DEFAULT_BREAKPOINTS = 21
+
+# the keys each block of a fit file may hold
+_OCV_KEYS = (
+    "charge_current_csv", "charge_voltage_csv", "discharge_current_csv", "discharge_voltage_csv",
+    "dt", "n_breakpoints", "r0_guess",
+)
+_RC_KEYS = ("current_csv", "voltage_csv", "dt", "frozen", "soc0", "vc0")
 
 
 @dataclass(frozen=True)
@@ -77,7 +95,7 @@ def extract_ocv(
     charge: tuple[TimeSeries, TimeSeries],
     discharge: tuple[TimeSeries, TimeSeries],
     capacity_q: float,
-    n_breakpoints: int = 21,
+    n_breakpoints: int = _DEFAULT_BREAKPOINTS,
     r0_guess: float | None = None,
 ) -> OcvCurve:
     """Recover the OCV curve from a slow full charge/discharge pair.
@@ -444,17 +462,17 @@ def load_fit_config(path) -> FitConfig:
     unknown frozen name, records of one pair on different grids, vc0 without soc0.
     """
     path = Path(path)
-    raw = read_json_object(path)
+    raw = read_json_object(path, ("initial_params_file", "ocv", "rc"))
     ctx, base = str(path), path.parent
     initial = load_params(read_path(raw, "initial_params_file", ctx, base))
     if "ocv" not in raw and "rc" not in raw:
         raise ConfigError(f"{ctx}: need an 'ocv' and/or 'rc' block, found neither")
     charge = discharge = record = x0 = None
-    n_breakpoints, r0_guess, frozen = 21, None, frozenset()
+    n_breakpoints, r0_guess, frozen = _DEFAULT_BREAKPOINTS, None, frozenset()
     if "ocv" in raw:
         octx = f"{ctx}: ocv"
-        block = read_field(raw, "ocv", dict, ctx, REQUIRED)
-        n_breakpoints = read_field(block, "n_breakpoints", int, octx, 21)
+        block = read_block(raw, "ocv", _OCV_KEYS, ctx)
+        n_breakpoints = read_field(block, "n_breakpoints", int, octx, _DEFAULT_BREAKPOINTS)
         if not 2 <= n_breakpoints <= OCV_GRID_POINTS:
             raise ConfigError(
                 f"{octx}: field 'n_breakpoints' must be 2 to {OCV_GRID_POINTS}, got {n_breakpoints}"
@@ -463,7 +481,7 @@ def load_fit_config(path) -> FitConfig:
         charge, discharge = _read_records(block, octx, base, "charge_", "discharge_")
     if "rc" in raw:
         rctx = f"{ctx}: rc"
-        block = read_field(raw, "rc", dict, ctx, REQUIRED)
+        block = read_block(raw, "rc", _RC_KEYS, ctx)
         (record,) = _read_records(block, rctx, base, "")
         frozen = frozenset(read_field(block, "frozen", [str], rctx, []))
         if not frozen <= set(_FIT_NAMES):

@@ -27,9 +27,7 @@ from test_ecm import reference_kernel
 
 from voltmask import (
     BatteryState,
-    EcmParams,
     TimeSeries,
-    ConfigError,
     extract_ocv,
     fit_rc,
     load_csv,
@@ -515,44 +513,3 @@ class TestLoadFitConfig:
         assert (rc_only.frozen, rc_only.x0) == (frozenset(), None)
         ocv_only = load_fit_config(self.write(fit_dir, ocv={**self.OCV, "n_breakpoints": 7}))
         assert ocv_only.record is None and ocv_only.n_breakpoints == 7
-
-    @pytest.mark.parametrize(
-        ("blocks", "message"),
-        [
-            ({}, "need an 'ocv' and/or 'rc' block"),
-            ({"ocv": {"n_breakpoints": 2002}}, "ocv: field 'n_breakpoints' must be 2 to 2001"),
-            ({"ocv": {"n_breakpoints": 1}}, "ocv: field 'n_breakpoints' must be 2 to 2001"),
-            ({"ocv": {"dt": 0.0}}, "ocv: field 'dt' must be positive"),
-            ({"rc": {"frozen": ["c1", "r2"]}}, "rc: field 'frozen' names ['r2'], not among"),
-            ({"rc": {"vc0": 0.0}}, "rc: field 'vc0' is given without 'soc0'"),
-            ({"rc": {"soc0": "0.5"}}, "rc: field 'soc0' must be a number"),
-        ],
-    )
-    def test_errors_name_the_file_block_and_field(self, fit_dir, blocks, message):
-        full = {"ocv": self.OCV, "rc": self.RC}
-        blocks = {name: {**full[name], **fields} for name, fields in blocks.items()}
-        path = self.write(fit_dir, **blocks)
-        with pytest.raises(ConfigError) as caught:
-            load_fit_config(path)
-        assert str(caught.value).startswith(f"{path}: {message}")
-
-    @pytest.mark.parametrize("block", ["ocv", "rc"])
-    def test_records_of_one_pair_must_share_a_grid(self, fit_dir, block):
-        # the voltage record of each pair starts one step late
-        for name, dt in (("chg_v", 60.0), ("exc_v", 1.0)):
-            series = load_csv(fit_dir / f"{name}.csv", dt)
-            save_csv(TimeSeries(dt, dt, series.samples), fit_dir / f"{name}.csv")
-        pair = {"ocv": ("charge_current_csv", "charge_voltage_csv"),
-                "rc": ("current_csv", "voltage_csv")}[block]
-        path = self.write(fit_dir, **{block: {"ocv": self.OCV, "rc": self.RC}[block]})
-        with pytest.raises(ConfigError) as caught:
-            load_fit_config(path)
-        assert str(caught.value).startswith(
-            f"{path}: {block}: fields {pair[0]!r} and {pair[1]!r} give different grids: "
-        )
-
-    def test_a_missing_record_is_named_by_its_field(self, fit_dir):
-        path = self.write(fit_dir, rc={**self.RC, "voltage_csv": "ghost.csv"})
-        with pytest.raises(ConfigError) as caught:
-            load_fit_config(path)
-        assert str(caught.value) == f"{path}: rc: voltage_csv not found: {fit_dir / 'ghost.csv'}"
