@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, determinism, and the exit codes no row states.
 
-Every exit 2 and exit 3 case is a row of test_faults.py.  Left here are
-each command's outputs and their bytes over reruns, seeds and gain lists;
+Every exit 2 and exit 3 case is a row of test_faults.py.  The rows whose
+cases were first written out here also run here, through test_faults.run,
+under the names those tests had.  Beyond them, here are each command's
+outputs and their bytes over reruns, seeds and gain lists;
 the stage rule (what is raised while the run is on is exit 3, whatever
 its type) on patched run functions; the warnings of runs that exit 0;
 the property that a scenario exits 3 exactly when its zero-order-hold
@@ -29,6 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import test_faults
 from conftest import patched
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -76,6 +79,17 @@ SUMMARY_KEYS = {
 
 # tc1 cut to 300 s
 SHORT = {"profile.duration": 300.0}
+
+
+@pytest.fixture()
+def fault(make_case, monkeypatch, capsys):
+    """A function that runs the row of test_faults.py with an id, as test_fault does."""
+    return lambda row: test_faults.run(test_faults.BY_ID[row], make_case, monkeypatch, capsys)
+
+
+def faults(cases):
+    """Parametrize a test over rows of test_faults.py: cases maps a test id to a row id."""
+    return pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
 
 
 def read_rows(path):
@@ -254,9 +268,18 @@ class TestSweepCommand:
         at_k_a = rows[rows[:, 0] == -0.05, 1][0]
         assert repr(float(at_k_a)) == repr(summary["residual_rms_V"])
 
+    # -- the sweep's fault rows that were written out here (see TestExitCodes)
+
+    def test_malformed_ka_flag(self, fault):
+        fault("ka-flag-'abc'")
+
+    def test_no_gains_anywhere_is_a_config_error(self, fault):
+        fault("ka_values-empty")
+
 
 class TestExitCodes:
-    """What the fault table (test_faults.py) cannot state as a row."""
+    """What the fault table (test_faults.py) cannot state as a row, and the
+    table's rows first written out here."""
 
     # -- the stage rule: what fails while the inputs are read is exit 2,
     # what fails in the run on them is exit 3, whatever the exception type
@@ -303,6 +326,181 @@ class TestExitCodes:
         assert code == (3 if h_lambda > 2.0 else 0)
         if code == 3:
             assert list(out.iterdir()) == []
+
+    # -- the fault table's rows first written out here, each run under the
+    # name it had here; test_faults.py states what each one checks
+
+    @faults({
+        "duration--5.0-duration -5.0 is shorter than dt 1.0": "profile-duration-below-dt",
+        "kind-foo-unknown profile kind 'foo'; expected constant, sin_mix, or pulse_train":
+            "profile-kind-unknown",
+    })
+    def test_bad_synthetic_profile_names_the_config(self, fault, row):
+        fault(row)
+
+    def test_csv_cell_over_the_field_limit_is_named(self, fault):
+        fault("profile-csv-cell-over-field-limit")
+
+    def test_csv_profile_under_one_step_is_named(self, fault):
+        fault("profile-csv-under-one-step")
+
+    def test_directory_as_config(self, fault):
+        fault("config-directory")
+
+    def test_divergent_sweep_is_a_runtime_error(self, fault):
+        fault("riccati-diverges")
+
+    @faults({
+        "cell-before-seed": "cell-before-seed",
+        "field-before-cell": "field-before-cell",
+    })
+    def test_error_order_of_field_cell_file_and_seed(self, fault, row):
+        fault(row)
+
+    def test_existing_file_as_out(self, fault):
+        fault("out-is-a-file")
+
+    def test_gain_of_one_in_ka_values_is_named(self, fault):
+        fault("ka_values-one")
+
+    @faults({
+        "scenario": "k_a-one-scenario",
+        "sweep": "k_a-one-sweep",
+    })
+    def test_gain_of_one_is_named_before_any_riccati_step(self, fault, row):
+        fault(row)
+
+    def test_invalid_json_is_a_config_error(self, fault):
+        fault("config-invalid-json")
+
+    def test_json_nested_too_deep(self, fault):
+        fault("config-nested-too-deep")
+
+    @faults({
+        " , ": "ka-flag-' , '",
+        ",": "ka-flag-','",
+        "-0.5, 1.0": "ka-flag-'-0.5, 1.0'",
+        "0,1": "ka-flag-'0,1'",
+        "0.1,,0.2": "ka-flag-'0.1,,0.2'",
+        "1e999": "ka-flag-'1e999'",
+        "": "ka-flag-''",
+        "nan": "ka-flag-'nan'",
+    })
+    def test_ka_flag_of_one_or_not_finite_is_named(self, fault, row):
+        fault(row)
+
+    def test_load_stage_os_error_is_a_config_error(self, fault):
+        fault("profile-csv-directory")
+
+    @faults({
+        "capacity_As-True": "cell-capacity-bool",
+        "ocv-value0": "cell-ocv-not-pairs",
+    })
+    def test_malformed_cell_file_names_the_field(self, fault, row):
+        fault(row)
+
+    def test_missing_config_names_the_path(self, fault):
+        fault("config-absent")
+
+    def test_missing_fit_record_is_named_by_its_field(self, fault):
+        fault("fit-record-absent")
+
+    @faults({
+        "scenario-noisy": "seed-negative-noisy",
+        "scenario-tc1_mismatch": "seed-negative-scenario",
+        "simulate-tc1_mismatch": "seed-negative-simulate",
+        "sweep-noise_free": "seed-negative-sweep",
+    })
+    def test_negative_seed_flag_is_named(self, fault, row):
+        fault(row)
+
+    def test_non_finite_scenario_residual_writes_nothing(self, fault):
+        fault("residual-overflows-scenario")
+
+    def test_non_finite_summary_value_is_a_runtime_error(self, fault):
+        fault("zoh-scenario-2.2")
+
+    def test_non_finite_sweep_residual_is_named_and_writes_nothing(self, fault):
+        fault("residual-overflows-sweep")
+
+    def test_out_below_a_file(self, fault):
+        fault("out-below-a-file")
+
+    def test_out_of_range_soc_target_is_named(self, fault):
+        fault("soc-target-out-of-range")
+
+    def test_out_of_range_x0_soc_default_is_named(self, fault):
+        fault("x0-soc-out-of-range-as-soc-start")
+
+    @faults({
+        "correction": "masking-correction-overflows",
+        "measured": "measured-voltage-overflows",
+        "sweep": "masking-correction-overflows-sweep",
+    })
+    def test_overflowing_masking_correction_is_named(self, fault, row):
+        fault(row)
+
+    @faults({
+        "scenario-1e300": "noise-1e300-scenario",
+        "scenario-1e308": "noise-1e308-scenario",
+        "sweep-1e300": "noise-1e300-sweep",
+        "sweep-1e308": "noise-1e308-sweep",
+    })
+    def test_overflowing_noise_is_named(self, fault, row):
+        fault(row)
+
+    @faults({
+        "average": "fit-ocv-average-overflows",
+        "count": "fit-ocv-count-overflows",
+        "pool": "fit-ocv-pool-overflows",
+    })
+    def test_overflowing_ocv_extraction_is_named(self, fault, row):
+        fault(row)
+
+    def test_overflowing_profile_names_the_forcing(self, fault):
+        fault("riccati-forcing-overflows")
+
+    def test_overflowing_synthetic_profile_is_named(self, fault):
+        fault("profile-overflows")
+
+    @faults({
+        "scenario": "terminal-voltage-overflows-scenario",
+        "simulate": "terminal-voltage-overflows-simulate",
+        "sweep": "terminal-voltage-overflows-sweep",
+    })
+    def test_overflowing_terminal_voltage_is_named(self, fault, row):
+        fault(row)
+
+    def test_oversized_grid_is_a_config_error(self, fault):
+        fault("profile-grid-too-large")
+
+    @faults({
+        "config": "config-directory",
+        "fit-record": "fit-record-directory",
+        "initial_params_file": "fit-start-cell-directory",
+        "missing-start-cell": "fit-start-cell-absent",
+        "params_file": "params-file-directory",
+        "profile-csv": "profile-csv-directory",
+    })
+    def test_path_that_is_no_file_is_named_by_its_field(self, fault, row):
+        fault(row)
+
+    def test_profile_csv_header_is_named(self, fault):
+        fault("profile-csv-header")
+
+    def test_sweep_leaving_the_psd_cone_is_a_runtime_error(self, fault):
+        fault("riccati-leaves-psd-cone")
+
+    def test_unstable_rollout_is_a_runtime_error(self, fault):
+        fault("zoh-scenario-2.5")
+
+    @faults({
+        "scenario-2.05": "zoh-scenario-2.05",
+        "scenario-2.3": "zoh-scenario-2.3",
+        "sweep-2.3": "zoh-sweep-2.3",
+    })
+    def test_unstable_zero_order_hold_loop_writes_nothing(self, fault, row):
+        fault(row)
 
 
 def csv_module_bytes(path, header, columns):
@@ -543,6 +741,59 @@ class TestFitCommand:
         )
         assert warnings.showwarning is shown
 
+    # -- the fit's fault rows that were written out here (see TestExitCodes)
+
+    @faults({
+        "soc0": "fit-huge-soc0",
+        "vc0": "fit-huge-vc0",
+    })
+    def test_huge_start_state_fails_without_overflow_noise(self, fault, row):
+        fault(row)
+
+    @faults({
+        "ocv-n_breakpoints-20.5": "fit-ocv.n_breakpoints-20.5",
+        "ocv-n_breakpoints-21": "fit-ocv.n_breakpoints-'21'",
+        "ocv-n_breakpoints-True": "fit-ocv.n_breakpoints-True",
+        "ocv-r0_guess-True": "fit-ocv.r0_guess-True",
+        "ocv-r0_guess-huge_int": "fit-ocv.r0_guess-huge_int",
+        "ocv-r0_guess-value9": "fit-ocv.r0_guess-[0.01]",
+        "rc-soc0-True": "fit-rc.soc0-True",
+        "rc-soc0-abc": "fit-rc.soc0-'abc'",
+        "rc-soc0-nan": "fit-rc.soc0-nan",
+        "rc-soc0-value0": "fit-rc.soc0-[0.5]",
+        "rc-vc0-0": "fit-rc.vc0-'0'",
+        "rc-vc0-False": "fit-rc.vc0-False",
+    })
+    def test_malformed_number_names_the_field(self, fault, row):
+        fault(row)
+
+    def test_missing_record_file_is_named(self, fault):
+        fault("fit-record-absent")
+
+    def test_more_breakpoints_than_the_ocv_grid_is_named(self, fault):
+        fault("fit-ocv.n_breakpoints-2002")
+
+    def test_needs_at_least_one_block(self, fault):
+        fault("fit-without-blocks")
+
+    def test_record_path_of_a_directory_is_a_config_error(self, fault):
+        fault("fit-record-directory")
+
+    def test_records_of_one_pair_on_different_grids_are_named(self, fault):
+        fault("fit-ocv-pair-grids")
+
+    def test_sweeps_that_do_not_cover_the_soc_range_are_a_runtime_error(self, fault):
+        fault("fit-sweeps-cover-a-third")
+
+    def test_too_few_breakpoints_win_over_a_missing_rc_record(self, fault):
+        fault("fit-breakpoints-before-rc-record")
+
+    def test_unknown_frozen_name_is_named(self, fault):
+        fault("fit-frozen-unknown")
+
+    def test_vc0_without_soc0_is_a_config_error(self, fault):
+        fault("fit-vc0-without-soc0")
+
 
 @pytest.mark.parametrize("value", [1e-40, 1e200])
 def test_cell_at_the_edge_of_the_model_runs(tmp_path, make_case, value):
@@ -551,6 +802,49 @@ def test_cell_at_the_edge_of_the_model_runs(tmp_path, make_case, value):
     config = make_case(SHORT, cell={"r1_ohm": value, "c1_farad": value})
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+
+# -- fault rows on one field of a config or cell file (see TestExitCodes)
+
+
+@faults({
+    "capacity_As--1.0": "cell-capacity-negative",
+    "r0_ohm-huge_int": "cell-r0-huge-int",
+})
+def test_cell_field_out_of_range_is_named(fault, row):
+    fault(row)
+
+
+@faults({
+    "fields0-cell": "cell-unsteppable-0",
+    "fields0-plant_overrides": "plant-overrides-unsteppable-0",
+    "fields1-cell": "cell-unsteppable-1",
+    "fields1-plant_overrides": "plant-overrides-unsteppable-1",
+    "fields2-cell": "cell-unsteppable-2",
+    "fields2-plant_overrides": "plant-overrides-unsteppable-2",
+})
+def test_cell_the_model_cannot_step_is_named(fault, row):
+    fault(row)
+
+
+@faults({
+    "dt-huge_int": "scenario-dt-huge_int",
+    "path0-value0": "scenario-profile.duration-[1]",
+    "path1-value1": "scenario-reference.soc_start-[0.5]",
+    "path11--1": "scenario-plant_overrides.seed--1",
+    "path12--0.01": "scenario-plant_overrides.r0_ohm--0.01",
+    "path2-None": "scenario-reference.soc_start-None",
+    "path3-True": "scenario-profile.amplitude-True",
+    "path4-True": "scenario-reference.soc_start-True",
+    "path5-value5": "scenario-weights.q1-[True, 0]",
+    "path6-1.7": "scenario-profile.seed-1.7",
+    "path7--1": "scenario-profile.seed--1",
+    "path8-nan": "scenario-i_max-nan",
+    "path9-inf": "scenario-k_a-inf",
+})
+def test_scenario_field_of_wrong_kind_is_named(fault, row):
+    fault(row)
 
 
 # -- hostile values: any one field of a config file set to a value of the

@@ -15,10 +15,13 @@ checks the exit code, that stderr is exactly the row's line, and that
 stdout and --out stay empty.  An exit 2 must come before anything is
 computed: neither the Riccati sweep nor a stepping kernel may be called.
 The rows marked process also run as a separate process, in
-test_console.py.  A new fault case is a new row here.
+test_console.py.  Most rows also run through run in test_cli.py, under
+the names their cases had there before this table.  A new fault case is
+a new row here.
 """
 
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -484,24 +487,31 @@ ROWS = [
 ]
 
 
-@pytest.fixture()
-def no_computation(monkeypatch):
-    """The calls made to COMPUTATIONS, each of which still runs."""
+BY_ID = {row.id: row for row in ROWS}
+
+
+def run(row, make_case, monkeypatch, capsys):
+    """Run row in-process, with every warning an error, and check what it gives.
+
+    Besides Fault.check: an exit 2 called none of COMPUTATIONS, each of
+    which still runs when called.
+    """
     calls = []
     for module, name in COMPUTATIONS:
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
         )
-    return calls
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
-def test_fault(row, make_case, no_computation, capsys):
     argv, line, out = row.write(make_case)
-    code = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     stdout, stderr = capsys.readouterr()
     row.check(code, stdout, stderr, line, out)
     if row.code == 2:
-        assert no_computation == []
+        assert calls == []
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
+def test_fault(row, make_case, monkeypatch, capsys):
+    run(row, make_case, monkeypatch, capsys)
