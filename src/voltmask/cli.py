@@ -12,6 +12,11 @@ loaded inputs fails.
 The soc_violation and i_max_violated flags are reported in summary.json
 but never fail a run; producing them is what an attack is for.  All
 outputs are byte-deterministic for a given config and seed.
+
+main() writes every output through a file it closes before it returns,
+and leaves the process's garbage collector as it found it; run(), the
+console script, then freezes the collector so that the interpreter's
+exit skips its teardown collection.
 """
 
 from __future__ import annotations
@@ -293,7 +298,21 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script and ``python -m voltmask.cli``: main() on
+    sys.argv, its return value the exit code.
+
+    By the time main() returns, every output has been written through a
+    file it closed.  The interpreter still flushes stdout and stderr,
+    runs the atexit handlers and clears the modules on exit, but its
+    exit collections walk every object the imports made, about 22 000 of
+    them and some 20 ms on a 2-core host; frozen, they are skipped, and
+    the OS takes their memory back with the process.
+    """
+    import gc  # here alone: the library leaves the collector to the process
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

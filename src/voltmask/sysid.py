@@ -154,8 +154,9 @@ def extract_ocv(
     hi = min(soc_chg[-1], soc_dis[0])
     if hi - lo < 0.9:
         raise ValueError(
-            f"sweeps cover only [{lo:.3f}, {hi:.3f}] of the SoC range; "
-            "need at least 0.9 of overlap"
+            f"charge sweep covers SoC {soc_chg[0]:.3f} to {soc_chg[-1]:.3f} and discharge "
+            f"sweep {soc_dis[-1]:.3f} to {soc_dis[0]:.3f}, an overlap of {max(hi - lo, 0.0):.3f}; "
+            "need at least 0.9"
         )
 
     s_fine = np.linspace(lo, hi, OCV_GRID_POINTS)

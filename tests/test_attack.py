@@ -68,6 +68,7 @@ from voltmask.attack import (
     _PSD_TOL,
     _ZOH_RADIUS_TOL,
     _check_finite,
+    _check_psd,
     _sweep_backward,
     _zoh_radius,
 )
@@ -131,6 +132,12 @@ class TestWeights:
         sol = solve_riccati(cell, w, ReferenceTrajectory(0.6, 0.5), u_nom)
         assert sol.s[-1, 1, 0].tobytes() == sol.s[-1, 0, 1].tobytes()
         assert sol.s.tobytes() == np.transpose(sol.s, (0, 2, 1)).tobytes()
+
+    @pytest.mark.parametrize(("name", "entry"), [("q1", math.inf), ("q2", math.nan)])
+    def test_rejects_non_finite(self, name, entry):
+        with pytest.raises(ValueError) as exc:
+            AttackWeights(**{name: np.diag([1.0, entry])})
+        assert str(exc.value) == f"{name} must be finite"
 
     def test_zeros_are_stored_as_positive_zeros(self):
         w = AttackWeights(q1=np.diag([1e4, -0.0]), q2=[[10.0, -0.0], [-0.0, -0.0]])
@@ -1143,3 +1150,24 @@ def test_a_returned_synthesis_is_stable_and_psd(setup, stiffness, t0):
     scale = np.abs(s).max(axis=(1, 2))
     scale[scale == 0.0] = 1.0
     assert np.linalg.eigvalsh(s / scale[:, None, None]).min() >= -_PSD_TOL
+
+
+@pytest.mark.parametrize(
+    ("row", "entry"),
+    [
+        ([[1.0, 0.0], [0.0, -1.0]], "s22 = -1.0"),
+        ([[1.0, 2.0], [2.0, 1.0]], "s11*s22 - s12**2 < 0 at s11 = 1.0, s12 = 2.0, s22 = 1.0"),
+    ],
+    ids=["s22", "determinant"],
+)
+def test_psd_check_names_what_leaves_the_cone(row, entry):
+    # s11 stays positive on every row; the row at t=1 has a negative s22,
+    # or both diagonal entries positive and a negative determinant
+    s = np.array([np.eye(2), row, 2.0 * np.eye(2)])
+    solution = RiccatiSolution(np.array([0.0, 1.0, 2.0]), s, np.zeros((3, 2)))
+    with pytest.raises(DivergenceError) as exc:
+        _check_psd(solution)
+    assert str(exc.value) == (
+        f"riccati sweep left the positive semidefinite cone at t=1.0: {entry} "
+        "(weights too stiff for this grid step)"
+    )

@@ -12,6 +12,12 @@ whose bytes would then depend on the locale, fails the run.  The
 children import the package that pytest imported and write only under
 pytest's temporary directory.
 
+``run()``, the console script's entry point, must end the process with
+the collector frozen, so that the interpreter's exit skips its teardown
+collection: an atexit handler prints the freeze count after a run that
+exits 0, 2 or 3, and each run's exit code and output are those of the
+same run without it.
+
 The last tests check what a fresh interpreter loads: ``import voltmask``
 loads no submodule, and a command loads none of the modules it does not
 run (``fit`` none of the attack pipeline, the others not ``sysid``).
@@ -25,6 +31,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_faults import BY_ID
 from test_faults import ROWS as FAULTS
 
 import voltmask
@@ -115,6 +122,41 @@ def test_console_fault(tmp_path, make_case, row):
     argv, line, out = row.write(make_case)
     proc = child(["-m", "voltmask.cli", *argv], tmp_path)
     row.check(proc.returncode, proc.stdout, proc.stderr, line, out)
+
+
+def frozen_run(argv, cwd):
+    """run() in a fresh interpreter on argv: the process, its stdout
+    without the last line, and the collector's freeze count, which an
+    atexit handler prints as that line."""
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "from voltmask.cli import run\n"
+        "run()"
+    )
+    proc = child(["-c", code, *argv], cwd)
+    *lines, last = proc.stdout.splitlines(keepends=True)
+    label, count = last.split()
+    assert label == "frozen", proc.stdout
+    return proc, "".join(lines), int(count)
+
+
+def test_run_exits_with_the_collector_frozen(tmp_path, capsys, work):
+    argv = ["fit", "--config", str(work / "fit.json")]
+    proc, stdout, frozen = frozen_run([*argv, "--out", str(tmp_path / "out")], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    assert stdout == capsys.readouterr().out
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("fault", ["config-directory", "masking-correction-overflows"])
+def test_a_failed_run_exits_with_the_collector_frozen(tmp_path, make_case, fault):
+    row = BY_ID[fault]
+    argv, line, out = row.write(make_case)
+    proc, stdout, frozen = frozen_run(argv, tmp_path)
+    row.check(proc.returncode, stdout, proc.stderr, line, out)
+    assert frozen > 0
 
 
 def loaded_modules(tmp_path, code, argv=()):

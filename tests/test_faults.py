@@ -163,6 +163,12 @@ ROWS = [
     Fault("config-nested-too-deep", "scenario", 2,
           "{config}: invalid JSON: maximum recursion depth exceeded.*",
           text=lambda _: "[" * 100_000 + "]" * 100_000, pattern=True),
+    Fault("config-not-an-object", "scenario", 2, "{config}: expected a JSON object",
+          text=lambda _: "[1, 2]"),
+    Fault("cell-not-an-object", "scenario", 2, "{work}/cell.json: expected a JSON object",
+          files={"cell.json": "[0.0135]"}),
+    Fault("fit-file-not-an-object", "fit", 2, "{config}: expected a JSON object",
+          base="fit", text=lambda _: '"fit.json"'),
     Fault("out-is-a-file", "scenario", 2, "[Errno 17] File exists: '{work}/afile'",
           files={"afile": ""}, out="{work}/afile"),
     Fault("out-below-a-file", "scenario", 2, "[Errno 20] Not a directory: '{work}/afile/sub'",
@@ -257,6 +263,9 @@ ROWS = [
     Fault("profile-csv-header", "scenario", 2,
           "{work}/drive.csv: line 1: expected header 'time_s,value', got 't,i'",
           config={"profile": {"csv": "drive.csv"}}, files={"drive.csv": "t,i\n0,1\n300,1\n"}),
+    Fault("profile-csv-empty", "scenario", 2,
+          "{work}/drive.csv: empty file, expected header 'time_s,value'",
+          config={"profile": {"csv": "drive.csv"}}, files={"drive.csv": ""}),
     Fault("profile-csv-bad-cell", "scenario", 2,
           "{work}/drive.csv: line 3: non-numeric cell in row ['1.0', 'abc']",
           config={"profile": {"csv": "drive.csv"}},
@@ -356,6 +365,9 @@ ROWS = [
           base="fit", config={**_RC_ONLY, "rc.voltage_csv": "deep.csv"}, process=True,
           files={"deep.csv": "time_s,value\n" + "".join(
               f"{2 * k}.0,{'4.1x' if k == 1398 else ''}3.9\n" for k in range(1500))}),
+    Fault("fit-record-empty", "fit", 2,
+          "{work}/empty.csv: empty file, expected header 'time_s,value'",
+          base="fit", config={**_RC_ONLY, "rc.voltage_csv": "empty.csv"}, files={"empty.csv": ""}),
     _field("ocv.dt", 0.0, "{config}: ocv: field 'dt' must be positive, got 0.0", base="fit"),
     _field("ocv.n_breakpoints", 2002,
            "{config}: ocv: field 'n_breakpoints' must be 2 to 2001, got 2002", base="fit"),
@@ -459,7 +471,8 @@ ROWS = [
     # workspace's sweeps cut to their first 7 samples cover a third of the
     # SoC range each.
     Fault("fit-sweeps-cover-a-third", "fit", 3,
-          "sweeps cover only [0.700, 0.300] of the SoC range; need at least 0.9 of overlap",
+          "charge sweep covers SoC 0.000 to 0.300 and discharge sweep 0.700 to 1.000, an overlap "
+          "of 0.000; need at least 0.9",
           base="fit", config=_OCV_ONLY,
           files={name: _head(name, 8)
                  for name in ("chg_i.csv", "chg_v.csv", "dis_i.csv", "dis_v.csv")}),
@@ -481,6 +494,11 @@ ROWS = [
           base="fit", config=_OCV_ONLY,
           files={"chg_i.csv": _series(np.full(21, -1e308)),
                  "dis_i.csv": _series(np.full(21, 1e308))}),
+    # a pause in the discharge sweep: its SoC stays put for one step
+    Fault("fit-discharge-pauses", "fit", 3,
+          "discharge sweep SoC not strictly decreasing at sample 11",
+          base="fit", config=_OCV_ONLY,
+          files={"dis_i.csv": _series(np.r_[np.full(10, 12.0), 0.0, np.full(10, 12.0)])}),
     *(Fault(f"fit-huge-{name}", "fit", 3, "fit_report.json: field 'rmse_V' is not finite (inf)",
             base="fit", config={**_RC_ONLY, f"rc.{name}": 1e300}, process=name == "vc0")
       for name in ("soc0", "vc0")),

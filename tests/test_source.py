@@ -1,14 +1,15 @@
 """The source tree itself: the Python floor, the declared dependencies,
-bounded fromiter drains, no linear algebra, the console script and the
-names the benchmark calls.
+bounded fromiter drains, no linear algebra, the collector left to the
+entry point, the console script and the names the benchmark calls.
 
 Every file under src/ parses as Python 3.10 and uses no name that 3.10
 lacks; every import is the standard library or a dependency that
 pyproject.toml declares (numpy); every np.fromiter drain passes count=;
-no file calls numpy's linear algebra; pyproject.toml's console script
-names voltmask.cli.run; and bench/ finds every name it calls.  The
-floor, import, fromiter and linear-algebra checks also run on snippets
-that break them, so each is seen to fail.
+no file calls numpy's linear algebra; only voltmask.cli.run names the
+gc module; pyproject.toml's console script names voltmask.cli.run; and
+bench/ finds every name it calls.  The floor, import, fromiter,
+linear-algebra and collector checks also run on snippets that break
+them, so each is seen to fail.
 """
 
 import ast
@@ -168,6 +169,51 @@ def test_no_source_file_starts_blas_or_lapack(repo_root):
 )
 def test_linear_algebra_check_sees_every_product(source, found):
     assert list(linear_algebra(ast.parse(source))) == found
+
+
+def collector_users(tree):
+    """For each place tree names the gc module, the innermost function
+    around it, or None at module or class level."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            (isinstance(node, ast.Name) and node.id == "gc")
+            or (isinstance(node, ast.alias) and node.name == "gc")
+            or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+        ):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
+
+
+def test_only_the_entry_point_touches_the_collector(repo_root):
+    # run() ends the process with the collector frozen; a library function
+    # that froze, disabled or ran it would change the process of its caller
+    users = {
+        (path.name, function)
+        for path in sorted((repo_root / "src").rglob("*.py"))
+        for function in collector_users(ast.parse(path.read_text(), str(path)))
+    }
+    assert users == {("cli.py", "run")}
+
+
+@pytest.mark.parametrize(
+    ("source", "users"),
+    [
+        ("import gc", [None]),
+        ("from gc import freeze", [None]),
+        ("def main():\n    gc.collect()", ["main"]),
+        ("class Cli:\n    def run(self):\n        import gc as g\n        g.disable()", ["run"]),
+        ("def run():\n    def later():\n        gc.freeze()\n    return later", ["later"]),
+        ("def run():\n    return config['gc'], self.gc", []),
+    ],
+)
+def test_collector_check_sees_every_use(source, users):
+    assert collector_users(ast.parse(source)) == users
 
 
 def test_the_console_script_names_the_cli_entry_point(repo_root):

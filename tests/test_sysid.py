@@ -10,7 +10,10 @@ report, to its own Levenberg-Marquardt solver driven by the reference
 stepping loop and by plain-float loops for the Jacobian; another
 property holds every Jacobian column to central differences in log
 space, and a 6000 s record started at 1.5 times r0, r1 and c1 must
-converge with c1 within 2% on three noise draws.
+converge with c1 within 2% on three noise draws.  The solver's exits are
+driven on a record no cell changes: a Jacobian that is not finite, one
+with no nonzero column, and steps it cannot solve for or that leave the
+valid cells, each of which raises the damping.
 """
 
 import dataclasses
@@ -44,6 +47,7 @@ from voltmask.sysid import (
     _levenberg_marquardt,
     _pava_increasing,
     _sensitivities,
+    _solve_spd,
 )
 
 
@@ -193,8 +197,12 @@ class TestExtractOcv:
             TimeSeries(0.0, chg_v.dt, chg_v.samples[:half]),
         )
         discharge = sweep_pair(cell, 1.0, 0.2, 4.0)
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError) as exc:
             extract_ocv(chg_short, discharge, cell.capacity_q)
+        assert str(exc.value) == (
+            "charge sweep covers SoC 0.000 to 0.500 and discharge sweep 0.000 to 1.000, "
+            "an overlap of 0.500; need at least 0.9"
+        )
 
     def test_sign_flip_in_sweep_rejected(self, cell):
         chg_i, chg_v = sweep_pair(cell, 0.0, -0.2, 4.0)
@@ -460,6 +468,49 @@ def test_degenerate_records_end_quietly(cell):
             assert report == FitReport(start, math.inf, 0, False, (), ())
         report = fit_rc(cell, (current, voltage), x0=BatteryState(0.55, 0.0))
         assert report == FitReport(cell, 0.0, 0, True, (), ())
+
+
+def still_fit(initial, free, volts, jac, measured):
+    """_levenberg_marquardt on a 2-sample record that every cell simulates
+    to volts, with jac as its Jacobian wherever it is taken."""
+    volts, jac, measured = (np.asarray(a, dtype=float) for a in (volts, jac, measured))
+
+    def trajectory(params):
+        return np.zeros(2), np.zeros(2), volts
+
+    return _levenberg_marquardt(initial, free, measured, trajectory, lambda *_: jac)
+
+
+def test_solver_stops_on_a_jacobian_that_is_not_finite(cell):
+    report = still_fit(cell, ["r0"], [1.0, 1.0], [[math.inf, 1.0]], [0.0, 0.0])
+    assert report == FitReport(cell, 1.0, 0, False, (), ())
+
+
+def test_solver_converges_on_a_jacobian_with_no_nonzero_column(cell):
+    report = still_fit(cell, ["r0", "r1"], [1.0, 1.0], np.zeros((2, 2)), [0.0, 0.0])
+    assert report == FitReport(cell, 1.0, 0, True, (), ())
+
+
+def test_a_step_the_solver_cannot_take_raises_the_damping(cell):
+    # the normal equations 2e-320 x = -2e-10 solve to x = -1e310, which is
+    # not finite, until the damping is 100; the step is then cut to -1
+    assert _solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])) is None
+    report = still_fit(cell, ["r0"], [1e150, 1e150], [[1e-160, 1e-160]], [0.0, 0.0])
+    assert report.damping_history == (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+    assert report.rmse_history == (1e150,) * 6
+    assert (report.iterations, report.converged) == (6, True)
+    assert math.isclose(report.fitted.r0, cell.r0 / math.e, rel_tol=1e-15)
+
+
+def test_a_step_to_an_invalid_cell_raises_the_damping(cell):
+    # from r0 = 1e308 the step 1 / (1 + damping) takes r0 past the largest
+    # float, which EcmParams rejects, until the damping is 1
+    start = dataclasses.replace(cell, r0=1e308)
+    report = still_fit(start, ["r0"], [0.0, 0.0], [[1.0, 1.0]], [1.0, 1.0])
+    assert report.damping_history == (0.001, 0.01, 0.1, 1.0)
+    assert report.rmse_history == (1.0,) * 4
+    assert (report.iterations, report.converged) == (4, True)
+    assert report.fitted.r0 == np.exp(np.array([math.log(1e308)]) + 0.5).tolist()[0]
 
 
 class TestLoadFitConfig:
