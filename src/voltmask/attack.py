@@ -203,12 +203,16 @@ def _sweep_backward(
     unweighted, s12, s22 and v2 start at +0.0 and every stage keeps them
     there: their right-hand sides are sums of products of those zeros
     with a22 and b2, which every EcmParams makes finite.  The sweep then
-    steps s11 and v1 alone with soc_step, rk4_step with those zeros put
-    in, and writes s12, s22 and v2 as +0.0.  The only dropped products
-    that reach a kept sum, s12 * b2 and b2 * v2, are +0.0 for b2 = 1/c1,
-    as soc_step adds.  So S, V and every divergence are those of
-    rk4_step, bit for bit.  Weights on vc take rk4_step.
+    steps s11 and v1 alone, in its loop: rk4_step's statements for them,
+    in rk4_step's order, with those zeros put in, and no nested call.
+    It writes s12, s22 and v2 as +0.0.  The only dropped products that
+    reach a kept sum, s12 * b2 and b2 * v2, are +0.0 for b2 = 1/c1, as
+    the loop adds.  So S, V and every divergence are those of rk4_step,
+    bit for bit.  Weights on vc take rk4_step.
 
+    Each loop tests S against the S of the step before with == first,
+    and compares their bits only where == holds, so that 0.0 and -0.0
+    differ and no row is packed on the way.
     Once S is the same bit for bit as on the step before, the S equation
     (which never sees u_nom or soc_ref) returns the same S on every
     remaining step, so S is stationary.  At a fixed S the V step is
@@ -293,35 +297,6 @@ def _sweep_backward(
             v2 + h6 * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
         )
 
-    def soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo):
-        # rk4_step's s11 and v1 outputs at s12 = s22 = v2 = +0.0, bit for
-        # bit; each + 0.0 is rk4_step's s12 * b2 or b2 * v2
-        pa = s11 * b1 + 0.0
-        ka = -(-(pa * pa * rinv) + q2_11)
-        t = s11 + hh * ka
-        pb = t * b1 + 0.0
-        kb = -(-(pb * pb * rinv) + q2_11)
-        t = s11 + hh * kb
-        pc = t * b1 + 0.0
-        kc = -(-(pc * pc * rinv) + q2_11)
-        t = s11 + h * kc
-        pd = t * b1 + 0.0
-        kd = -(-(pd * pd * rinv) + q2_11)
-        xr_mid = 0.5 * (xr_hi + xr_lo)
-        un_mid = 0.5 * (un_hi + un_lo)
-        btv = b1 * v1 + 0.0
-        ka1 = -(-pa * btv * rinv - pa * un_hi + q2_11 * xr_hi)
-        btv = b1 * (v1 + hh * ka1) + 0.0
-        kb1 = -(-pb * btv * rinv - pb * un_mid + q2_11 * xr_mid)
-        btv = b1 * (v1 + hh * kb1) + 0.0
-        kc1 = -(-pc * btv * rinv - pc * un_mid + q2_11 * xr_mid)
-        btv = b1 * (v1 + h * kc1) + 0.0
-        kd1 = -(-pd * btv * rinv - pd * un_lo + q2_11 * xr_lo)
-        return (
-            s11 + h6 * (ka + 2.0 * kb + 2.0 * kc + kd),
-            v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1),
-        )
-
     n = len(u_nom)
     # zeros, so that the SoC-only path writes s11 and v1 alone
     s_out = np.zeros((n, 2, 2))
@@ -342,16 +317,17 @@ def _sweep_backward(
     # the lower node of each step, from the last step back to the first
     lows = zip(range(n - 2, -1, -1), x_mv[n - 2 :: -1], u_mv[n - 2 :: -1])
     un_hi, xr_hi = u_mv[n - 1], x_mv[n - 1]
-    # S is compared by its bits, not by ==, so that 0.0 and -0.0 differ
-    s_key = None
+    # S is stationary once it equals the S before it by == and by its
+    # bits, tested only when == holds, so that 0.0 and -0.0 differ
     coupled = not _soc_only(q1, q2)
     if coupled:
         pack = struct.Struct("3d").pack
+        p11 = p12 = p22 = None
         for i, xr_lo, un_lo in lows:
-            key = pack(s11, s12, s22)
-            if key == s_key:
-                break  # S is stationary from here back to the start
-            s_key = key
+            if s11 == p11 and s12 == p12 and s22 == p22:
+                if pack(s11, s12, s22) == pack(p11, p12, p22):
+                    break  # S is stationary from here back to the start
+            p11, p12, p22 = s11, s12, s22
             s11, s12, s22, v1, v2 = rk4_step(s11, s12, s22, v1, v2, un_hi, xr_hi, un_lo, xr_lo)
             j = 4 * i
             s_mv[j] = s11
@@ -364,13 +340,36 @@ def _sweep_backward(
         else:  # S never repeated
             return s_out, v_out
     else:
-        pack = struct.Struct("d").pack
+        p11 = None
         for i, xr_lo, un_lo in lows:
-            key = pack(s11)
-            if key == s_key:
+            if s11 == p11 and math.copysign(1.0, s11) == math.copysign(1.0, p11):
                 break
-            s_key = key
-            s11, v1 = soc_step(s11, v1, un_hi, xr_hi, un_lo, xr_lo)
+            p11 = s11
+            # rk4_step's s11 and v1 outputs at s12 = s22 = v2 = +0.0, bit for
+            # bit; each + 0.0 is rk4_step's s12 * b2 or b2 * v2
+            pa = s11 * b1 + 0.0
+            ka = -(-(pa * pa * rinv) + q2_11)
+            t = s11 + hh * ka
+            pb = t * b1 + 0.0
+            kb = -(-(pb * pb * rinv) + q2_11)
+            t = s11 + hh * kb
+            pc = t * b1 + 0.0
+            kc = -(-(pc * pc * rinv) + q2_11)
+            t = s11 + h * kc
+            pd = t * b1 + 0.0
+            kd = -(-(pd * pd * rinv) + q2_11)
+            xr_mid = 0.5 * (xr_hi + xr_lo)
+            un_mid = 0.5 * (un_hi + un_lo)
+            btv = b1 * v1 + 0.0
+            ka1 = -(-pa * btv * rinv - pa * un_hi + q2_11 * xr_hi)
+            btv = b1 * (v1 + hh * ka1) + 0.0
+            kb1 = -(-pb * btv * rinv - pb * un_mid + q2_11 * xr_mid)
+            btv = b1 * (v1 + hh * kb1) + 0.0
+            kc1 = -(-pc * btv * rinv - pc * un_mid + q2_11 * xr_mid)
+            btv = b1 * (v1 + h * kc1) + 0.0
+            kd1 = -(-pd * btv * rinv - pd * un_lo + q2_11 * xr_lo)
+            s11 = s11 + h6 * (ka + 2.0 * kb + 2.0 * kc + kd)
+            v1 = v1 + h6 * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1)
             s_mv[4 * i] = s11
             v_mv[2 * i] = v1
             xr_hi, un_hi = xr_lo, un_lo

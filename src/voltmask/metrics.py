@@ -9,7 +9,7 @@ import numpy as np
 
 from .attack import InputAttackResult
 from .profiles import TimeSeries
-from .stealth import PlantConfig, _residual, _simulate_trajectories
+from .stealth import PlantConfig, _check_gain, _differences, _residual, _simulate_trajectories
 
 __all__ = [
     "ScenarioSummary",
@@ -67,17 +67,23 @@ def select_argmin(rows) -> tuple[float, float]:
 def sweep_ka(attack: InputAttackResult, plant: PlantConfig, ka_values) -> KaSweepResult:
     """Score the masking residual over a set of feedback gains.
 
-    The injection is fixed, so the masking trajectories and the noise
-    draw are made once, with the kernel runs of one
-    feedback_output_attack, and only the per-sample correction is
-    recomputed per gain: every row equals feedback_output_attack at
-    that gain.
+    Every gain is checked, in sorted order, before any kernel runs.  The
+    injection is fixed, so the masking trajectories and the noise draw
+    are made once, with the kernel runs of one feedback_output_attack,
+    and so are the two differences that no gain changes.  Each gain is
+    then scored by _residual into one reused buffer, with the operations
+    of feedback_output_attack in its order: every row equals
+    feedback_output_attack at that gain, bit for bit.
     """
     # by value, -0.0 before 0.0, so no row's place depends on the gains' order
     kas = sorted((float(k) for k in ka_values), key=lambda k: (k, math.copysign(1.0, k)))
     if not kas:
         raise ValueError("ka_values must not be empty")
+    for ka in kas:
+        _check_gain(ka)
     traj = _simulate_trajectories(attack, plant)
-    rows = tuple((ka, _residual(traj, ka)[3]) for ka in kas)
+    diffs = _differences(traj)
+    out = np.empty(len(traj.y_plant))
+    rows = tuple((ka, _residual(traj, ka, diffs, out)[3]) for ka in kas)
     argmin_ka, argmin_rms = select_argmin(rows)
     return KaSweepResult(rows=rows, argmin_ka=argmin_ka, argmin_rms=argmin_rms)

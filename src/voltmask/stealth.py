@@ -145,21 +145,50 @@ def _simulate_trajectories(attack: InputAttackResult, plant: PlantConfig) -> _Tr
     )
 
 
-def _residual(traj: _Trajectories, k_a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(y_a, y_measured, residual, residual rms) of the masking loop closed at one gain."""
+def _check_gain(k_a: float) -> None:
+    """Reject a gain the masking loop cannot close at: one not finite, or 1."""
     if not math.isfinite(k_a):
         raise ValueError(f"k_a must be finite, got {k_a}")
     if k_a == 1.0:
         raise ValueError("k_a = 1 makes the per-sample correction singular")
+
+
+def _differences(traj: _Trajectories) -> tuple[np.ndarray, np.ndarray]:
+    """The masking's two differences that no gain changes: y_nom - y_att_model
+    and y_plant - y_nom."""
     y_nom = traj.nom_model.voltage.samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y_nom - traj.att_model.voltage.samples, traj.y_plant.samples - y_nom
+
+
+def _residual(
+    traj: _Trajectories,
+    k_a: float,
+    diffs: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(y_a, y_measured, residual, residual rms) of the masking loop closed at
+    one gain, which _check_gain has passed.
+
+    diffs is _differences(traj), for a caller that scores many gains;
+    without it they are computed here and freed once y_a is.  Without
+    out, the three arrays are fresh.  With out, a float array of the
+    grid's length, each array is computed into out in turn, so a gain
+    allocates no array: the three returned are out itself, which ends
+    holding the squared residual.  Either way every sample takes the same
+    operations in the same order, so the rms keeps its bits.
+    """
+    delta, deviation = _differences(traj) if diffs is None else diffs
     # a runaway attack, or a gain near 1, overflows to inf, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = y_nom - traj.att_model.voltage.samples
-        y_plant = traj.y_plant.samples
-        y_a = (delta + k_a * (y_plant - y_nom)) / (1.0 - k_a)
-        y_measured = y_plant + y_a
-        residual = y_measured - traj.plant_nom.voltage.samples
-        return y_a, y_measured, residual, float(np.sqrt(np.mean(residual * residual)))
+        y_a = np.multiply(k_a, deviation, out=out)
+        np.add(delta, y_a, out=y_a)
+        np.divide(y_a, 1.0 - k_a, out=y_a)
+        del delta, deviation, diffs
+        y_measured = np.add(traj.y_plant.samples, y_a, out=out)
+        residual = np.subtract(y_measured, traj.plant_nom.voltage.samples, out=out)
+        squares = np.multiply(residual, residual, out=out)
+        return y_a, y_measured, residual, float(np.sqrt(np.mean(squares)))
 
 
 def feedback_output_attack(
@@ -174,6 +203,7 @@ def feedback_output_attack(
     compares y_measured against the plant's no-attack voltage, i.e.
     what the monitor would have seen had nothing been injected.
     """
+    _check_gain(k_a)
     traj = _simulate_trajectories(attack, plant)
     y_a, y_measured, residual, residual_rms = _residual(traj, k_a)
     note = f", k_a = {k_a}"

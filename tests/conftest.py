@@ -1,4 +1,5 @@
-"""Shared fixtures: repository paths, reference cells and a case workspace."""
+"""Shared fixtures: repository paths, reference cells, a case workspace and a
+stepping-kernel spy."""
 
 import json
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from voltmask import BatteryState, EcmParams, OcvCurve, TimeSeries, save_csv, simulate
-from voltmask import synthetic_profile
+from voltmask import ecm, synthetic_profile
 from voltmask.ecm import load_params
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -128,3 +129,17 @@ def make_case(workspace, tmp_path):
         return work / name
 
     return make
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The argument tuples of every stepping-kernel run, in order."""
+    calls = []
+    kernel = ecm._simulate_arrays
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ecm, "_simulate_arrays", counting)
+    return calls

@@ -15,7 +15,10 @@ that those rows are always rows 0 to some k.  A second property holds
 the stationary tail's V rows bit for bit to a plain-float loop of the
 tail map, with R, G_hi and G_lo from the generic step on unit inputs
 and each row's six forcing terms summed in a fixed order; its draws
-include all-zero, all -0.0 and mixed signed-zero currents.
+include all-zero, all -0.0 and mixed signed-zero currents.  Direct
+calls with a -0.0 in the terminal S, which no AttackWeights stores,
+check that each stepping loop hands over to the tail's map only where
+S repeats bit for bit, not where it repeats by == alone.
 
 The rollout is held to reference_rollout, the loop as first written,
 indexing numpy scalars one by one.  On the shipped scenarios, and by a
@@ -750,6 +753,54 @@ def signed_zero_cases(draw):
 )
 def test_sweep_keeps_signed_zeros_of_generic_rk4(case):
     assert_sweep_matches_generic_rk4(case)
+
+
+def negative_zero_terminal(q1, q2):
+    """A five-row sweep whose terminal S holds a -0.0 where every earlier
+    row of S holds 0.0, so that S repeats by == one step before it
+    repeats bit for bit.  No AttackWeights stores a -0.0, so the weights
+    are passed to _sweep_backward as they are."""
+    return (
+        np.array([[0.0, 0.0], [0.0, -1.0]]),
+        np.array([1.0, 1.0]),
+        np.array(q1),
+        np.array(q2),
+        1.0,
+        np.array([0.5, 0.5, 0.5, 0.5, 0.0]),
+        TimeSeries(0.0, 0.5, np.array([-1.0, 0.0, 1.0, 0.0, 1.0])),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the SoC alone: s11 steps from -0.0 to 0.0 and stays there
+        negative_zero_terminal([[-0.0, 0.0], [0.0, 0.0]], np.zeros((2, 2))),
+        # vc too: s11 = 1 is already stationary, and s12 steps from -0.0 to 0.0
+        negative_zero_terminal([[1.0, -0.0], [-0.0, 0.0]], np.diag([1.0, 0.0])),
+    ],
+    ids=["soc-only", "five-scalar"],
+)
+def test_s_is_stationary_only_once_it_repeats_bit_for_bit(monkeypatch, case):
+    """Each stepping loop steps a row whose S equals the S before it by ==
+    but not by its bits, and hands over to the tail's map only where S
+    repeats bit for bit: the map drains rows 0 to stationary_from - 2."""
+    drained = []
+
+    def recording(recurrence):
+        def counting(*args):
+            drained.append(len(args[-1]))  # the forcing, one item per mapped row
+            return recurrence(*args)
+
+        return counting
+
+    for name in ("_zoh_recurrence", "_affine_recurrence"):
+        monkeypatch.setattr(voltmask.attack, name, recording(getattr(voltmask.attack, name)))
+    assert_sweep_matches_generic_rk4(case)
+    s, v = sweep(case)
+    j = RiccatiSolution(case[-1].times(), s, v).stationary_from
+    assert j == len(case[-1]) - 2
+    assert drained == [j - 1, j - 1]
 
 
 def stationary_tail_map(case, s, v_start, m):

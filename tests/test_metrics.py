@@ -101,12 +101,23 @@ def test_sweep_perfect_model_is_flat_zero(cell, sweep_setup):
     assert all(r <= 1e-12 for _, r in result.rows)
 
 
-def test_sweep_validation(sweep_setup):
+def test_sweep_validation(sweep_setup, kernel_calls):
+    # every gain is checked, in sorted order, before the masking runs:
+    # a bad gain costs no kernel run, where a good sweep here costs one
     atk, plant = sweep_setup
-    with pytest.raises(ValueError, match="must not be empty"):
-        sweep_ka(atk, plant, [])
-    with pytest.raises(ValueError, match="singular"):
-        sweep_ka(atk, plant, [0.0, 1.0])
+    for gains, message in (
+        ([], "ka_values must not be empty"),
+        ([0.0, 1.0], "k_a = 1 makes the per-sample correction singular"),
+        ([math.inf, 1.0], "k_a = 1 makes the per-sample correction singular"),
+        ([1.0, -math.inf], "k_a must be finite, got -inf"),
+        ([-0.5, math.nan], "k_a must be finite, got nan"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            sweep_ka(atk, plant, gains)
+        assert str(exc.value) == message
+    assert kernel_calls == []
+    sweep_ka(atk, plant, [0.0])
+    assert len(kernel_calls) == 1
 
 
 def test_single_gain_sweep(sweep_setup):

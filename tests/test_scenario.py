@@ -1,8 +1,8 @@
 """Scenario config parsing, preparation, and the end-to-end pipeline.
 
 The traced memory peaks of solve_riccati, synthesize_input_attack,
-simulate and run_scenario on a 50 001-sample settling scenario are held
-within 0.1 MB of their recorded figures.
+simulate, sweep_ka and run_scenario on a 50 001-sample settling
+scenario are held within 0.1 MB of their recorded figures.
 """
 
 import json
@@ -19,6 +19,7 @@ from voltmask import (
     prepare,
     run_scenario,
     select_argmin,
+    sweep_ka,
     sweep_scenario,
     synthesize_input_attack,
 )
@@ -143,20 +144,6 @@ def test_sweep_scenario_matches_selection(scenario_dir):
     assert (result.argmin_ka, result.argmin_rms) == select_argmin(result.rows)
 
 
-@pytest.fixture()
-def kernel_calls(monkeypatch):
-    """The argument tuples of every stepping-kernel run, in order."""
-    calls = []
-    kernel = ecm._simulate_arrays
-
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(ecm, "_simulate_arrays", counting)
-    return calls
-
-
 @pytest.mark.parametrize("n_gains", [1, 3, 12])
 def test_masking_runs_each_simulation_once(scenario_dir, kernel_calls, n_gains):
     """A scenario or a sweep of any length costs one stepping-kernel run
@@ -193,6 +180,10 @@ def test_state_mismatch_simulates_each_plant_run(scenario_dir, kernel_calls, nam
     assert len(kernel_calls) == 3
 
 
+# the benchmark's 41 masking gains, -0.9 to 0.1 in steps of 0.025
+SWEEP_GAINS = tuple(round(-0.9 + 0.025 * i, 3) for i in range(41))
+
+
 def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, params_path):
     """tc1_mismatch at n = 50 001 with 1 mV noise, the benchmark's long scenario.
 
@@ -209,7 +200,10 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     config's i_max, which is checked without an array of |u_nom + u_a|:
     that array peaks at 6 058 797.  simulate's, 2 001 973 bytes,
     frees the RC drive before the voltage readout; kept, it peaks at
-    2 402 165.
+    2 402 165.  sweep_ka's, 3 654 815 bytes with the 41 SWEEP_GAINS,
+    computes the two differences that no gain changes once and scores
+    every gain in one reused buffer: scoring each gain into fresh
+    arrays, differences included, peaks at 4 405 776.
     """
     raw = json.loads((scenario_dir / "tc1_mismatch.json").read_text())
     raw["params_file"] = str(params_path)
@@ -230,11 +224,12 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
         lambda: solve_riccati(prep.adv_params, prep.weights, prep.reference, prep.u_nom)
     )
     _, run_peak = traced_peak(lambda: run_scenario(prep))
-    _, synth_peak = traced_peak(
+    atk, synth_peak = traced_peak(
         lambda: synthesize_input_attack(
             prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0
         )
     )
+    _, sweep_ka_peak = traced_peak(lambda: sweep_ka(atk, prep.plant, SWEEP_GAINS))
     _, synth_i_max_peak = traced_peak(
         lambda: synthesize_input_attack(
             prep.adv_params, prep.weights, prep.reference, prep.u_nom, prep.x0, prep.i_max
@@ -249,3 +244,4 @@ def test_long_settling_scenario_keeps_its_memory_peak(tmp_path, scenario_dir, pa
     assert synth_peak < 5_713_245 + 100_000
     assert prep.i_max is not None and synth_i_max_peak < 5_713_245 + 100_000
     assert simulate_peak < 2_001_973 + 100_000
+    assert sweep_ka_peak < 3_654_815 + 100_000

@@ -167,13 +167,14 @@ def test_noise_is_scaled_by_the_correction_loop(cell, injection):
     assert not damped.ka_warning  # noise gain 1/2
 
 
-def test_gain_validation(cell, injection):
+def test_gain_validation(cell, injection, kernel_calls):
     u_nom, atk, x0 = injection
     plant = PlantConfig(true_params=cell)
     with pytest.raises(ValueError, match="singular"):
         feedback_output_attack(atk, plant, 1.0)
     with pytest.raises(ValueError, match="finite"):
         feedback_output_attack(atk, plant, math.nan)
+    assert kernel_calls == []  # a bad gain is rejected before the masking runs
     ok = feedback_output_attack(atk, plant, 1.5)
     assert ok.ka_warning
     small = feedback_output_attack(atk, plant, 0.99)
