@@ -13,6 +13,11 @@ The soc_violation and i_max_violated flags are reported in summary.json
 but never fail a run; producing them is what an attack is for.  All
 outputs are byte-deterministic for a given config and seed.
 
+Each command states its output files as named tables and hands them to
+_write_outputs, which checks every number of every file before it
+writes the first: a non-finite one is exit 3 and leaves --out empty.
+fit writes fitted_params.json, a cell file, after those.
+
 main() writes every output through a file it closes before it returns,
 and leaves the process's garbage collector as it found it; run(), the
 console script, then freezes the collector so that the interpreter's
@@ -47,19 +52,42 @@ __all__ = ["main", "run"]
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write a flat payload as JSON; a non-finite number is a runtime error.
-
-    JSON has no inf or nan, so such a value, alone or in a list, names
-    its field instead of being written as a bare Infinity or NaN.
-    """
-    for key in sorted(payload):
-        value = payload[key]
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, float) and not math.isfinite(item):
-                raise FloatingPointError(f"{path.name}: field {key!r} is not finite ({item})")
+    """Write a flat payload as JSON, its keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_outputs(out_dir: Path, files: dict) -> None:
+    """Write each file of files into out_dir, once every value is checked.
+
+    files maps a file name to its table: for a .json file its fields,
+    for a .csv file its columns by name, in column order.  JSON has no
+    inf or nan, and a CSV of them is no result, so a non-finite number
+    is a runtime error, raised before any file is written: a JSON value,
+    alone or in a list, is named by its field, and a CSV cell by its
+    column and its row's first-column value.
+    """
+    for name, table in files.items():
+        if name.endswith(".json"):
+            for key in sorted(table):
+                value = table[key]
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, float) and not math.isfinite(item):
+                        raise FloatingPointError(f"{name}: field {key!r} is not finite ({item})")
+            continue
+        first, keys = next(iter(table.items()))
+        for column, values in table.items():
+            if not np.isfinite(values).all():
+                row = np.argmin(np.isfinite(values))
+                raise FloatingPointError(
+                    f"{name}: {column} at {first} = {keys[row]} is not finite ({values[row]})"
+                )
+    for name, table in files.items():
+        if name.endswith(".json"):
+            _write_json(out_dir / name, table)
+        else:
+            _write_csv(out_dir / name, list(table), list(table.values()))
 
 
 def _soc_text(soc: float) -> str:
@@ -74,7 +102,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 # a gain in --ka: a decimal number, optionally signed and with an exponent
-_GAIN = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
+_GAIN = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
 
 
 def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioConfig:
@@ -99,12 +127,14 @@ def _prepare(config_path: Path, seed: int | None, ka: str | None) -> ScenarioCon
 
 def _cmd_simulate(prep: ScenarioConfig, out_dir: Path) -> int:
     result = simulate(prep.plant.true_params, prep.x0, prep.u_nom)
-    times = prep.u_nom.times()
-    _write_csv(
-        out_dir / "nominal.csv",
-        ["t", "i", "soc", "vc", "v"],
-        [times, prep.u_nom.samples, result.soc, result.vc, result.voltage.samples],
-    )
+    nominal = {
+        "t": prep.u_nom.times(),
+        "i": prep.u_nom.samples,
+        "soc": result.soc,
+        "vc": result.vc,
+        "v": result.voltage.samples,
+    }
+    _write_outputs(out_dir, {"nominal.csv": nominal})
     print(f"final soc {_soc_text(result.soc[-1])} (soc_violation={result.soc_violation})")
     return 0
 
@@ -114,66 +144,43 @@ def _cmd_scenario(prep: ScenarioConfig, out_dir: Path) -> int:
 
     run = run_scenario(prep)
     s = run.summary
-    # the summary goes first: _write_json checks it before writing, so a
-    # run that fails leaves nothing in out_dir
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "final_soc_nominal": s.final_soc_nominal,
-            "final_soc_attacked": s.final_soc_attacked,
-            "residual_rms_V": s.residual_rms,
-            "residual_max_V": s.residual_max,
-            "attack_energy_A2s": s.attack_energy,
-            "i_max_violated": s.i_max_violated,
-            "soc_violation_nominal": s.soc_violation_nominal,
-            "soc_violation_attacked": s.soc_violation_attacked,
-            "ka_warning": s.ka_warning,
-            "k_a": prep.k_a,
-        },
-    )
-    times = prep.u_nom.times()
     atk = run.input_attack
     st = run.stealth
-    i_applied = prep.u_nom.samples + atk.u_a.samples
-    _write_csv(
-        out_dir / "attack.csv",
-        [
-            "t",
-            "u_nom",
-            "u_a",
-            "i_applied",
-            "soc_nominal",
-            "soc_attacked",
-            "y_nom",
-            "y_plant",
-            "y_a",
-            "y_measured",
-        ],
-        [
-            times,
-            prep.u_nom.samples,
-            atk.u_a.samples,
-            i_applied,
-            st.plant_nominal.soc,
-            st.plant_attacked.soc,
-            st.y_nom.samples,
-            st.y_plant.samples,
-            st.y_a.samples,
-            st.y_measured.samples,
-        ],
-    )
     ric = atk.riccati
-    _write_csv(
-        out_dir / "riccati.csv",
-        ["t", "s11", "s12", "s22", "v1", "v2"],
-        [
-            ric.grid,
-            ric.s[:, 0, 0],
-            ric.s[:, 0, 1],
-            ric.s[:, 1, 1],
-            ric.v[:, 0],
-            ric.v[:, 1],
-        ],
+    summary = {
+        "final_soc_nominal": s.final_soc_nominal,
+        "final_soc_attacked": s.final_soc_attacked,
+        "residual_rms_V": s.residual_rms,
+        "residual_max_V": s.residual_max,
+        "attack_energy_A2s": s.attack_energy,
+        "i_max_violated": s.i_max_violated,
+        "soc_violation_nominal": s.soc_violation_nominal,
+        "soc_violation_attacked": s.soc_violation_attacked,
+        "ka_warning": s.ka_warning,
+        "k_a": prep.k_a,
+    }
+    attack = {
+        "t": prep.u_nom.times(),
+        "u_nom": prep.u_nom.samples,
+        "u_a": atk.u_a.samples,
+        "i_applied": prep.u_nom.samples + atk.u_a.samples,
+        "soc_nominal": st.plant_nominal.soc,
+        "soc_attacked": st.plant_attacked.soc,
+        "y_nom": st.y_nom.samples,
+        "y_plant": st.y_plant.samples,
+        "y_a": st.y_a.samples,
+        "y_measured": st.y_measured.samples,
+    }
+    riccati = {
+        "t": ric.grid,
+        "s11": ric.s[:, 0, 0],
+        "s12": ric.s[:, 0, 1],
+        "s22": ric.s[:, 1, 1],
+        "v1": ric.v[:, 0],
+        "v2": ric.v[:, 1],
+    }
+    _write_outputs(
+        out_dir, {"summary.json": summary, "attack.csv": attack, "riccati.csv": riccati}
     )
     print(
         f"final soc nominal {_soc_text(s.final_soc_nominal)} "
@@ -187,20 +194,8 @@ def _cmd_sweep(prep: ScenarioConfig, out_dir: Path) -> int:
     from .scenario import sweep_scenario
 
     result = sweep_scenario(prep, prep.ka_values)
-    # _write_json's rule: a non-finite residual is named, and nothing is written
-    for ka, rms in result.rows:
-        if not math.isfinite(rms):
-            raise FloatingPointError(
-                f"sweep.csv: residual_rms_V at k_a = {ka} is not finite ({rms})"
-            )
-    _write_csv(
-        out_dir / "sweep.csv",
-        ["k_a", "residual_rms_V"],
-        [
-            np.array([row[0] for row in result.rows]),
-            np.array([row[1] for row in result.rows]),
-        ],
-    )
+    k_a, rms = np.array(result.rows).T
+    _write_outputs(out_dir, {"sweep.csv": {"k_a": k_a, "residual_rms_V": rms}})
     print(f"argmin k_a = {result.argmin_ka} (residual_rms = {result.argmin_rms:.6e} V)")
     return 0
 
@@ -220,18 +215,14 @@ def _cmd_fit(config: FitConfig, out_dir: Path) -> int:
         print("wrote fitted_params.json (ocv extraction only)")
         return 0
     report = fit_rc(params, config.record, config.frozen, x0=config.x0)
-    # the report goes first: _write_json checks it before writing, so a
-    # fit that fails leaves nothing in out_dir
-    _write_json(
-        out_dir / "fit_report.json",
-        {
-            "rmse_V": report.rmse,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "rmse_history": list(report.rmse_history),
-            "damping_history": list(report.damping_history),
-        },
-    )
+    fit_report = {
+        "rmse_V": report.rmse,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "rmse_history": list(report.rmse_history),
+        "damping_history": list(report.damping_history),
+    }
+    _write_outputs(out_dir, {"fit_report.json": fit_report})
     dump_params(report.fitted, out_dir / "fitted_params.json")
     print(
         f"fit rmse {report.rmse:.6e} V after {report.iterations} iterations "

@@ -102,6 +102,7 @@ def load_scenario(path) -> ScenarioConfig:
     profile_raw = read_block(raw, "profile", ("csv", *_PROFILE_SYNTH_KINDS), ctx)
     pctx = f"{ctx}: profile"
     if "csv" in profile_raw:
+        read_block(raw, "profile", ("csv",), ctx)  # a CSV profile reads no synthetic key
         csv_path = read_path(profile_raw, "csv", pctx, base, f"{ctx}: profile csv")
         u_nom = load_csv(csv_path, dt)
     else:

@@ -47,9 +47,8 @@ def linear_cell():
     return EcmParams(capacity_q=1.4322e4, r0=1.3513e-2, r1=1.028e-2, c1=5.2584e3, ocv=curve)
 
 
-@pytest.fixture(scope="session")
-def workspace(tmp_path_factory, scenario_dir, params_path, cell):
-    """The files every case starts from; make_case copies them, so this stays as built.
+def write_workspace(work: Path) -> None:
+    """Write the files every case starts from into work.
 
     cell.json is the shipped cell and tc1.json a copy of scenarios/tc1.json
     on it.  fit.json fits both blocks on short records generated from the
@@ -57,9 +56,10 @@ def workspace(tmp_path_factory, scenario_dir, params_path, cell):
     whole SoC range, and a 40 s excitation record at dt 2 s.  folder is a
     directory, for the fields that must name a file.
     """
-    work = tmp_path_factory.mktemp("workspace")
+    params_path = REPO_ROOT / "params" / "paper_cell.json"
+    cell = load_params(params_path)
     (work / "cell.json").write_text(params_path.read_text())
-    tc1 = json.loads((scenario_dir / "tc1.json").read_text())
+    tc1 = json.loads((REPO_ROOT / "scenarios" / "tc1.json").read_text())
     (work / "tc1.json").write_text(json.dumps({**tc1, "params_file": "cell.json"}))
     n, dt = 21, 60.0
     amp = cell.capacity_q / (dt * (n - 1))
@@ -80,6 +80,14 @@ def workspace(tmp_path_factory, scenario_dir, params_path, cell):
     }
     (work / "fit.json").write_text(json.dumps(fit))
     (work / "folder").mkdir()
+
+
+@pytest.fixture(scope="session")
+def workspace(tmp_path_factory):
+    """The files every case starts from (see write_workspace); make_case
+    copies them, so this stays as built."""
+    work = tmp_path_factory.mktemp("workspace")
+    write_workspace(work)
     return work
 
 

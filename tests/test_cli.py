@@ -36,6 +36,7 @@ from conftest import patched
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import voltmask.cli
 import voltmask.scenario
 import voltmask.sysid
 from voltmask import (
@@ -295,6 +296,23 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["scenario", "--config", str(make_case(SHORT)), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"runtime error: {error}\n"
+        assert list(out.iterdir()) == []
+
+    def test_a_non_finite_csv_cell_is_named_and_nothing_is_written(
+        self, tmp_path, make_case, capsys, monkeypatch
+    ):
+        def simulate_inf_vc(params, x0, current):
+            result = simulate(params, x0, current)
+            vc = result.vc.copy()
+            vc[3] = np.inf
+            return replace(result, vc=vc)
+
+        monkeypatch.setattr(voltmask.cli, "simulate", simulate_inf_vc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(make_case(SHORT)), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "runtime error: nominal.csv: vc at t = 3.0 is not finite (inf)\n"
+        assert captured.out == ""
         assert list(out.iterdir()) == []
 
     def test_gain_near_one_exits_0_with_the_warning(self, tmp_path, make_case):

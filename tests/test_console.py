@@ -31,6 +31,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from golden_runs import write_weight_configs
 from test_faults import BY_ID
 from test_faults import ROWS as FAULTS
 
@@ -60,24 +61,11 @@ ROWS = [
 
 
 @pytest.fixture(scope="module")
-def work(tmp_path_factory, scenario_dir, params_path, cell):
-    """Configs on tc1 and a fit on a generated 1500 s record, from 1.5x r0, r1 and c1."""
+def work(tmp_path_factory, cell):
+    """The weight configs of golden_runs.py and a fit on a generated 1500 s
+    record, from 1.5x r0, r1 and c1."""
     work = tmp_path_factory.mktemp("console")
-    raw = json.loads((scenario_dir / "tc1.json").read_text())
-    raw["params_file"] = str(params_path)
-    configs = {
-        # S never settles without q2, so every row of the sweep is stepped
-        "terminal.json": {**raw, "weights": {"q1": [1e7, -0.0], "q2": [0.0, 0.0], "r": 1.0}},
-        # every product of the feedback law is zero, so the rollout's SoC
-        # loop writes u_a as a zero on every row
-        "zero.json": {**raw, "weights": {"q1": [0.0, 0.0], "q2": [0.0, 0.0], "r": 1.0}},
-        # S and V are zero on the last row alone, so the SoC loop writes
-        # a zero product there
-        "q1_zero.json": {**raw, "weights": {**raw["weights"], "q1": [0.0, 0.0]}},
-        # weights on vc: the sweep and the rollout step all five scalars
-        "vc.json": {**raw, "weights": {"q1": [1e7, 1e3], "q2": [2e5, 50.0], "r": 1.0}},
-    }
-
+    write_weight_configs(work)
     current = synthetic_profile("sin_mix", 4.0, 0.5, 1500.0, 1.0, seed=9)
     save_csv(current, work / "i.csv")
     save_csv(simulate(cell, BatteryState(0.55, 0.0), current).voltage, work / "v.csv")
@@ -85,9 +73,8 @@ def work(tmp_path_factory, scenario_dir, params_path, cell):
                 work / "start.json")
     rc = {"current_csv": "i.csv", "voltage_csv": "v.csv", "dt": 1.0,
           "frozen": ["capacity_q"], "soc0": 0.55, "vc0": 0.0}
-    configs["fit.json"] = {"initial_params_file": "start.json", "rc": rc}
-    for name, config in configs.items():
-        (work / name).write_text(json.dumps(config))
+    fit = {"initial_params_file": "start.json", "rc": rc}
+    (work / "fit.json").write_text(json.dumps(fit))
     return work
 
 

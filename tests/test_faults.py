@@ -184,6 +184,11 @@ ROWS = [
     Fault("unknown-profile-key", "scenario", 2,
           f"{{config}}: profile: unknown keys ['durration'], not among {_PROFILE_KEYS}",
           config={"profile.durration": 300.0}),
+    # a CSV profile reads its csv alone, so synthetic keys beside it are unread
+    Fault("csv-profile-with-synthetic-keys", "simulate", 2,
+          "{config}: profile: unknown keys ['amplitude', 'kind'], not among ['csv']",
+          config={"profile": {"csv": "p.csv", "kind": "sin_mix", "amplitude": 99}},
+          files={"p.csv": "time_s,value\n0,1\n300,1\n"}),
     Fault("unknown-reference-key", "scenario", 2,
           "{config}: reference: unknown keys ['soc_end'], not among "
           "['soc_start', 'soc_target', 'shape']",
@@ -345,6 +350,8 @@ ROWS = [
     Fault("seed-negative-noisy", "scenario", 2, _SEED, argv=("--seed", "-1"),
           config={"plant_overrides": {"noise_std": 0.001, "seed": 3}}),
     *map(_ka_flag, ["abc", "0,1", "-0.5, 1.0", "nan", "1e999", "", ",", " , ", "0.1,,0.2"]),
+    # a gain is ASCII digits, as a config number is: float() reads these as 2, 1 and 0.5
+    *map(_ka_flag, ["\u0662", "\uff11", "0.\u0665"]),
     # -- the fit file; its ocv block is read before its rc block
     Fault("fit-without-blocks", "fit", 2,
           "{config}: need an 'ocv' and/or 'rc' block, found neither",
